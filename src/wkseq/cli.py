@@ -47,7 +47,7 @@ from .relations import (
     zeros_source,
 )
 from .seqio import WindowFormatError, dumps_csv, dumps_json, load_window
-from .sequence import InvalidSpecError, alpha_window
+from .sequence import alpha_window
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -107,7 +107,6 @@ class RunConfig:
     schedule: tuple[int, ...] | None = None
     format: str = "csv"
     decimals: int = 0
-    parallelism: int = 1
 
     def make_ladder(self) -> Ladder:
         if self.schedule is None:
@@ -117,6 +116,9 @@ class RunConfig:
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
+    # parallelism is accepted and validated for compatibility; searches
+    # always run as one pass, so it changes nothing.
+    parallelism = 1
     if args.config:
         parser = configparser.ConfigParser()
         if not parser.read(args.config):
@@ -139,7 +141,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         if "decimals" in section:
             cfg.decimals = section.getint("decimals")
         if "parallelism" in section:
-            cfg.parallelism = section.getint("parallelism")
+            parallelism = section.getint("parallelism")
     if args.ladder_schedule:
         cfg.schedule = load_schedule_file(args.ladder_schedule)
     if args.format:
@@ -147,10 +149,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.decimals is not None:
         cfg.decimals = args.decimals
     if args.parallelism is not None:
-        cfg.parallelism = args.parallelism
+        parallelism = args.parallelism
     if cfg.format not in ("csv", "json"):
         raise ValueError(f"unknown output format {cfg.format!r}")
-    if cfg.decimals < 0 or cfg.parallelism < 1:
+    if cfg.decimals < 0 or parallelism < 1:
         raise ValueError("decimals must be >= 0 and parallelism >= 1")
     return cfg
 
@@ -253,8 +255,7 @@ def _cmd_relations(args: argparse.Namespace, cfg: RunConfig) -> int:
         a = OrbitView(_orbit_source(args.a, cfg), args.shift_a)
         b = OrbitView(_orbit_source(args.b, cfg), args.shift_b)
         verdict = classify_pair(
-            a, b, args.delta, args.start, args.horizon, args.k, args.tau,
-            cfg.parallelism,
+            a, b, args.delta, args.start, args.horizon, args.k, args.tau
         )
         _emit_report(verdict.to_json_dict())
         if required is not None:
@@ -267,8 +268,7 @@ def _cmd_relations(args: argparse.Namespace, cfg: RunConfig) -> int:
         orbit = _orbit_source(args.orbit, cfg)
         fixed_point = _orbit_source(args.fixed_point, cfg)
         verdicts = thmB_witnesses(
-            orbit, fixed_point, pairs, args.horizon, args.k, args.tau,
-            cfg.parallelism,
+            orbit, fixed_point, pairs, args.horizon, args.k, args.tau
         )
         _emit_report(
             {
@@ -282,8 +282,7 @@ def _cmd_relations(args: argparse.Namespace, cfg: RunConfig) -> int:
     orbit = _orbit_source(args.orbit, cfg)
     try:
         verdict = thmC_witnesses(
-            orbit, args.q, args.delta, args.horizon, args.k, args.tau,
-            cfg.parallelism,
+            orbit, args.q, args.delta, args.horizon, args.k, args.tau
         )
     except NotFoundInHorizonError as exc:
         _emit_report(
@@ -308,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--ladder-schedule", metavar="PATH", help="explicit growth schedule, one integer per line")
     parser.add_argument("--format", choices=("csv", "json"))
     parser.add_argument("--decimals", type=_nonneg_int, help="extra decimal column width for CSV output")
-    parser.add_argument("--parallelism", type=_positive_int, help="logical chunk count for searches")
+    parser.add_argument("--parallelism", type=_positive_int, help="accepted for compatibility and ignored: searches run as one pass")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="emit a window of the limit sequence")
@@ -378,7 +377,7 @@ def console_main(argv: Sequence[str] | None = None) -> int:
     except NotFoundInHorizonError as exc:
         print(f"unwitnessed: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (LadderError, InvalidSpecError, WindowFormatError, ValueError, OSError) as exc:
+    except (LadderError, WindowFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # crash guard: keep exit 3 distinct from exit 1

@@ -137,14 +137,6 @@ class Ladder:
     def period(self, n: int) -> int:
         return 2 * self.p(n)
 
-    def describe(self) -> dict:
-        return {
-            "policy": "explicit" if self._explicit else "default-minimal",
-            "schedule_prefix": list(self._explicit),
-            "depth": self.depth,
-            "p": list(self._p),
-        }
-
 
 def ladder_new(policy: str | Sequence[int] = "default-minimal", depth: int = 0) -> Ladder:
     """Create a ladder.

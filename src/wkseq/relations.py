@@ -7,9 +7,9 @@ starts).  Every verdict is backed by an explicit witness time and an exact
 distance bracket; anything not witnessed within the search horizon is
 labeled inconclusive rather than refuted.
 
-Searches scan a closed time range.  The range may be partitioned for
-parallel execution; partitioning never changes the result because chunks
-are reduced in order and ties always prefer the smallest time.
+Searches scan a closed time range in one pass, and ties always prefer the
+smallest time.  Each search reads the orbit values it needs once and hands
+them to `sequence.bracket_scan`, the one place a bracket sum is computed.
 """
 from __future__ import annotations
 
@@ -18,14 +18,12 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .ladder import Ladder, Rational, eval_ainf
-from .sequence import DistBracket, SeqWindow
+from .sequence import DistBracket, SeqWindow, bracket_scan
 
 PROXIMAL_WITNESSED = "proximal-witnessed"
 DELTA_SEPARATED_WITNESSED = "delta-separated-witnessed"
 PAIR_RECURRENT_WITNESSED = "pair-recurrent-witnessed"
 INCONCLUSIVE = "inconclusive"
-
-ZERO = Fraction(0)
 
 
 class NotFoundInHorizonError(Exception):
@@ -37,52 +35,48 @@ class OrbitSource:
 
     kind is one of "alpha-orbit", "window-file", "full-shift-fixture" or
     "constant"; length is None for sources that can produce arbitrarily
-    many coordinates.
+    many coordinates.  The `read` callback returns coordinates start ..
+    stop-1; `read` checks them against the bounds before calling it.
     """
 
     def __init__(
         self,
         kind: str,
-        fn: Callable[[int], Fraction],
+        read: Callable[[int, int], Sequence[Fraction]],
         length: int | None = None,
-        cache: bool = False,
     ):
         self.kind = kind
         self.length = length
-        self._fn = fn
-        self._cache: dict[int, Fraction] | None = {} if cache else None
+        self._read = read
+
+    def read(self, start: int, stop: int) -> Sequence[Fraction]:
+        """Coordinates start .. stop-1."""
+        if start < 0:
+            raise IndexError("orbit coordinates are nonnegative")
+        if self.length is not None and stop > self.length:
+            raise IndexError(
+                f"coordinate {stop - 1} beyond orbit data of length {self.length}"
+            )
+        return self._read(start, stop)
 
     def value(self, i: int) -> Fraction:
-        if i < 0:
-            raise IndexError("orbit coordinates are nonnegative")
-        if self.length is not None and i >= self.length:
-            raise IndexError(
-                f"coordinate {i} beyond orbit data of length {self.length}"
-            )
-        if self._cache is None:
-            return self._fn(i)
-        v = self._cache.get(i)
-        if v is None:
-            v = self._cache[i] = self._fn(i)
-        return v
+        return self.read(i, i + 1)[0]
 
 
 def alpha_source(ladder: Ladder) -> OrbitSource:
-    return OrbitSource("alpha-orbit", lambda i: eval_ainf(ladder, i), cache=True)
+    return OrbitSource(
+        "alpha-orbit", lambda a, b: [eval_ainf(ladder, i) for i in range(a, b)]
+    )
 
 
 def window_source(window: SeqWindow, kind: str = "window-file") -> OrbitSource:
     values = window.values
-    return OrbitSource(kind, lambda i: values[i], length=len(values))
-
-
-def fixture_source(window: SeqWindow) -> OrbitSource:
-    return window_source(window, kind="full-shift-fixture")
+    return OrbitSource(kind, lambda a, b: values[a:b], length=len(values))
 
 
 def constant_source(value: Rational) -> OrbitSource:
     v = Fraction(value)
-    return OrbitSource("constant", lambda i: v)
+    return OrbitSource("constant", lambda a, b: [v] * (b - a))
 
 
 def ones_source() -> OrbitSource:
@@ -108,6 +102,10 @@ class OrbitView:
     def value(self, i: int) -> Fraction:
         return self.source.value(self.shift + i)
 
+    def read(self, start: int, stop: int) -> Sequence[Fraction]:
+        """Values at times start .. stop-1."""
+        return self.source.read(self.shift + start, self.shift + stop)
+
     def max_time(self, k: int) -> int | None:
         """Largest time t for which coordinates t..t+k-1 are available."""
         if self.source.length is None:
@@ -128,59 +126,18 @@ def _check_span(views: Sequence[OrbitView], start: int, horizon: int, k: int) ->
             )
 
 
-def _chunks(start: int, stop: int, parts: int) -> list[tuple[int, int]]:
-    total = stop - start + 1
-    parts = max(1, min(parts, total))
-    size = -(-total // parts)
-    out = []
-    a = start
-    while a <= stop:
-        b = min(stop, a + size - 1)
-        out.append((a, b))
-        a = b + 1
-    return out
-
-
-def _scan_extreme(
-    a: OrbitView,
-    b: OrbitView,
+def _search(
+    sides: Sequence[tuple[Sequence[Fraction], Sequence[Fraction]]],
     start: int,
     horizon: int,
     k: int,
-    want_max: bool,
-    parallelism: int,
-) -> tuple[int, Fraction]:
-    """Extremal bracket lower sum over [start, horizon], smallest time on ties.
-
-    Chunked sliding-window evaluation; exact arithmetic makes the chunking
-    invisible in the result.  Stops early once the theoretical extreme is
-    reached, which can only happen at the smallest qualifying time.
-    """
-    width = Fraction(2) ** (1 - k)
-    extreme = 2 - width if want_max else ZERO
-    best_t: int | None = None
-    best_lo: Fraction | None = None
-    for c0, c1 in _chunks(start, horizon, parallelism):
-        diffs = [abs(a.value(i) - b.value(i)) for i in range(c0, c1 + k)]
-        lo = sum(
-            (d / Fraction(2) ** j for j, d in enumerate(diffs[:k])), ZERO
-        )
-        t = c0
-        while True:
-            better = (
-                best_lo is None
-                or (lo > best_lo if want_max else lo < best_lo)
-            )
-            if better:
-                best_t, best_lo = t, lo
-                if lo == extreme:
-                    return best_t, best_lo
-            if t == c1:
-                break
-            lo = 2 * (lo - diffs[t - c0]) + diffs[t - c0 + k] * width
-            t += 1
-    assert best_t is not None and best_lo is not None
-    return best_t, best_lo
+    sliding: bool,
+    want_max: bool = False,
+) -> tuple[int, DistBracket]:
+    """`bracket_scan` over the times start .. horizon, whose values the
+    sides hold from time `start` on."""
+    t, bracket = bracket_scan(sides, horizon - start + 1, k, sliding, want_max)
+    return start + t, bracket
 
 
 def prox_defect(
@@ -189,13 +146,12 @@ def prox_defect(
     start: int,
     horizon: int,
     k: int,
-    parallelism: int = 1,
 ) -> tuple[int, DistBracket]:
     """Time in [start, horizon] with the smallest distance bracket between
     the two t-shifted views, compared at prefix length k."""
     _check_span([a, b], start, horizon, k)
-    t, lo = _scan_extreme(a, b, start, horizon, k, False, parallelism)
-    return t, DistBracket(lo, lo + Fraction(2) ** (1 - k))
+    reads = a.read(start, horizon + k), b.read(start, horizon + k)
+    return _search([reads], start, horizon, k, True)
 
 
 def sep_sup(
@@ -204,12 +160,11 @@ def sep_sup(
     start: int,
     horizon: int,
     k: int,
-    parallelism: int = 1,
 ) -> tuple[int, DistBracket]:
     """Time in [start, horizon] with the largest certified separation."""
     _check_span([a, b], start, horizon, k)
-    t, lo = _scan_extreme(a, b, start, horizon, k, True, parallelism)
-    return t, DistBracket(lo, lo + Fraction(2) ** (1 - k))
+    reads = a.read(start, horizon + k), b.read(start, horizon + k)
+    return _search([reads], start, horizon, k, True, want_max=True)
 
 
 def pair_recur_defect(
@@ -218,37 +173,18 @@ def pair_recur_defect(
     start: int,
     horizon: int,
     k: int,
-    parallelism: int = 1,
 ) -> tuple[int, DistBracket]:
     """Time whose shift nearly returns both views to their own start.
 
     Minimizes the worse of the two self-return brackets; the reported
-    bracket is that worse one.
+    bracket is that worse one.  Time 0, the identity shift, proves nothing,
+    so the search must start at time 1 or later.
     """
+    if start < 1:
+        raise ValueError("recurrence searches start at time 1 or later")
     _check_span([a, b], start, horizon, k)
-    width = Fraction(2) ** (1 - k)
-    weights = [Fraction(2) ** -i for i in range(k)]
-    base_a = [a.value(i) for i in range(k)]
-    base_b = [b.value(i) for i in range(k)]
-    best_t: int | None = None
-    best_lo: Fraction | None = None
-    for c0, c1 in _chunks(start, horizon, parallelism):
-        for t in range(c0, c1 + 1):
-            lo_a = sum(
-                (abs(a.value(t + i) - base_a[i]) * weights[i] for i in range(k)),
-                ZERO,
-            )
-            lo_b = sum(
-                (abs(b.value(t + i) - base_b[i]) * weights[i] for i in range(k)),
-                ZERO,
-            )
-            lo = max(lo_a, lo_b)
-            if best_lo is None or lo < best_lo:
-                best_t, best_lo = t, lo
-                if lo == ZERO:
-                    return best_t, DistBracket(ZERO, width)
-    assert best_t is not None and best_lo is not None
-    return best_t, DistBracket(best_lo, best_lo + width)
+    sides = [(v.read(start, horizon + k), v.read(0, k)) for v in (a, b)]
+    return _search(sides, start, horizon, k, False)
 
 
 @dataclass(frozen=True)
@@ -311,18 +247,30 @@ def classify_pair(
     horizon: int,
     k: int,
     tau: Rational,
-    parallelism: int = 1,
 ) -> PairVerdict:
-    """Run the three witness searches on one pair and label the outcome."""
+    """Run the three witness searches on one pair and label the outcome.
+
+    Recurrence is searched from time max(start, 1); when that leaves no
+    time in the horizon, its clause is inconclusive.
+    """
     delta, tau = Fraction(delta), Fraction(tau)
     if delta <= 0 or tau <= 0:
         raise ValueError("delta and tau must be positive")
-    pt, pbr = prox_defect(a, b, start, horizon, k, parallelism)
-    st, sbr = sep_sup(a, b, start, horizon, k, parallelism)
-    rt, rbr = pair_recur_defect(a, b, start, horizon, k, parallelism)
+    _check_span([a, b], start, horizon, k)
+    reads = a.read(start, horizon + k), b.read(start, horizon + k)
+    pt, pbr = _search([reads], start, horizon, k, True)
+    st, sbr = _search([reads], start, horizon, k, True, want_max=True)
     prox_hit = pbr.hi < tau
     sep_hit = sbr.lo >= delta - tau
-    recur_hit = rbr.hi < tau
+    first = max(start, 1)
+    recur_hit = False
+    if first <= horizon:
+        sides = [
+            (read[first - start:], view.read(0, k))
+            for view, read in zip((a, b), reads)
+        ]
+        rt, rbr = _search(sides, first, horizon, k, False)
+        recur_hit = rbr.hi < tau
     return PairVerdict(
         labels=_labels(
             (PROXIMAL_WITNESSED, prox_hit),
@@ -339,41 +287,6 @@ def classify_pair(
     )
 
 
-def _joint_prox_to_point(
-    x: OrbitSource,
-    shifts: tuple[int, int],
-    point: OrbitSource,
-    horizon: int,
-    k: int,
-    parallelism: int,
-) -> tuple[int, Fraction]:
-    """Time minimizing the worse of the two distances from the t-shifted
-    views to a fixed target point; returns (time, worse bracket hi)."""
-    width = Fraction(2) ** (1 - k)
-    weights = [Fraction(2) ** -i for i in range(k)]
-    target = [point.value(i) for i in range(k)]
-    m, n = shifts
-    best_t: int | None = None
-    best_lo: Fraction | None = None
-    for c0, c1 in _chunks(0, horizon, parallelism):
-        for t in range(c0, c1 + 1):
-            lo_m = sum(
-                (abs(x.value(t + m + i) - target[i]) * weights[i] for i in range(k)),
-                ZERO,
-            )
-            lo_n = sum(
-                (abs(x.value(t + n + i) - target[i]) * weights[i] for i in range(k)),
-                ZERO,
-            )
-            lo = max(lo_m, lo_n)
-            if best_lo is None or lo < best_lo:
-                best_t, best_lo = t, lo
-                if lo == ZERO:
-                    return best_t, width
-    assert best_t is not None and best_lo is not None
-    return best_t, best_lo + width
-
-
 def thmB_witnesses(
     x: OrbitSource,
     fixed_point: OrbitSource,
@@ -381,7 +294,6 @@ def thmB_witnesses(
     horizon: int,
     k: int,
     tau: Rational,
-    parallelism: int = 1,
 ) -> list[PairVerdict]:
     """For each pair of distinct shifts of one orbit, search for a time that
     carries both shifted views close to the fixed point (the proximality
@@ -389,23 +301,26 @@ def thmB_witnesses(
     tau = Fraction(tau)
     if tau <= 0:
         raise ValueError("tau must be positive")
-    verdicts = []
+    pairs = list(pairs)
+    if not pairs:
+        return []
     for m, n in pairs:
         if m == n:
             raise ValueError("pairs must use two distinct shifts")
         if m < 0 or n < 0:
             raise ValueError("shifts must be nonnegative")
-        hi_shift = max(m, n)
-        _check_span(
-            [OrbitView(x, hi_shift)], 0, horizon, k
+        # the recurrence half searches from time 1
+        _check_span([OrbitView(x, max(m, n))], 1, horizon, k)
+    top = max(max(pair) for pair in pairs)
+    xs = x.read(0, top + horizon + k)
+    target = fixed_point.read(0, k)
+    verdicts = []
+    for m, n in pairs:
+        pt, pbr = _search([(xs[m:], target), (xs[n:], target)], 0, horizon, k, False)
+        rt, rbr = _search(
+            [(xs[m + 1:], xs[m:m + k]), (xs[n + 1:], xs[n:n + k])], 1, horizon, k, False
         )
-        pt, p_hi = _joint_prox_to_point(
-            x, (m, n), fixed_point, horizon, k, parallelism
-        )
-        rt, rbr = pair_recur_defect(
-            OrbitView(x, m), OrbitView(x, n), 1, horizon, k, parallelism
-        )
-        prox_hit = p_hi < tau
+        prox_hit = pbr.hi < tau
         recur_hit = rbr.hi < tau
         verdicts.append(
             PairVerdict(
@@ -417,7 +332,7 @@ def thmB_witnesses(
                 horizon=(0, horizon),
                 prefix_len=k,
                 tau=tau,
-                prox_witness=(pt, p_hi) if prox_hit else None,
+                prox_witness=(pt, pbr.hi) if prox_hit else None,
                 sep_witness=None,
                 recur_witness=(rt, rbr.hi) if recur_hit else None,
                 pair=(m, n),
@@ -433,7 +348,6 @@ def thmC_witnesses(
     horizon: int,
     k: int,
     tau: Rational,
-    parallelism: int = 1,
 ) -> PairVerdict:
     """Separate the orbit from its q-shift through an occurrence of the
     alternating-blocks pattern (q zeros, q ones, repeating), then search
@@ -446,6 +360,8 @@ def thmC_witnesses(
     delta, tau = Fraction(delta), Fraction(tau)
     if q < 1:
         raise ValueError("block length must be at least 1")
+    if k < 1:
+        raise ValueError("prefix length must be at least 1")
     if delta <= 0 or tau <= 0:
         raise ValueError("delta and tau must be positive")
     need = q + k
@@ -454,28 +370,19 @@ def thmC_witnesses(
         top = min(top, x.length - need)
     found = None
     if top >= 0:
-        for c0, c1 in _chunks(0, top, parallelism):
-            for t in range(c0, c1 + 1):
-                if all(
-                    x.value(t + i) == ((i // q) % 2) for i in range(need)
-                ):
-                    found = t
-                    break
-            if found is not None:
-                break
+        xs = x.read(0, top + need)
+        pattern = [(i // q) % 2 for i in range(need)]
+        # the first exact occurrence is the first time whose bracket sum is 0
+        t, match = _search([(xs, pattern)], 0, top, need, False)
+        if match.lo == 0:
+            found = t
     if found is None:
         raise NotFoundInHorizonError(
             f"no block-alternating occurrence of length {need} within horizon {horizon}"
         )
-    weights = [Fraction(2) ** -i for i in range(k)]
-    sep_lo = sum(
-        (abs(x.value(found + i) - x.value(found + q + i)) * weights[i] for i in range(k)),
-        ZERO,
-    )
-    prox_top = top  # same read bounds apply to the shifted pair
-    pt, pbr = prox_defect(
-        OrbitView(x, 0), OrbitView(x, q), 0, prox_top, k, parallelism
-    )
+    sep_lo = bracket_scan([(xs[found:found + k], xs[found + q:found + q + k])], 1, k, True)[1].lo
+    # the shifted pair reads coordinates up to top + q + k - 1, as the pattern did
+    pt, pbr = _search([(xs, xs[q:])], 0, top, k, True)
     sep_hit = sep_lo >= delta - tau
     prox_hit = pbr.hi < tau
     return PairVerdict(

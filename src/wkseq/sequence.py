@@ -10,6 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from math import lcm
+from operator import mul, sub
+from typing import Iterator, Sequence
 
 from .ladder import DomainError, Ladder, Rational, eval_ainf
 from .plfunc import PLFunc
@@ -80,11 +84,109 @@ def bebutov_dist_bracket(x: SeqWindow, y: SeqWindow) -> DistBracket:
     coordinate zero (via `shift`); offsets are not compared here.  The
     bracket has width exactly 2^(1-k) for k = min(len x, len y).
     """
-    k = min(len(x), len(y))
-    lo = Fraction(0)
-    for i in range(k):
-        lo += abs(x.values[i] - y.values[i]) / Fraction(2) ** i
-    return DistBracket(lo, lo + Fraction(2) ** (1 - k))
+    return bracket_scan([(x.values, y.values)], 1, min(len(x), len(y)), True)[1]
+
+
+#: A block of times ends once the common denominator of its values passes
+#: this many bits.  Many coprime denominators would otherwise make every
+#: integer numerator, and the memory they take, grow with the whole range.
+BLOCK_DEN_BITS = 1024
+
+
+def bracket_scan(
+    sides: Sequence[tuple[Sequence[Rational], Sequence[Rational]]],
+    count: int,
+    k: int,
+    sliding: bool,
+    want_max: bool = False,
+) -> tuple[int, DistBracket]:
+    """The first of the times 0 .. count-1 (count >= 1) with the smallest
+    (with `want_max`, the largest) bracket, and that bracket.
+
+    The lower sum at time j is the largest over the sides (xs, ys) of
+    sum_{i<k} |xs[j+i] - ys[i + (j if sliding else 0)]| / 2^i: a sliding
+    side compares two points that both move with j, any other side compares
+    the moving point with the fixed target ys[:k].  The scan stops at the
+    first time that reaches the bound (0, or 2 - 2^(1-k) with `want_max`),
+    since no later time can beat it.
+
+    Sums are exact integers over one common denominator per block of
+    times.  A block holds at least one full k-window and ends once that
+    denominator passes BLOCK_DEN_BITS bits.
+    """
+    high = k - 1
+    weights = [1 << (high - i) for i in range(k)]
+    width = Fraction(2) ** (1 - k)
+    pick = max if want_max else min
+    best_t, best = 0, None
+    j0 = 0
+    while j0 < count:
+        den = lcm(*(
+            v.denominator
+            for xs, ys in sides
+            for v in (*xs[j0:j0 + k], *(ys[j0:j0 + k] if sliding else ys[:k]))
+        ))
+        # Times j1 .. stop-1 add the values at j1+k-1 .. stop+k-2.  Runs of
+        # times join at once while the limit holds, and one at a time where a
+        # run would pass it, so the block ends at the same time either way.
+        j1, run = j0 + 1, 1
+        while j1 < count and den.bit_length() <= BLOCK_DEN_BITS:
+            stop = min(count, j1 + run)
+            grown = lcm(den, *(
+                v.denominator
+                for xs, ys in sides
+                for vs in ((xs, ys) if sliding else (xs,))
+                for v in vs[j1 + high:stop + high]
+            ))
+            if run > 1 and grown.bit_length() > BLOCK_DEN_BITS:
+                run = 1
+                continue
+            den, j1, run = grown, stop, 2 * run
+
+        def scaled(vs: Sequence[Rational]) -> list[int]:
+            return [v.numerator * (den // v.denominator) for v in vs]
+
+        sums = []
+        for xs, ys in sides:
+            xi = scaled(xs[j0:j1 + high])
+            if sliding:
+                diffs = list(map(abs, map(sub, xi, scaled(ys[j0:j1 + high]))))
+                sums.append(_sliding_sums(diffs, weights))
+            else:
+                sums.append(_fixed_sums(xi, scaled(ys[:k]), weights))
+        bound = ((1 << k) - 1) * den if want_max else 0
+        merged = sums[0] if len(sums) == 1 else map(max, *sums)
+        # Chunks of doubling size, up to 4096 times: the scan stops within
+        # twice the times a one-by-one scan would take to reach the bound.
+        j, size = j0, 1
+        while chunk := list(islice(merged, size)):
+            n = pick(chunk)
+            lo = Fraction(n, den << high)
+            if best is None or (lo > best if want_max else lo < best):
+                best_t, best = j + chunk.index(n), lo
+                if n == bound:
+                    return best_t, DistBracket(best, best + width)
+            j += len(chunk)
+            size = min(2 * size, 4096)
+        j0 = j1
+    return best_t, DistBracket(best, best + width)
+
+
+def _sliding_sums(diffs: list[int], weights: list[int]) -> Iterator[int]:
+    """Weighted sums of each k-window of diffs, one O(1) update per step."""
+    k = len(weights)
+    n = sum(map(mul, diffs, weights))
+    yield n
+    for old, new in zip(diffs, diffs[k:]):
+        n = ((n - old * weights[0]) << 1) + new
+        yield n
+
+
+def _fixed_sums(xi: list[int], yi: list[int], weights: list[int]) -> Iterator[int]:
+    """Weighted distance of each k-window of xi from the fixed window yi."""
+    k = len(weights)
+    for j in range(len(xi) - k + 1):
+        yield sum(map(mul, map(abs, map(sub, xi[j:j + k], yi)), weights))
 
 
 def constant_window(value: Rational, length: int, offset: int = 0) -> SeqWindow:

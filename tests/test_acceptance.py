@@ -218,20 +218,12 @@ def test_8_constructive_separation_witness(announce):
     prox_ok = PROXIMAL_WITNESSED in pair_verdict.labels and all(
         fixture.values[prox_t + i] == 0 for i in range(17)
     )
-    deterministic = all(
-        thmC_witnesses(src, 1, F(2), horizon, 16, tau, parallelism=par) == verdict
-        and classify_pair(
-            OrbitView(src, 0), OrbitView(src, 1), F(2), 0, horizon, 16, tau, par
-        )
-        == pair_verdict
-        for par in (2, 3, 5, 8)
-    )
-    ok = sep_ok and prox_ok and deterministic
+    ok = sep_ok and prox_ok
     announce(
         "8-separation-witness",
         ok,
         f"sep lo {verdict.sep_witness[1]} at t={verdict.sep_witness[0]}, "
-        f"0-run proximity at t={prox_t}, parallelism-stable",
+        f"0-run proximity at t={prox_t}",
     )
     assert ok
 
@@ -250,12 +242,12 @@ def test_9_brute_force_equivalence(announce):
         a = OrbitView(window_source(SeqWindow(0, va)), 0)
         b = OrbitView(window_source(SeqWindow(0, vb)), 0)
         fa, fb = va.__getitem__, vb.__getitem__
-        par = rng.randint(1, 6)
-        t, br = prox_defect(a, b, 0, horizon, k, par)
+        rng.randint(1, 6)  # an unused draw keeps the later cases fixed
+        t, br = prox_defect(a, b, 0, horizon, k)
         all_ok &= (t, br.lo, br.hi) == oracles.naive_min_hi(fa, fb, 0, horizon, k)
-        t, br = sep_sup(a, b, 0, horizon, k, par)
+        t, br = sep_sup(a, b, 0, horizon, k)
         all_ok &= (t, br.lo, br.hi) == oracles.naive_max_lo(fa, fb, 0, horizon, k)
-        t, br = pair_recur_defect(a, b, 1, horizon, k, par)
+        t, br = pair_recur_defect(a, b, 1, horizon, k)
         all_ok &= (t, br.hi) == oracles.naive_recur_defect(fa, fb, 1, horizon, k)
     elapsed = time.perf_counter() - t0
     announce(

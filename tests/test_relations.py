@@ -5,6 +5,8 @@ import pytest
 
 import oracles
 from wkseq import (
+    console_main,
+    dumps_csv,
     DELTA_SEPARATED_WITNESSED,
     INCONCLUSIVE,
     PAIR_RECURRENT_WITNESSED,
@@ -104,21 +106,25 @@ def test_fixture_pair_witnesses(fixture):
     assert (t, br.lo, br.hi) == (4070, F(1, 8192), F(5, 32768))
 
 
-def test_searches_are_parallelism_invariant(fixture):
-    src = window_source(fixture)
-    a, b = OrbitView(src, 0), OrbitView(src, 1)
-    horizon = 2000
-    base = (
-        prox_defect(a, b, 0, horizon, 12),
-        sep_sup(a, b, 0, horizon, 12),
-        pair_recur_defect(a, b, 1, horizon, 12),
-    )
-    for par in (2, 3, 5, 64):
-        assert base == (
-            prox_defect(a, b, 0, horizon, 12, par),
-            sep_sup(a, b, 0, horizon, 12, par),
-            pair_recur_defect(a, b, 1, horizon, 12, par),
-        )
+def test_searches_are_parallelism_invariant(fixture, capsys, tmp_path):
+    path = tmp_path / "fixture.csv"
+    path.write_text(dumps_csv(fixture))
+    argv = [
+        "relations", "classify", "--a", str(path), "--b", str(path),
+        "--shift-b", "1", "--delta", "2", "--horizon", "2000", "--k", "12",
+        "--tau", "1/512",
+    ]
+
+    def stdout(*prefix):
+        assert console_main([*prefix, *argv]) == 0
+        return capsys.readouterr().out
+
+    base = stdout()
+    for par in (1, 2, 3, 5, 64):
+        assert stdout("--parallelism", str(par)) == base
+        cfg = tmp_path / f"par{par}.ini"
+        cfg.write_text(f"[run]\nparallelism = {par}\n")
+        assert stdout("--config", str(cfg)) == base
 
 
 def test_randomized_brute_force_equivalence():
@@ -133,12 +139,58 @@ def test_randomized_brute_force_equivalence():
         a = OrbitView(window_source(SeqWindow(0, va)), 0)
         b = OrbitView(window_source(SeqWindow(0, vb)), 0)
         fa, fb = va.__getitem__, vb.__getitem__
-        t, br = prox_defect(a, b, 0, horizon, k, rng.randint(1, 4))
+        rng.randint(1, 4)  # unused draws keep the later cases fixed
+        t, br = prox_defect(a, b, 0, horizon, k)
         assert (t, br.lo, br.hi) == oracles.naive_min_hi(fa, fb, 0, horizon, k)
-        t, br = sep_sup(a, b, 0, horizon, k, rng.randint(1, 4))
+        rng.randint(1, 4)
+        t, br = sep_sup(a, b, 0, horizon, k)
         assert (t, br.lo, br.hi) == oracles.naive_max_lo(fa, fb, 0, horizon, k)
-        t, br = pair_recur_defect(a, b, 1, horizon, k, rng.randint(1, 4))
+        rng.randint(1, 4)
+        t, br = pair_recur_defect(a, b, 1, horizon, k)
         assert (t, br.hi) == oracles.naive_recur_defect(fa, fb, 1, horizon, k)
+
+
+def _primes(count):
+    found = []
+    n = 2
+    while len(found) < count:
+        if all(n % p for p in found if p * p <= n):
+            found.append(n)
+        n += 1
+    return found
+
+
+@pytest.mark.parametrize("k", [1, 8, 32, 128])
+def test_coprime_denominators_match_brute_force(k):
+    # 1/p over distinct primes: the common denominator of a time block
+    # passes its size limit after about a hundred values, and at k = 128
+    # most single windows already pass it, so the searches cross many block
+    # boundaries.
+    values = tuple(F(1, p) for p in _primes(300))
+    src = window_source(SeqWindow(0, values))
+    x = OrbitView(src, 0)
+    fx = values.__getitem__
+    for other, fy in (
+        (OrbitView(ones_source(), 0), lambda i: F(1)),
+        (OrbitView(src, 1), lambda i: values[i + 1]),
+    ):
+        horizon = len(values) - 1 - k
+        t, br = prox_defect(x, other, 0, horizon, k)
+        assert (t, br.lo, br.hi) == oracles.naive_min_hi(fx, fy, 0, horizon, k)
+        t, br = sep_sup(x, other, 0, horizon, k)
+        assert (t, br.lo, br.hi) == oracles.naive_max_lo(fx, fy, 0, horizon, k)
+        t, br = pair_recur_defect(x, other, 1, horizon, k)
+        assert (t, br.hi) == oracles.naive_recur_defect(fx, fy, 1, horizon, k)
+
+
+def test_recurrence_never_witnessed_at_time_zero(alpha_view):
+    ones = OrbitView(ones_source(), 0)
+    with pytest.raises(ValueError):
+        pair_recur_defect(alpha_view, ones, 0, 10, 8)
+    verdict = classify_pair(alpha_view, ones, F(1), 0, 0, 8, F(1, 100))
+    assert verdict.recur_witness is None
+    assert PAIR_RECURRENT_WITNESSED not in verdict.labels
+    assert INCONCLUSIVE in verdict.labels
 
 
 def test_classify_alpha_vs_fixed_point(alpha_view):
@@ -153,6 +205,8 @@ def test_classify_alpha_vs_fixed_point(alpha_view):
     }
     assert verdict.prox_witness == (54, F(1, 128))
     assert verdict.sep_witness == (5, F(227, 128))
+    # searched from time 1: time 0 is the identity shift and proves nothing
+    assert verdict.recur_witness == (6, F(1, 128))
     assert verdict.delta == 1 and verdict.prefix_len == 8
 
 
