@@ -5,6 +5,10 @@ a report carrying the exact extremal values it saw, the bound it compared
 them against, and a pass verdict.  Reports serialize to versioned JSON
 with every rational rendered as an exact num/den string.
 
+Every comparison of a profile with its own shift runs through one kernel,
+`_max_defect`, and every coordinate scan is refused up front when it would
+visit more than SCAN_LIMIT points.
+
 Two execution strategies appear for the ones-run certificate: small levels
 scan every coordinate; large levels certify runs through exact interval
 arithmetic on the plateau preimages of the stretched base profile, whose
@@ -14,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 from .ladder import (
     DomainError,
@@ -23,20 +27,57 @@ from .ladder import (
     eval_ainf,
     eval_b,
 )
-
-REPORT_SCHEMA = "wk-report/1"
+from .seqio import report_dict
 
 ONE = Fraction(1)
 
+#: Every coordinate scan visits at most this many points; a larger scan is
+#: refused before it evaluates anything.  The costliest scan it allows, wm
+#: at four evaluations per point and about 35 us each on a 2-CPU host, takes
+#: about five minutes.
+SCAN_LIMIT = 2_000_001
 
-def _frac_str(value: Fraction | None) -> str | None:
-    if value is None:
-        return None
-    return f"{value.numerator}/{value.denominator}"
+
+def scan_points(points: Sequence[int]) -> Sequence[int]:
+    """The points of a scan, once they are known to be within SCAN_LIMIT;
+    raises ValueError otherwise.  Slicing never builds a range's points."""
+    if points[SCAN_LIMIT:]:
+        raise ValueError(f"scan of more than {SCAN_LIMIT} points refused")
+    return points
+
+
+def _max_defect(
+    f: Callable[[int], Fraction],
+    points: Sequence[int],
+    shifts: tuple[int, ...],
+    first: bool = False,
+) -> tuple[Fraction, int]:
+    """Largest |f(t + s) - f(t)| over t in points and s in shifts, and the
+    index of the first point that reaches it.  With `first`, the scan stops
+    at the first nonzero defect."""
+    worst, worst_i = Fraction(0), 0
+    for i, t in enumerate(scan_points(points)):
+        here = f(t)
+        for s in shifts:
+            defect = abs(f(t + s) - here)
+            if defect > worst:
+                worst, worst_i = defect, i
+                if first:
+                    return worst, worst_i
+    return worst, worst_i
+
+
+class _Report:
+    """One wk-report/1 encoding for every certificate: each field, the
+    lemma's name and the verdict under "pass"."""
+
+    def to_json_dict(self) -> dict:
+        body = {k: v for k, v in vars(self).items() if k != "passed"}
+        return report_dict(lemma=self.lemma, **body, **{"pass": self.passed})
 
 
 @dataclass(frozen=True)
-class RigidityReport:
+class RigidityReport(_Report):
     """Worst displacement seen when comparing a profile against its 2p[n] shift."""
 
     n: int
@@ -49,25 +90,16 @@ class RigidityReport:
     m: int | None = None
     grid_step: Fraction | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": REPORT_SCHEMA,
-            "lemma": "shift-defect" if self.m is not None else "rigidity",
-            "n": self.n,
-            "m": self.m,
-            "shift": self.shift,
-            "tested_range": list(self.tested_range),
-            "grid_step": _frac_str(self.grid_step),
-            "max_defect": _frac_str(self.max_defect),
-            "bound": _frac_str(self.bound),
-            "argmax_index": self.argmax_index,
-            "pass": self.passed,
-        }
+    @property
+    def lemma(self) -> str:
+        return "shift-defect" if self.m is not None else "rigidity"
 
 
 @dataclass(frozen=True)
-class ReturnReport:
+class ReturnReport(_Report):
     """Exact equality of the sequence with both of its certified return shifts."""
+
+    lemma = "returns"
 
     n: int
     left_shift: int
@@ -80,23 +112,12 @@ class ReturnReport:
     def passed(self) -> bool:
         return self.all_equal
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": REPORT_SCHEMA,
-            "lemma": "returns",
-            "n": self.n,
-            "left_shift": self.left_shift,
-            "right_shift": self.right_shift,
-            "checked": self.checked,
-            "all_equal": self.all_equal,
-            "first_mismatch": self.first_mismatch,
-            "pass": self.passed,
-        }
-
 
 @dataclass(frozen=True)
-class OnesRunReport:
+class OnesRunReport(_Report):
     """Syndetic occurrence of long all-ones blocks in an initial window."""
+
+    lemma = "ones-runs"
 
     n: int
     run_length_required: int
@@ -108,25 +129,12 @@ class OnesRunReport:
     runs_found: int
     mode: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": REPORT_SCHEMA,
-            "lemma": "ones-runs",
-            "n": self.n,
-            "run_length_required": self.run_length_required,
-            "gap_bound": self.gap_bound,
-            "window": list(self.window),
-            "worst_gap": self.worst_gap,
-            "first_run": list(self.first_run) if self.first_run else None,
-            "runs_found": self.runs_found,
-            "mode": self.mode,
-            "pass": self.passed,
-        }
-
 
 @dataclass(frozen=True)
-class WMReport:
+class WMReport(_Report):
     """Certified double return: N and N+1 both send the start cylinder home."""
+
+    lemma = "wm-returns"
 
     n: int
     N: int
@@ -136,20 +144,6 @@ class WMReport:
     dist_hi: Fraction
     eps: Fraction
     passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": REPORT_SCHEMA,
-            "lemma": "wm-returns",
-            "n": self.n,
-            "N": self.N,
-            "agree_len": self.agree_len,
-            "forward_exact": self.forward_exact,
-            "backward_exact": self.backward_exact,
-            "dist_hi": _frac_str(self.dist_hi),
-            "eps": _frac_str(self.eps),
-            "pass": self.passed,
-        }
 
 
 # -- shift defect and rigidity --------------------------------------------
@@ -171,16 +165,13 @@ def check_shift_defect(
         raise ValueError("grid step must be positive")
     span = ladder.p(m)
     displacement = 2 * ladder.p(n)
-    worst = Fraction(0)
-    worst_k = 0
-    t = Fraction(-span)
-    k = 0
-    while t <= span:
-        defect = abs(eval_b(ladder, m, t + displacement) - eval_b(ladder, m, t))
-        if defect > worst:
-            worst, worst_k = defect, k
-        t += grid_step
-        k += 1
+    # the grid -span, -span + step, ... <= span, in units of 1/den(step)
+    den = grid_step.denominator
+    worst, worst_k = _max_defect(
+        lambda x: eval_b(ladder, m, Fraction(x, den)),
+        range(-span * den, span * den + 1, grid_step.numerator),
+        (displacement * den,),
+    )
     bound = ladder.epsilon(n) if n >= 1 else None
     passed = True if bound is None else worst < bound
     return RigidityReport(
@@ -204,12 +195,9 @@ def check_rigidity(ladder: Ladder, n: int, count: int) -> RigidityReport:
         raise ValueError("need at least one index to check")
     ladder.ensure(n)
     displacement = 2 * ladder.p(n)
-    worst = Fraction(0)
-    worst_j = 0
-    for j in range(count):
-        defect = abs(eval_ainf(ladder, j + displacement) - eval_ainf(ladder, j))
-        if defect > worst:
-            worst, worst_j = defect, j
+    worst, worst_j = _max_defect(
+        lambda t: eval_ainf(ladder, t), range(count), (displacement,)
+    )
     bound = ladder.epsilon(n)
     return RigidityReport(
         n=n,
@@ -236,19 +224,16 @@ def check_returns(ladder: Ladder, n: int, grid: Iterable[int]) -> ReturnReport:
     if points and (points[0] < -bound or points[-1] > bound):
         bad = points[0] if points[0] < -bound else points[-1]
         raise DomainError(f"grid point {bad} outside [-p[{n}], p[{n}]]")
-    mismatch = None
-    for t in points:
-        here = eval_ainf(ladder, t)
-        if eval_ainf(ladder, t - left) != here or eval_ainf(ladder, t + left - 1) != here:
-            mismatch = t
-            break
+    defect, at = _max_defect(
+        lambda t: eval_ainf(ladder, t), points, (-left, left - 1), first=True
+    )
     return ReturnReport(
         n=n,
         left_shift=left,
         right_shift=left - 1,
         checked=len(points),
-        all_equal=mismatch is None,
-        first_mismatch=mismatch,
+        all_equal=defect == 0,
+        first_mismatch=points[at] if defect else None,
     )
 
 
@@ -262,20 +247,19 @@ def check_wm_returns(
     ladder.ensure(n + 1)
     p_n = ladder.p(n)
     big_n = 2 * ladder.splice(n + 1) - 1
-    if eps is None:
-        eps = Fraction(4, 2**p_n)  # twice the unavoidable bracket width
-    else:
+    if eps is not None:
         eps = Fraction(eps)
         if eps <= 0:
             raise ValueError("tolerance must be positive")
-    forward = all(
-        eval_ainf(ladder, i + big_n) == eval_ainf(ladder, i) for i in range(p_n + 1)
+    agree = range(p_n + 1)
+    forward, backward = (
+        _max_defect(lambda t: eval_ainf(ladder, t), agree, (s,), first=True)[0] == 0
+        for s in (big_n, -big_n - 1)
     )
-    backward = all(
-        eval_ainf(ladder, i - big_n - 1) == eval_ainf(ladder, i)
-        for i in range(p_n + 1)
-    )
+    # 2**p_n is built only once the scans fit the limit
     dist_hi = Fraction(1, 2**p_n)  # zero partial sum plus tail bound 2^(1-(p_n+1))
+    if eps is None:
+        eps = 4 * dist_hi  # twice the unavoidable bracket width
     return WMReport(
         n=n,
         N=big_n,
@@ -430,7 +414,7 @@ def check_ones_runs(
     if mode == "scan":
         runs_all: list[tuple[int, int]] = []
         start = None
-        for i in range(window_end + 1):
+        for i in scan_points(range(window_end + 1)):
             if eval_ainf(ladder, i) == ONE:
                 if start is None:
                     start = i

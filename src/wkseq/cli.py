@@ -22,12 +22,12 @@ from pathlib import Path
 from typing import Sequence
 
 from .certify import (
-    REPORT_SCHEMA,
     check_ones_runs,
     check_returns,
     check_rigidity,
     check_shift_defect,
     check_wm_returns,
+    scan_points,
 )
 from .ladder import Ladder, LadderError, ladder_new
 from .relations import (
@@ -46,15 +46,19 @@ from .relations import (
     window_source,
     zeros_source,
 )
-from .seqio import WindowFormatError, dumps_csv, dumps_json, load_window
+from .seqio import (
+    WindowFormatError,
+    dumps_csv,
+    dumps_json,
+    load_window,
+    report_dict,
+)
 from .sequence import alpha_window
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CRASH = 3
-
-FULL_GRID_LIMIT = 2_000_001
 
 _KNOWN_LABELS = frozenset(
     {PROXIMAL_WITNESSED, DELTA_SEPARATED_WITNESSED, PAIR_RECURRENT_WITNESSED}
@@ -181,14 +185,8 @@ def _cmd_gen(args: argparse.Namespace, cfg: RunConfig) -> int:
 def _returns_grid(ladder: Ladder, n: int, samples: int | None) -> list[int]:
     ladder.ensure(n)
     p = ladder.p(n)
-    if samples is None:
-        if 2 * p + 1 > FULL_GRID_LIMIT:
-            raise ValueError(
-                f"full grid for level {n} has {2 * p + 1} points; pass --samples"
-            )
-        return list(range(-p, p + 1))
-    step = max(1, (2 * p) // samples)
-    grid = list(range(-p, p + 1, step))
+    step = 1 if samples is None else max(1, (2 * p) // samples)
+    grid = list(scan_points(range(-p, p + 1, step)))
     if grid[-1] != p:
         grid.append(p)
     return grid
@@ -222,6 +220,13 @@ def _orbit_source(token: str, cfg: RunConfig) -> OrbitSource:
     return window_source(load_window(token))
 
 
+def _orbit_sources(tokens: Sequence[str], cfg: RunConfig) -> list[OrbitSource]:
+    """One source per token; a token named twice, such as one window file on
+    both sides of a pair, is read once."""
+    built = {token: _orbit_source(token, cfg) for token in dict.fromkeys(tokens)}
+    return [built[token] for token in tokens]
+
+
 def _parse_required_labels(text: str | None) -> frozenset | None:
     if text is None:
         return None
@@ -252,8 +257,8 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
 def _cmd_relations(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.subcommand == "classify":
         required = _parse_required_labels(args.require)
-        a = OrbitView(_orbit_source(args.a, cfg), args.shift_a)
-        b = OrbitView(_orbit_source(args.b, cfg), args.shift_b)
+        a, b = _orbit_sources([args.a, args.b], cfg)
+        a, b = OrbitView(a, args.shift_a), OrbitView(b, args.shift_b)
         verdict = classify_pair(
             a, b, args.delta, args.start, args.horizon, args.k, args.tau
         )
@@ -265,17 +270,15 @@ def _cmd_relations(args: argparse.Namespace, cfg: RunConfig) -> int:
         return EXIT_PASS if ok else EXIT_FAIL
     if args.subcommand == "thmB":
         pairs = _parse_pairs(args.pairs)
-        orbit = _orbit_source(args.orbit, cfg)
-        fixed_point = _orbit_source(args.fixed_point, cfg)
+        orbit, fixed_point = _orbit_sources([args.orbit, args.fixed_point], cfg)
         verdicts = thmB_witnesses(
             orbit, fixed_point, pairs, args.horizon, args.k, args.tau
         )
         _emit_report(
-            {
-                "schema": REPORT_SCHEMA,
-                "kind": "pair-verdict-list",
-                "verdicts": [v.to_json_dict() for v in verdicts],
-            }
+            report_dict(
+                kind="pair-verdict-list",
+                verdicts=[v.to_json_dict() for v in verdicts],
+            )
         )
         ok = all(INCONCLUSIVE not in v.labels for v in verdicts)
         return EXIT_PASS if ok else EXIT_FAIL
@@ -286,12 +289,7 @@ def _cmd_relations(args: argparse.Namespace, cfg: RunConfig) -> int:
         )
     except NotFoundInHorizonError as exc:
         _emit_report(
-            {
-                "schema": REPORT_SCHEMA,
-                "kind": "error",
-                "error": "not-found-in-horizon",
-                "message": str(exc),
-            }
+            report_dict(kind="error", error="not-found-in-horizon", message=str(exc))
         )
         return EXIT_FAIL
     _emit_report(verdict.to_json_dict())

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .ladder import Ladder, Rational, eval_ainf
+from .seqio import report_dict
 from .sequence import DistBracket, SeqWindow, bracket_scan
 
 PROXIMAL_WITNESSED = "proximal-witnessed"
@@ -33,19 +34,16 @@ class NotFoundInHorizonError(Exception):
 class OrbitSource:
     """Lazy coordinate access to a one-sided orbit point.
 
-    kind is one of "alpha-orbit", "window-file", "full-shift-fixture" or
-    "constant"; length is None for sources that can produce arbitrarily
-    many coordinates.  The `read` callback returns coordinates start ..
-    stop-1; `read` checks them against the bounds before calling it.
+    length is None for sources that can produce arbitrarily many
+    coordinates.  The `read` callback returns coordinates start .. stop-1;
+    `read` checks them against the bounds before calling it.
     """
 
     def __init__(
         self,
-        kind: str,
         read: Callable[[int, int], Sequence[Fraction]],
         length: int | None = None,
     ):
-        self.kind = kind
         self.length = length
         self._read = read
 
@@ -64,19 +62,17 @@ class OrbitSource:
 
 
 def alpha_source(ladder: Ladder) -> OrbitSource:
-    return OrbitSource(
-        "alpha-orbit", lambda a, b: [eval_ainf(ladder, i) for i in range(a, b)]
-    )
+    return OrbitSource(lambda a, b: [eval_ainf(ladder, i) for i in range(a, b)])
 
 
-def window_source(window: SeqWindow, kind: str = "window-file") -> OrbitSource:
+def window_source(window: SeqWindow) -> OrbitSource:
     values = window.values
-    return OrbitSource(kind, lambda a, b: values[a:b], length=len(values))
+    return OrbitSource(lambda a, b: values[a:b], length=len(values))
 
 
 def constant_source(value: Rational) -> OrbitSource:
     v = Fraction(value)
-    return OrbitSource("constant", lambda a, b: [v] * (b - a))
+    return OrbitSource(lambda a, b: [v] * (b - a))
 
 
 def ones_source() -> OrbitSource:
@@ -187,6 +183,13 @@ def pair_recur_defect(
     return _search(sides, start, horizon, k, False)
 
 
+class Witness(NamedTuple):
+    """A witness time and the exact bracket value its label rests on."""
+
+    time: int
+    value: Fraction
+
+
 @dataclass(frozen=True)
 class PairVerdict:
     """Outcome of the witness searches for one pair of orbit views.
@@ -203,33 +206,13 @@ class PairVerdict:
     horizon: tuple[int, int]
     prefix_len: int
     tau: Fraction
-    prox_witness: tuple[int, Fraction] | None
-    sep_witness: tuple[int, Fraction] | None
-    recur_witness: tuple[int, Fraction] | None
+    prox_witness: Witness | None
+    sep_witness: Witness | None
+    recur_witness: Witness | None
     pair: tuple[int, int] | None = None
 
     def to_json_dict(self) -> dict:
-        def witness(w):
-            if w is None:
-                return None
-            t, value = w
-            return {"time": t, "value": f"{value.numerator}/{value.denominator}"}
-
-        return {
-            "schema": "wk-report/1",
-            "kind": "pair-verdict",
-            "labels": list(self.labels),
-            "delta": None
-            if self.delta is None
-            else f"{self.delta.numerator}/{self.delta.denominator}",
-            "horizon": list(self.horizon),
-            "prefix_len": self.prefix_len,
-            "tau": f"{self.tau.numerator}/{self.tau.denominator}",
-            "prox_witness": witness(self.prox_witness),
-            "sep_witness": witness(self.sep_witness),
-            "recur_witness": witness(self.recur_witness),
-            "pair": list(self.pair) if self.pair else None,
-        }
+        return report_dict(kind="pair-verdict", **vars(self))
 
 
 def _labels(*clauses: tuple[str, bool]) -> tuple[str, ...]:
@@ -281,9 +264,9 @@ def classify_pair(
         horizon=(start, horizon),
         prefix_len=k,
         tau=tau,
-        prox_witness=(pt, pbr.hi) if prox_hit else None,
-        sep_witness=(st, sbr.lo) if sep_hit else None,
-        recur_witness=(rt, rbr.hi) if recur_hit else None,
+        prox_witness=Witness(pt, pbr.hi) if prox_hit else None,
+        sep_witness=Witness(st, sbr.lo) if sep_hit else None,
+        recur_witness=Witness(rt, rbr.hi) if recur_hit else None,
     )
 
 
@@ -304,6 +287,10 @@ def thmB_witnesses(
     pairs = list(pairs)
     if not pairs:
         return []
+    if fixed_point.length is not None and fixed_point.length < k:
+        raise ValueError(
+            f"fixed point has {fixed_point.length} values, fewer than k = {k}"
+        )
     for m, n in pairs:
         if m == n:
             raise ValueError("pairs must use two distinct shifts")
@@ -332,9 +319,9 @@ def thmB_witnesses(
                 horizon=(0, horizon),
                 prefix_len=k,
                 tau=tau,
-                prox_witness=(pt, pbr.hi) if prox_hit else None,
+                prox_witness=Witness(pt, pbr.hi) if prox_hit else None,
                 sep_witness=None,
-                recur_witness=(rt, rbr.hi) if recur_hit else None,
+                recur_witness=Witness(rt, rbr.hi) if recur_hit else None,
                 pair=(m, n),
             )
         )
@@ -394,8 +381,8 @@ def thmC_witnesses(
         horizon=(0, horizon),
         prefix_len=k,
         tau=tau,
-        prox_witness=(pt, pbr.hi) if prox_hit else None,
-        sep_witness=(found, sep_lo) if sep_hit else None,
+        prox_witness=Witness(pt, pbr.hi) if prox_hit else None,
+        sep_witness=Witness(found, sep_lo) if sep_hit else None,
         recur_witness=None,
         pair=(0, q),
     )

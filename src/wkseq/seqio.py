@@ -1,10 +1,12 @@
-"""Window serialization: delimited text and JSON, bit-exact both ways.
+"""Window and report serialization: delimited text and JSON, bit-exact.
 
 CSV carries absolute indices and exact numerator/denominator columns, with
 an optional decimal column that is presentation-only and ignored on load.
 JSON carries the offset and the values as "num/den" strings under a
 versioned schema tag.  Loading either form reproduces the original window
-exactly.
+exactly.  Certificate reports and pair verdicts are JSON documents under
+their own schema tag, built by `report_dict`, with every rational in the
+same "num/den" form.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ from fractions import Fraction
 from .sequence import SeqWindow
 
 WINDOW_SCHEMA = "wk-window/1"
+REPORT_SCHEMA = "wk-report/1"
 CSV_HEADER = ("index", "value_num", "value_den")
 
 
@@ -27,6 +30,31 @@ class WindowFormatError(Exception):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def _frac_str(value: Fraction) -> str:
+    """The exact "num/den" form every window file and report uses."""
+    return f"{value.numerator}/{value.denominator}"
+
+
+def report_dict(**fields) -> dict:
+    """A wk-report/1 document holding `fields`.
+
+    Rationals become "num/den" strings, named tuples become objects keyed
+    by their field names, other tuples and lists become arrays, and every
+    other value is kept as it is.
+    """
+    return {"schema": REPORT_SCHEMA, **{k: _jsonable(v) for k, v in fields.items()}}
+
+
+def _jsonable(value):
+    if isinstance(value, Fraction):
+        return _frac_str(value)
+    if hasattr(value, "_asdict"):
+        return {k: _jsonable(v) for k, v in value._asdict().items()}
+    if isinstance(value, (tuple, list)):
+        return [_jsonable(v) for v in value]
+    return value
 
 
 def render_decimal(value: Fraction, digits: int) -> str:
@@ -93,7 +121,7 @@ def dumps_json(window: SeqWindow) -> str:
     doc = {
         "schema": WINDOW_SCHEMA,
         "offset": window.offset,
-        "values": [f"{v.numerator}/{v.denominator}" for v in window.values],
+        "values": [_frac_str(v) for v in window.values],
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 

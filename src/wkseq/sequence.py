@@ -16,11 +16,6 @@ from operator import mul, sub
 from typing import Iterator, Sequence
 
 from .ladder import DomainError, Ladder, Rational, eval_ainf
-from .plfunc import PLFunc
-
-
-class InvalidSpecError(Exception):
-    """A classic-generator description failed validation."""
 
 
 @dataclass(frozen=True)
@@ -225,56 +220,3 @@ def full_shift_rigidity_witness(n: int, length: int) -> SeqWindow:
     zero, one = Fraction(0), Fraction(1)
     vals = tuple(one if (i // n) % 2 else zero for i in range(length))
     return SeqWindow(0, vals)
-
-
-# -- classic two-scale generator ------------------------------------------
-
-@dataclass(frozen=True)
-class ClassicKWSpec:
-    """Description of the classic construction: a Lipschitz bump on [-1, 1]
-    made 2-periodic, read at a list of integer time scales, sup-truncated.
-    """
-
-    base: PLFunc
-    lipschitz: Fraction
-    pj: tuple[int, ...]
-    truncation: int
-
-    def validate(self) -> None:
-        first, last = self.base.span
-        if (first, last) != (Fraction(-1), Fraction(1)):
-            raise InvalidSpecError("base profile must span exactly [-1, 1]")
-        if self.base.evaluate(first) != self.base.evaluate(last):
-            raise InvalidSpecError("base profile endpoints must match")
-        if self.lipschitz < 2:
-            raise InvalidSpecError("slope budget must be at least 2")
-        pts = self.base.breakpoints
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-            if not 0 <= y0 <= 1 or not 0 <= y1 <= 1:
-                raise InvalidSpecError("base profile values must stay in [0, 1]")
-            if abs(y1 - y0) > self.lipschitz * (x1 - x0):
-                raise InvalidSpecError(
-                    f"segment [{x0}, {x1}] exceeds the slope budget"
-                )
-        if not self.pj:
-            raise InvalidSpecError("at least one time scale is required")
-        if any(s < 1 for s in self.pj):
-            raise InvalidSpecError("time scales must be positive integers")
-        if any(b <= a for a, b in zip(self.pj, self.pj[1:])):
-            raise InvalidSpecError("time scales must be strictly increasing")
-        if not 1 <= self.truncation <= len(self.pj):
-            raise InvalidSpecError("truncation must select a nonempty prefix")
-
-
-def classic_kw_eval(spec: ClassicKWSpec, t: Rational) -> Fraction:
-    """Evaluate the truncated sup over the selected time scales."""
-    spec.validate()
-    t = Fraction(t)
-    best = None
-    for scale in spec.pj[: spec.truncation]:
-        s = t / scale
-        folded = (s + 1) % 2 - 1  # periodic representative in [-1, 1)
-        v = spec.base.evaluate(folded)
-        if best is None or v > best:
-            best = v
-    return best

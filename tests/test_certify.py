@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 import oracles
+from wkseq import certify
 from wkseq import (
     DomainError,
     LadderDepthError,
@@ -196,7 +197,57 @@ def test_report_json_shapes(lad):
         check_wm_returns(lad, 0).to_json_dict(),
         check_ones_runs(lad, 1, 486).to_json_dict(),
     ]
-    for doc in docs:
-        assert doc["schema"] == "wk-report/1"
-        assert isinstance(doc["pass"], bool)
-    assert docs[1]["max_defect"] == "0/1"
+    assert docs == [
+        {"schema": "wk-report/1", "lemma": "shift-defect", "n": 1, "m": 1,
+         "shift": 486, "tested_range": [-243, 243], "grid_step": "1/1",
+         "max_defect": "0/1", "bound": "1/1", "argmax_index": 0, "pass": True},
+        {"schema": "wk-report/1", "lemma": "rigidity", "n": 1, "m": None,
+         "shift": 486, "tested_range": [0, 10], "grid_step": None,
+         "max_defect": "0/1", "bound": "1/1", "argmax_index": 0, "pass": True},
+        {"schema": "wk-report/1", "lemma": "returns", "n": 0, "left_shift": 162,
+         "right_shift": 161, "checked": 7, "all_equal": True,
+         "first_mismatch": None, "pass": True},
+        {"schema": "wk-report/1", "lemma": "wm-returns", "n": 0, "N": 161,
+         "agree_len": 4, "forward_exact": True, "backward_exact": True,
+         "dist_hi": "1/8", "eps": "1/2", "pass": True},
+        {"schema": "wk-report/1", "lemma": "ones-runs", "n": 1,
+         "run_length_required": 27, "gap_bound": 486, "window": [0, 486],
+         "worst_gap": 134, "first_run": [54, 111], "runs_found": 3,
+         "mode": "scan", "pass": True},
+    ]
+
+
+def test_scan_kernel_ties_and_early_return():
+    values = {0: 0, 1: 2, 2: 0, 3: 5, 4: 3, 5: 0, 6: 5, 7: 1}
+    seen = []
+
+    def f(t):
+        seen.append(t)
+        return F(values[t])
+
+    # |f(t+1) - f(t)| over t = 0..6 is 2, 2, 5, 2, 3, 5, 4: the first 5 wins
+    assert certify._max_defect(f, range(7), (1,)) == (5, 2)
+    assert certify._max_defect(f, [3, 5, 6], (-2, 1)) == (5, 1)
+    seen.clear()
+    assert certify._max_defect(f, range(1, 7), (1,), first=True) == (2, 0)
+    assert seen == [1, 2]
+    seen.clear()
+    assert certify._max_defect(f, [5, 2, 0], (0, 1, -2), first=True) == (5, 0)
+    assert seen == [5, 5, 6]
+    assert certify._max_defect(f, [], (1,)) == (0, 0)
+
+
+def test_scan_limit_refuses_before_evaluating(lad):
+    def f(t):
+        raise AssertionError("a refused scan evaluated a point")
+
+    limit = certify.SCAN_LIMIT
+    assert certify.scan_points(range(limit)) == range(limit)
+    with pytest.raises(ValueError, match=str(limit)):
+        certify._max_defect(f, range(limit + 1), (1,))
+    with pytest.raises(ValueError, match=str(limit)):
+        certify._max_defect(f, range(-(10**30), 10**30), (1,))
+    with pytest.raises(ValueError, match=str(limit)):
+        check_rigidity(lad, 1, limit + 1)
+    with pytest.raises(ValueError, match=str(limit)):
+        check_wm_returns(lad, 2)

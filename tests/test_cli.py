@@ -11,6 +11,7 @@ from wkseq import (
     dumps_csv,
     full_shift_transitive_point,
     ladder_new,
+    load_window,
     loads_csv,
     loads_json,
 )
@@ -251,3 +252,64 @@ def test_installed_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "index,value_num,value_den"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "wm --n 2",
+        "shift-defect --n 2 --m 2 --step 1",
+        "rigidity --n 1 --count 2000002",
+        "ones --n 1 --window 2000001 --mode scan",
+        "returns --n 2",
+        "returns --n 2 --samples 1000000000",
+    ],
+)
+def test_oversized_scan_is_refused(argv):
+    # the timeout turns a scan that starts anyway into a failure, not a hang
+    proc = subprocess.run(
+        [sys.executable, "-m", "wkseq", "verify", *argv.split()],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "2000001" in proc.stderr
+
+
+def test_thmB_short_fixed_point_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "short.csv"
+    path.write_text(dumps_csv(full_shift_transitive_point(3)))
+    code, out, err = run_cli(
+        capsys, "relations", "thmB", "--orbit", "alpha", "--fixed-point", str(path),
+        "--pairs", "0:1", "--horizon", "50", "--k", "8", "--tau", "1/4",
+    )
+    assert code == 2 and out == ""
+    assert "fewer than k = 8" in err
+
+
+def test_repeated_window_file_is_loaded_once(capsys, tmp_path, monkeypatch):
+    import wkseq.cli as cli
+
+    path = tmp_path / "w.csv"
+    path.write_text(dumps_csv(full_shift_transitive_point(400)))
+    loads = []
+
+    def counted(p):
+        loads.append(p)
+        return load_window(p)
+
+    monkeypatch.setattr(cli, "load_window", counted)
+    code, _, _ = run_cli(
+        capsys, "relations", "classify", "--a", str(path), "--b", str(path),
+        "--shift-b", "1", "--delta", "1", "--horizon", "300", "--k", "8",
+        "--tau", "1/100", "--require", "proximal-witnessed",
+    )
+    assert code == 0 and loads == [str(path)]
+    loads.clear()
+    code, _, _ = run_cli(
+        capsys, "relations", "thmB", "--orbit", str(path), "--fixed-point", str(path),
+        "--pairs", "0:1", "--horizon", "300", "--k", "8", "--tau", "1/100",
+    )
+    assert code == 1 and loads == [str(path)]  # proximity stays unwitnessed

@@ -6,19 +6,15 @@ from hypothesis import strategies as st
 
 import oracles
 from wkseq import (
-    ClassicKWSpec,
     DistBracket,
-    InvalidSpecError,
     SeqWindow,
     alpha,
     alpha_window,
     bebutov_dist_bracket,
-    classic_kw_eval,
     constant_window,
     full_shift_rigidity_witness,
     full_shift_transitive_point,
     ladder_new,
-    make_plfunc,
     shift,
 )
 
@@ -104,57 +100,6 @@ def test_bracket_uses_shorter_length():
     x = constant_window(0, 3)
     y = constant_window(0, 10)
     assert bebutov_dist_bracket(x, y).hi == F(2) ** -2
-
-
-TRAPEZOID = make_plfunc(
-    [(-1, 1), (F(-2, 3), 1), (F(-1, 3), 0), (F(1, 3), 0), (F(2, 3), 1), (1, 1)]
-)
-
-
-def kw_spec(truncation, pj=(2, 6, 18)):
-    return ClassicKWSpec(
-        base=TRAPEZOID, lipschitz=F(3), pj=pj, truncation=truncation
-    )
-
-
-def test_classic_kw_at_zero_is_base_value():
-    for j in (1, 2, 3):
-        assert classic_kw_eval(kw_spec(j), 0) == TRAPEZOID.evaluate(0) == 0
-
-
-def test_classic_kw_single_term():
-    spec = kw_spec(1)
-    for t in (F(1, 2), F(3), F(7, 5)):
-        # one term means the rescaled base itself, folded 2-periodically
-        scaled = t / 2
-        folded = (scaled + 1) % 2 - 1
-        assert classic_kw_eval(spec, t) == TRAPEZOID.evaluate(folded)
-
-
-def test_classic_kw_monotone_in_truncation():
-    grid = [F(j, 3) for j in range(-30, 31)]
-    prev = [classic_kw_eval(kw_spec(1), t) for t in grid]
-    for j in (2, 3):
-        cur = [classic_kw_eval(kw_spec(j), t) for t in grid]
-        assert all(c >= p for c, p in zip(cur, prev))
-        assert all(0 <= c <= 1 for c in cur)
-        prev = cur
-
-
-def test_classic_kw_invalid_specs():
-    unbalanced = make_plfunc([(-1, 0), (0, 1), (1, F(1, 2))])
-    with pytest.raises(InvalidSpecError):
-        ClassicKWSpec(unbalanced, F(3), (2, 4), 1).validate()
-    too_steep = ClassicKWSpec(TRAPEZOID, F(2), (2, 4), 1)
-    with pytest.raises(InvalidSpecError):
-        too_steep.validate()
-    wrong_span = make_plfunc([(0, 0), (1, 0)])
-    with pytest.raises(InvalidSpecError):
-        ClassicKWSpec(wrong_span, F(3), (2, 4), 1).validate()
-    with pytest.raises(InvalidSpecError):
-        ClassicKWSpec(TRAPEZOID, F(3), (4, 2), 1).validate()
-    with pytest.raises(InvalidSpecError):
-        ClassicKWSpec(TRAPEZOID, F(3), (2, 4), 5).validate()
 
 
 def test_transitive_fixture_prefix():
