@@ -46,14 +46,8 @@ from .relations import (
     window_source,
     zeros_source,
 )
-from .seqio import (
-    WindowFormatError,
-    dumps_csv,
-    dumps_json,
-    load_window,
-    report_dict,
-)
-from .sequence import alpha_window
+from .seqio import WindowFormatError, load_window, report_dict, window_chunks
+from .sequence import alpha_windows
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -161,24 +155,19 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        Path(out_path).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _emit_report(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _cmd_gen(args: argparse.Namespace, cfg: RunConfig) -> int:
-    window = alpha_window(cfg.make_ladder(), args.start, args.count)
-    if cfg.format == "json":
-        text = dumps_json(window)
+    """Stream the window in pieces, in memory that does not grow with its length."""
+    windows = alpha_windows(cfg.make_ladder(), args.start, args.count)
+    chunks = window_chunks(windows, cfg.format, cfg.decimals)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.writelines(chunks)
     else:
-        text = dumps_csv(window, decimals=cfg.decimals)
-    _emit(text, args.out)
+        sys.stdout.writelines(chunks)
     return EXIT_PASS
 
 

@@ -8,9 +8,11 @@ and shifts the periodized part by one past a splice point in the right
 half.  The limit restricted to nonnegative integers is the sequence this
 package studies.
 
-All arithmetic is exact (`fractions.Fraction`); no floats are used.
-Level sizes live in a `Ladder`, an append-only tower that can grow on
-demand and is safe to share between threads.
+All arithmetic is exact and no floats are used: the evaluator core,
+`eval_ratio`, works on integer numerators and denominators, and values
+cross the API as `fractions.Fraction`.  Level sizes live in a `Ladder`,
+an append-only tower that can grow on demand and is safe to share
+between threads.
 """
 from __future__ import annotations
 
@@ -85,11 +87,12 @@ class Ladder:
                 self._p.append(9 * factor * self._p[n - 1])
 
     def ensure_cover(self, bound: Rational) -> int:
-        """Grow until some level size reaches `bound`; return the least such level."""
+        """Grow until some level size reaches |bound|; return the least such level."""
         bound = abs(bound)
         n = 0
         while True:
-            self.ensure(n)
+            if n == len(self._p):
+                self.ensure(n)
             if self._p[n] >= bound:
                 return n
             n += 1
@@ -105,6 +108,11 @@ class Ladder:
     @property
     def depth(self) -> int:
         return len(self._p) - 1
+
+    @property
+    def sizes(self) -> Sequence[int]:
+        """The populated level sizes p[0] .. p[depth], as `eval_ratio` reads them."""
+        return self._p
 
     def p(self, n: int) -> int:
         if n < 0:
@@ -152,10 +160,49 @@ def ladder_new(policy: str | Sequence[int] = "default-minimal", depth: int = 0) 
     return Ladder(policy, depth)
 
 
-def _fold(t: Rational, half_period: int) -> Rational:
-    """Representative of t modulo 2*half_period inside [-half_period, half_period)."""
-    period = 2 * half_period
-    return t - period * ((t + half_period) // period)
+def _exact(t: Rational) -> tuple[int, int]:
+    """t as an integer numerator over a positive integer denominator."""
+    if not isinstance(t, (int, Fraction)):
+        t = Fraction(t)
+    return t.numerator, t.denominator
+
+
+def _value(num: int, den: int) -> Fraction:
+    return ZERO if num == 0 else ONE if num == den else Fraction(num, den)
+
+
+def _fold(x: int, half: int) -> int:
+    """Representative of x modulo 2*half inside [-half, half)."""
+    return (x + half) % (2 * half) - half
+
+
+def eval_ratio(p: Sequence[int], n: int, x: int, den: int) -> tuple[int, int]:
+    """The level-n profile at x/den, |x| <= p[n]*den, as an unreduced pair
+    (num, den), in int arithmetic only; p holds the level sizes.
+
+    That is the largest of the stretched copies met on the way down to
+    level 0 and of the base profile there, min(max(|u| - 1, 0), 1) at u
+    folded into [-3, 3).  Maxima compare by cross-multiplying.
+    """
+    best, best_den = 0, 1
+    while n:
+        s = p[n] // 9 * den  # stretch(n), in units of 1/den
+        copy = abs((x + 3 * s) % (6 * s) - 3 * s) - s  # before clamping to [0, s]
+        if copy >= s:
+            return 1, 1
+        if copy > 0 and copy * best_den > best * s:
+            best, best_den = copy, s
+        if x > p[n] // 3 * den:  # past the splice point, read one step ahead
+            x += den
+        n -= 1
+        half = p[n] * den
+        x = (x + half) % (2 * half) - half
+    base = abs(x) - den
+    if base >= den:
+        return 1, 1
+    if base > 0 and base * best_den > best * den:
+        return base, den
+    return best, best_den
 
 
 def eval_a0(t: Rational) -> Fraction:
@@ -163,26 +210,25 @@ def eval_a0(t: Rational) -> Fraction:
 
     Symmetric about 0, so only |t| matters.
     """
-    u = abs(Fraction(t))
-    if u <= 1:
+    x, den = _exact(t)
+    if abs(x) > BASE_HALF_PERIOD * den:
         return ZERO
-    if u <= 2:
-        return u - 1
-    if u <= 3:
-        return ONE
-    return ZERO
+    return _value(*eval_ratio((), 0, x, den))
 
 
 def eval_b0(t: Rational) -> Fraction:
     """Periodization of the base profile with period 6."""
-    return eval_a0(_fold(t, BASE_HALF_PERIOD))
+    x, den = _exact(t)
+    return _value(*eval_ratio((), 0, _fold(x, BASE_HALF_PERIOD * den), den))
 
 
 def eval_c(ladder: Ladder, n: int, t: Rational) -> Fraction:
     """Level-n stretched copy of the periodized base profile."""
     if n < 1:
         raise DomainError("stretched copies start at level 1")
-    return eval_b0(Fraction(t) / ladder.stretch(n))
+    x, den = _exact(t)
+    den *= ladder.stretch(n)
+    return _value(*eval_ratio((), 0, _fold(x, BASE_HALF_PERIOD * den), den))
 
 
 def eval_a(ladder: Ladder, n: int, t: Rational) -> Fraction:
@@ -192,19 +238,17 @@ def eval_a(ladder: Ladder, n: int, t: Rational) -> Fraction:
     periodized previous level is read one step ahead.
     """
     p_n = ladder.p(n)
-    if abs(t) > p_n:
+    x, den = _exact(t)
+    if abs(x) > p_n * den:
         raise DomainError(f"|t| > p[{n}] = {p_n}")
-    if n == 0:
-        return eval_a0(t)
-    copy = eval_c(ladder, n, t)
-    if t <= ladder.splice(n):
-        return max(eval_b(ladder, n - 1, t), copy)
-    return max(eval_b(ladder, n - 1, t + 1), copy)
+    return _value(*eval_ratio(ladder.sizes, n, x, den))
 
 
 def eval_b(ladder: Ladder, n: int, t: Rational) -> Fraction:
     """Periodization of the level-n profile with period 2*p[n]."""
-    return eval_a(ladder, n, _fold(t, ladder.p(n)))
+    p_n = ladder.p(n)
+    x, den = _exact(t)
+    return _value(*eval_ratio(ladder.sizes, n, _fold(x, p_n * den), den))
 
 
 def eval_ainf(ladder: Ladder, t: Rational) -> Fraction:
@@ -212,5 +256,6 @@ def eval_ainf(ladder: Ladder, t: Rational) -> Fraction:
 
     The ladder grows on demand, so any rational argument is accepted.
     """
-    n = ladder.ensure_cover(t)
-    return eval_a(ladder, n, t)
+    x, den = _exact(t)
+    n = ladder.ensure_cover(-(-abs(x) // den))
+    return _value(*eval_ratio(ladder.sizes, n, x, den))

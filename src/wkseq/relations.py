@@ -13,13 +13,17 @@ them to `sequence.bracket_scan`, the one place a bracket sum is computed.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Sequence
+from itertools import repeat
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
+# eval_ainf stays bound here: bench/tracing.py counts evaluator calls
+# through this module's name for it.
 from .ladder import Ladder, Rational, eval_ainf
 from .seqio import report_dict
-from .sequence import DistBracket, SeqWindow, bracket_scan
+from .sequence import DistBracket, SeqWindow, alpha_block, bracket_scan
 
 PROXIMAL_WITNESSED = "proximal-witnessed"
 DELTA_SEPARATED_WITNESSED = "delta-separated-witnessed"
@@ -62,7 +66,7 @@ class OrbitSource:
 
 
 def alpha_source(ladder: Ladder) -> OrbitSource:
-    return OrbitSource(lambda a, b: [eval_ainf(ladder, i) for i in range(a, b)])
+    return OrbitSource(lambda a, b: alpha_block(ladder, a, b - a))
 
 
 def window_source(window: SeqWindow) -> OrbitSource:
@@ -70,9 +74,26 @@ def window_source(window: SeqWindow) -> OrbitSource:
     return OrbitSource(lambda a, b: values[a:b], length=len(values))
 
 
+class _Repeated(SequenceABC):
+    """One value at each index of a range, held once; slices stay lazy."""
+
+    def __init__(self, value: Fraction, indices: range):
+        self._value, self._indices = value, indices
+
+    def __len__(self) -> int:
+        return len(self._indices)
+
+    def __iter__(self) -> Iterator[Fraction]:
+        return repeat(self._value, len(self._indices))
+
+    def __getitem__(self, index):
+        picked = self._indices[index]  # IndexError past the end
+        return _Repeated(self._value, picked) if isinstance(index, slice) else self._value
+
+
 def constant_source(value: Rational) -> OrbitSource:
     v = Fraction(value)
-    return OrbitSource(lambda a, b: [v] * (b - a))
+    return OrbitSource(lambda a, b: _Repeated(v, range(a, b)))
 
 
 def ones_source() -> OrbitSource:

@@ -14,6 +14,7 @@ import csv
 import io
 import json
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 from .sequence import SeqWindow
 
@@ -62,22 +63,34 @@ def render_decimal(value: Fraction, digits: int) -> str:
     if digits < 1:
         raise ValueError("need at least one digit")
     scaled = abs(value.numerator) * 10**digits // value.denominator
-    sign = "-" if value < 0 else ""
+    sign = "-" if value.numerator < 0 else ""
     whole, frac = divmod(scaled, 10**digits)
     return f"{sign}{whole}.{frac:0{digits}d}"
 
 
+def window_chunks(
+    windows: Iterable[SeqWindow], fmt: str = "csv", decimals: int = 0
+) -> Iterator[str]:
+    """The text of one window file holding consecutive windows, one chunk
+    per window; `decimals` adds the CSV's presentation-only decimal column."""
+    count = 0
+    for count, w in enumerate(windows, 1):
+        if fmt == "json":
+            head = f'{{"offset":{w.offset},"schema":"{WINDOW_SCHEMA}","values":[' if count == 1 else ","
+            yield head + ",".join(f'"{_frac_str(v)}"' for v in w.values)
+            continue
+        head = ",".join(CSV_HEADER + ("value_decimal",) * bool(decimals)) + "\n" if count == 1 else ""
+        yield head + "".join(
+            f"{i},{v.numerator},{v.denominator}"
+            + (f",{render_decimal(v, decimals)}\n" if decimals else "\n")
+            for i, v in enumerate(w.values, w.offset)
+        )
+    if fmt == "json" and count:
+        yield "]}\n"
+
+
 def dumps_csv(window: SeqWindow, decimals: int = 0) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    header = list(CSV_HEADER) + (["value_decimal"] if decimals else [])
-    writer.writerow(header)
-    for i, v in enumerate(window.values):
-        row = [window.offset + i, v.numerator, v.denominator]
-        if decimals:
-            row.append(render_decimal(v, decimals))
-        writer.writerow(row)
-    return out.getvalue()
+    return "".join(window_chunks([window], "csv", decimals))
 
 
 def loads_csv(text: str) -> SeqWindow:
@@ -118,12 +131,7 @@ def loads_csv(text: str) -> SeqWindow:
 
 
 def dumps_json(window: SeqWindow) -> str:
-    doc = {
-        "schema": WINDOW_SCHEMA,
-        "offset": window.offset,
-        "values": [_frac_str(v) for v in window.values],
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return "".join(window_chunks([window], "json"))
 
 
 def loads_json(text: str) -> SeqWindow:

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from functools import cache
+from itertools import islice, starmap
 from math import lcm
 from operator import mul, sub
 from typing import Iterator, Sequence
 
-from .ladder import DomainError, Ladder, Rational, eval_ainf
+from .ladder import DomainError, Ladder, Rational, eval_ainf, eval_ratio
 
 
 @dataclass(frozen=True)
@@ -31,7 +32,7 @@ class SeqWindow:
         if not self.values:
             raise ValueError("window must hold at least one value")
         for v in self.values:
-            if not 0 <= v <= 1:
+            if not 0 <= v.numerator <= v.denominator:
                 raise ValueError(f"window value {v} outside [0, 1]")
 
     def __len__(self) -> int:
@@ -58,9 +59,39 @@ def alpha(ladder: Ladder, i: int) -> Fraction:
 
 
 def alpha_window(ladder: Ladder, start: int, length: int) -> SeqWindow:
-    if length < 1:
-        raise ValueError("window length must be at least 1")
-    return SeqWindow(start, tuple(alpha(ladder, start + i) for i in range(length)))
+    return SeqWindow(start, tuple(alpha_block(ladder, start, length)))
+
+
+#: Values per window that `alpha_windows` yields: few enough that a
+#: streamed range of alpha takes the same memory at any length.
+STREAM_BLOCK = 4096
+
+
+def alpha_windows(ladder: Ladder, start: int, length: int) -> Iterator[SeqWindow]:
+    """The window of alpha at start .. start + length - 1 as consecutive
+    windows of at most STREAM_BLOCK values."""
+    for i in range(start, start + length, STREAM_BLOCK):
+        yield alpha_window(ladder, i, min(STREAM_BLOCK, start + length - i))
+
+
+def alpha_block(ladder: Ladder, start: int, length: int) -> list[Fraction]:
+    """alpha(start) .. alpha(start + length - 1); none for length < 1.
+
+    Each coordinate is evaluated at the least level whose domain covers it,
+    as in `alpha`, so the range splits at each level size p[m].  Each
+    distinct value is built into a Fraction once.
+    """
+    if not isinstance(start, int) or start < 0:
+        raise DomainError("sequence coordinates are nonnegative integers")
+    sizes, fraction = ladder.sizes, cache(Fraction)
+    out: list[Fraction] = []
+    i, stop = start, start + length
+    while i < stop:
+        n = ladder.ensure_cover(i)
+        end = min(stop, sizes[n] + 1)
+        out += starmap(fraction, [eval_ratio(sizes, n, x, 1) for x in range(i, end)])
+        i = end
+    return out
 
 
 def shift(window: SeqWindow, k: int) -> SeqWindow:
@@ -86,6 +117,9 @@ def bebutov_dist_bracket(x: SeqWindow, y: SeqWindow) -> DistBracket:
 #: this many bits.  Many coprime denominators would otherwise make every
 #: integer numerator, and the memory they take, grow with the whole range.
 BLOCK_DEN_BITS = 1024
+#: A block also ends at this many times, so a range whose denominator never
+#: grows, such as a constant orbit, is still summed in bounded memory.
+BLOCK_TIMES = 1 << 14
 
 
 def bracket_scan(
@@ -107,7 +141,7 @@ def bracket_scan(
 
     Sums are exact integers over one common denominator per block of
     times.  A block holds at least one full k-window and ends once that
-    denominator passes BLOCK_DEN_BITS bits.
+    denominator passes BLOCK_DEN_BITS bits or it holds BLOCK_TIMES times.
     """
     high = k - 1
     weights = [1 << (high - i) for i in range(k)]
@@ -125,8 +159,9 @@ def bracket_scan(
         # times join at once while the limit holds, and one at a time where a
         # run would pass it, so the block ends at the same time either way.
         j1, run = j0 + 1, 1
-        while j1 < count and den.bit_length() <= BLOCK_DEN_BITS:
-            stop = min(count, j1 + run)
+        end = min(count, j0 + BLOCK_TIMES)
+        while j1 < end and den.bit_length() <= BLOCK_DEN_BITS:
+            stop = min(end, j1 + run)
             grown = lcm(den, *(
                 v.denominator
                 for xs, ys in sides

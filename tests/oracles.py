@@ -15,12 +15,13 @@ F = Fraction
 
 # -- size tower (minimal growth rule), recomputed locally ------------------
 
-def tower(depth):
-    """Return (p_list, L_list) for the minimal growth rule, L list 1-based."""
+def tower(depth, schedule=()):
+    """Return (p_list, L_list), L list 1-based: the growth factors in
+    `schedule` first, then the minimal growth rule."""
     p = [3]
     L = [None]
     for n in range(1, depth + 1):
-        L.append(p[n - 1] ** 2)
+        L.append(schedule[n - 1] if n <= len(schedule) else p[n - 1] ** 2)
         p.append(3 * 3 * L[n] * p[n - 1])
     return p, L
 
@@ -82,14 +83,14 @@ def raw_periodized(p, L, n, t):
     return raw_level(p, L, n, wrap(t, p[n]))
 
 
-def limit_value(t):
+def limit_value(t, schedule=()):
     """sup over all levels, taken literally over levels 0..cover."""
     t = F(t)
     n = 0
-    p, L = tower(0)
+    p, L = tower(0, schedule)
     while p[n] < abs(t):
         n += 1
-        p, L = tower(n)
+        p, L = tower(n, schedule)
     return max(raw_level(p, L, m, t) for m in range(n + 1))
 
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -55,6 +57,28 @@ def test_gen_len_zero_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         console_main(["gen", "--len", "0"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flags", [[], ["--decimals", "5"], ["--format", "json"]])
+def test_gen_streams_the_bytes_of_one_document(capsys, flags):
+    # 9000 values from 200: three streamed blocks, and the step from level 1
+    # to level 2 at 243
+    code, out, _ = run_cli(capsys, *flags, "gen", "--from", "200", "--len", "9000")
+    assert code == 0
+    values = alpha_window(ladder_new("default-minimal"), 200, 9000).values
+    if flags == ["--format", "json"]:
+        doc = {"schema": "wk-window/1", "offset": 200,
+               "values": [f"{v.numerator}/{v.denominator}" for v in values]}
+        assert out == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        return
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["index", "value_num", "value_den"] + (["value_decimal"] if flags else []))
+    for i, v in enumerate(values, 200):
+        digits = v.numerator * 10**5 // v.denominator
+        decimal = [f"{digits // 10**5}.{digits % 10**5:05d}"] if flags else []
+        writer.writerow([i, v.numerator, v.denominator] + decimal)
+    assert out == text.getvalue()
 
 
 def test_gen_out_file(capsys, tmp_path):

@@ -1,0 +1,111 @@
+"""Differential tests of the integer evaluator kernel and of `alpha_block`.
+
+Every expected value comes from `tests/oracles.py`, which shares no code
+with the package, on the default ladder and on an explicit schedule whose
+level sizes and stretches are not powers of 3.
+"""
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from wkseq import DomainError, eval_a, eval_ainf, eval_b, ladder_new
+from wkseq.sequence import alpha_block
+
+#: Growth factors 10 and 100000: p = 3, 270, 243000000, ... and stretches
+#: 30 and 27000000, so denominators carry factors 2 and 5.
+EXPLICIT = (10, 100000)
+SCHEDULES = [(), EXPLICIT]
+
+
+def _ladder(schedule):
+    return ladder_new(schedule if schedule else "default-minimal", depth=4)
+
+
+def _anchors(lad, n):
+    """Splice point, fold edges and ramp corners of level n."""
+    s, p = lad.stretch(n), lad.p(n)
+    return [lad.splice(n), p, -p, s, 2 * s, 3 * s, -2 * s, lad.p(n - 1), -lad.p(n - 1)]
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_splice_and_fold_edges_match_oracle(schedule, n):
+    lad = _ladder(schedule)
+    p, L = oracles.tower(4, schedule)
+    for centre in (lad.splice(n), lad.p(n), -lad.p(n)):
+        for t in range(centre - 2, centre + 3):
+            if abs(t) <= p[n]:
+                assert eval_a(lad, n, t) == oracles.raw_level(p, L, n, t), t
+            assert eval_b(lad, n, t) == oracles.raw_periodized(p, L, n, t), t
+            assert eval_ainf(lad, t) == oracles.limit_value(t, schedule), t
+    for start in (lad.splice(n) - 2, lad.p(n) - 2):
+        # the second window straddles the step from level n to level n + 1
+        block = alpha_block(lad, start, 5)
+        assert block == [oracles.limit_value(t, schedule) for t in range(start, start + 5)]
+        assert block == [eval_ainf(lad, t) for t in range(start, start + 5)]
+
+
+@given(
+    schedule=st.sampled_from(SCHEDULES),
+    n=st.integers(min_value=1, max_value=2),
+    anchor=st.integers(min_value=0, max_value=8),
+    step=st.integers(min_value=-12, max_value=12),
+    den=st.sampled_from([2, 3, 6]),
+)
+@settings(max_examples=150, deadline=None)
+def test_half_and_third_steps_match_oracle(schedule, n, anchor, step, den):
+    lad = _ladder(schedule)
+    p, L = oracles.tower(4, schedule)
+    t = _anchors(lad, n)[anchor] + F(step, den)
+    if abs(t) <= p[n]:
+        assert eval_a(lad, n, t) == oracles.raw_level(p, L, n, t)
+    assert eval_b(lad, n, t) == oracles.raw_periodized(p, L, n, t)
+    assert eval_ainf(lad, t) == oracles.limit_value(t, schedule)
+
+
+@given(
+    schedule=st.sampled_from(SCHEDULES),
+    level=st.integers(min_value=0, max_value=2),
+    back=st.integers(min_value=0, max_value=40),
+    length=st.integers(min_value=1, max_value=80),
+)
+@settings(max_examples=60, deadline=None)
+def test_blocks_straddling_a_level_step_match_oracle(schedule, level, back, length):
+    lad = _ladder(schedule)
+    start = max(0, lad.p(level) - back)
+    block = alpha_block(lad, start, length)
+    assert block == [eval_ainf(lad, t) for t in range(start, start + length)]
+    assert block == [oracles.limit_value(t, schedule) for t in range(start, start + length)]
+
+
+@given(
+    band=st.sampled_from([0, 10**8, 10**20]),
+    offset=st.integers(min_value=0, max_value=10**6),
+    length=st.integers(min_value=0, max_value=300),
+)
+@settings(max_examples=40, deadline=None)
+def test_block_equals_pointwise_evaluation(band, offset, length):
+    lad = ladder_new("default-minimal")
+    start = band + offset
+    block = alpha_block(lad, start, length)
+    assert block == [eval_ainf(lad, t) for t in range(start, start + length)]
+    for t in (start, start + length // 2):
+        if length:
+            assert block[t - start] == oracles.seq_value(t)
+
+
+def test_explicit_schedule_window_matches_oracle():
+    lad = _ladder(EXPLICIT)
+    block = alpha_block(lad, 0, 600)
+    assert block == [oracles.limit_value(t, EXPLICIT) for t in range(600)]
+    # the schedule really leaves powers of 3 behind
+    assert any(v.denominator % 2 == 0 for v in block)
+
+
+def test_block_rejects_negative_coordinates():
+    with pytest.raises(DomainError):
+        alpha_block(ladder_new(), -1, 3)
+    assert alpha_block(ladder_new(), 5, 0) == []

@@ -28,6 +28,7 @@ from wkseq import (
     thmC_witnesses,
     window_source,
 )
+from wkseq import sequence
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +50,16 @@ def test_sources_enforce_bounds(fixture):
         src.value(-1)
     assert constant_source(F(1, 3)).value(10**9) == F(1, 3)
     assert ones_source().value(7) == 1
+
+
+def test_constant_reads_stay_lazy():
+    big = ones_source().read(0, 10**15)
+    assert len(big) == 10**15 and big[0] == 1 and big[-1] == 1
+    part = big[10**14:10**14 + 3]
+    assert len(part) == 3 and list(part) == [1, 1, 1]
+    assert len(big[5:2]) == 0 and len(part[1:]) == 2
+    with pytest.raises(IndexError):
+        big[10**15]
 
 
 def test_view_shift_and_max_time(fixture):
@@ -175,6 +186,28 @@ def test_coprime_denominators_match_brute_force(k):
         (OrbitView(src, 1), lambda i: values[i + 1]),
     ):
         horizon = len(values) - 1 - k
+        t, br = prox_defect(x, other, 0, horizon, k)
+        assert (t, br.lo, br.hi) == oracles.naive_min_hi(fx, fy, 0, horizon, k)
+        t, br = sep_sup(x, other, 0, horizon, k)
+        assert (t, br.lo, br.hi) == oracles.naive_max_lo(fx, fy, 0, horizon, k)
+        t, br = pair_recur_defect(x, other, 1, horizon, k)
+        assert (t, br.hi) == oracles.naive_recur_defect(fx, fy, 1, horizon, k)
+
+
+@pytest.mark.parametrize("block_times", [1, 5, 64])
+def test_block_length_limit_does_not_change_results(block_times, monkeypatch):
+    # alpha's denominators are powers of 3, so only the limit on the number
+    # of times ends a block here; the constant orbit has denominator 1.
+    lad = ladder_new("default-minimal")
+    values = tuple(oracles.seq_value(i) for i in range(300))
+    x = OrbitView(window_source(SeqWindow(0, values)), 0)
+    fx = values.__getitem__
+    monkeypatch.setattr(sequence, "BLOCK_TIMES", block_times)
+    for other, fy in (
+        (OrbitView(ones_source(), 0), lambda i: F(1)),
+        (OrbitView(alpha_source(lad), 3), lambda i: values[i + 3]),
+    ):
+        horizon, k = 280, 8
         t, br = prox_defect(x, other, 0, horizon, k)
         assert (t, br.lo, br.hi) == oracles.naive_min_hi(fx, fy, 0, horizon, k)
         t, br = sep_sup(x, other, 0, horizon, k)

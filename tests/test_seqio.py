@@ -14,6 +14,7 @@ from wkseq import (
     loads_json,
     render_decimal,
 )
+from wkseq.seqio import window_chunks
 
 SAMPLE = SeqWindow(41, (F(14, 27), F(0), F(1), F(2, 3)))
 
@@ -25,6 +26,15 @@ def test_csv_shape():
     assert lines[1] == "41,14,27"
     assert lines[4] == "44,2,3"
     assert len(lines) == 5
+
+
+def test_window_chunks_stream():
+    def windows():
+        yield SeqWindow(7, (F(1), F(1, 2)))
+        raise AssertionError("read past the first window")
+
+    chunks = window_chunks(windows())
+    assert next(chunks) == "index,value_num,value_den\n7,1,1\n8,1,2\n"
 
 
 def test_csv_round_trip():
