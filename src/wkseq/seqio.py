@@ -93,27 +93,46 @@ def dumps_csv(window: SeqWindow, decimals: int = 0) -> str:
     return "".join(window_chunks([window], "csv", decimals))
 
 
+class _Values(dict):
+    """Window values by their text, a CSV row's (num, den) fields or a JSON
+    "num/den" entry: each text is parsed, checked for a positive denominator
+    and built into one Fraction on its first lookup; later rows share it."""
+
+    def __missing__(self, key) -> Fraction:
+        if isinstance(key, tuple):
+            num, den = key
+        else:
+            num, _, den = key.partition("/") if isinstance(key, str) else (key, "", "")
+            if not den:
+                raise ValueError(f"expected num/den, got {key!r}")
+        num, den = int(num), int(den)
+        if den <= 0:
+            raise ValueError("denominator must be positive")
+        value = self[key] = Fraction(num, den)
+        return value
+
+
 def loads_csv(text: str) -> SeqWindow:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows:
+    rows = csv.reader(io.StringIO(text))
+    header = next(rows, None)
+    if header is None:
         raise WindowFormatError("empty file")
-    if tuple(rows[0][:3]) != CSV_HEADER:
+    if tuple(header[:3]) != CSV_HEADER:
         raise WindowFormatError(
             f"expected header {','.join(CSV_HEADER)}", line=1
         )
+    parsed = _Values()
     offset = None
     values = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in enumerate(rows, start=2):
         if not row:
             continue
         if len(row) < 3:
             raise WindowFormatError("need index,value_num,value_den", line=lineno)
         try:
-            index, num, den = int(row[0]), int(row[1]), int(row[2])
+            index, value = int(row[0]), parsed[row[1], row[2]]
         except ValueError as exc:
             raise WindowFormatError(str(exc), line=lineno) from None
-        if den <= 0:
-            raise WindowFormatError("denominator must be positive", line=lineno)
         if offset is None:
             offset = index
         elif index != offset + len(values):
@@ -121,7 +140,7 @@ def loads_csv(text: str) -> SeqWindow:
                 f"indices must be contiguous, expected {offset + len(values)}",
                 line=lineno,
             )
-        values.append(Fraction(num, den))
+        values.append(value)
     if offset is None:
         raise WindowFormatError("no data rows")
     try:
@@ -142,17 +161,20 @@ def loads_json(text: str) -> SeqWindow:
     if not isinstance(doc, dict) or doc.get("schema") != WINDOW_SCHEMA:
         raise WindowFormatError(f"expected schema {WINDOW_SCHEMA}")
     try:
-        values = tuple(_parse_frac(s) for s in doc["values"])
-        return SeqWindow(int(doc["offset"]), values)
-    except (KeyError, TypeError, ValueError) as exc:
+        entries, parsed = doc["values"], _Values()
+        if not isinstance(entries, list):
+            raise ValueError('"values" must be an array')
+        try:
+            values = tuple(map(parsed.__getitem__, entries))
+        except TypeError:  # unhashable: the first array or object entry
+            bad = next(e for e in entries if isinstance(e, (list, dict)))
+            raise ValueError(f"expected num/den, got {bad!r}") from None
+        offset = doc["offset"]
+        if type(offset) is not int:
+            raise ValueError(f"offset must be an integer, got {offset!r}")
+        return SeqWindow(offset, values)
+    except (KeyError, ValueError) as exc:
         raise WindowFormatError(str(exc)) from None
-
-
-def _parse_frac(text: str) -> Fraction:
-    num, _, den = str(text).partition("/")
-    if not den:
-        raise ValueError(f"expected num/den, got {text!r}")
-    return Fraction(int(num), int(den))
 
 
 def load_window(path: str) -> SeqWindow:

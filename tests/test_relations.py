@@ -216,6 +216,66 @@ def test_block_length_limit_does_not_change_results(block_times, monkeypatch):
         assert (t, br.hi) == oracles.naive_recur_defect(fx, fy, 1, horizon, k)
 
 
+def _naive_fixed_target(fx, target, count, k):
+    """(time, lo) of the first time whose k-window of fx is nearest target[:k]."""
+    los = [
+        oracles.naive_bracket_lo(lambda i: fx(t + i), target.__getitem__, 0, k)
+        for t in range(count)
+    ]
+    return los.index(min(los)), min(los)
+
+
+def test_scan_is_the_same_on_shared_and_distinct_objects(monkeypatch):
+    # The kernel scales each distinct object of a block once.  Sides holding
+    # one object per value, a new object per coordinate, or a mix of both
+    # (and a lazy constant side) must give the oracles' times and brackets.
+    # alpha's powers of 3 among fifths and the reciprocals of a few primes,
+    # so most blocks meet a denominator that the blocks before did not have
+    primes = (7, 11, 13, 17, 19, 23, 29)
+    raw = [
+        oracles.seq_value(i) if i % 4 else F(1, primes[i % 7]) if i % 8 else F(i % 5, 5)
+        for i in range(200)
+    ]
+    one = {}
+    shared = tuple(one.setdefault(v, v) for v in raw)
+    fresh = tuple(F(v.numerator, v.denominator) for v in raw)
+    mixed = tuple(f if i % 3 else s for i, (s, f) in enumerate(zip(shared, fresh)))
+    assert len(set(map(id, shared))) < 40 and len(set(map(id, fresh))) == len(raw)
+    fx = raw.__getitem__
+    pattern = [(i // 2) % 2 for i in range(16)]  # thmC's target at q = 2
+    horizon = 170
+    others = [
+        (lambda xs: xs[1:], lambda i: raw[i + 1]),
+        (lambda xs: mixed[2:], lambda i: raw[i + 2]),
+        (lambda xs: constant_source(F(1, 3)).read(0, len(raw)), lambda i: F(1, 3)),
+    ]
+    expected = {
+        (n, k): (
+            oracles.naive_min_hi(fx, fy, 0, horizon, k),
+            oracles.naive_max_lo(fx, fy, 0, horizon, k),
+            oracles.naive_recur_defect(fx, fy, 1, horizon, k),
+        )
+        for n, (_, fy) in enumerate(others)
+        for k in (1, 8, 16)
+    }
+    near_pattern = _naive_fixed_target(fx, pattern, horizon + 1, 16)
+    for block_times in (1, 5, 64):
+        monkeypatch.setattr(sequence, "BLOCK_TIMES", block_times)
+        for xs in (shared, fresh, mixed):
+            for (n, k), (prox, sep, recur) in expected.items():
+                ys = others[n][0](xs)
+                t, br = sequence.bracket_scan([(xs, ys)], horizon + 1, k, True)
+                assert (t, br.lo, br.hi) == prox
+                t, br = sequence.bracket_scan([(xs, ys)], horizon + 1, k, True, want_max=True)
+                assert (t, br.lo, br.hi) == sep
+                t, br = sequence.bracket_scan(
+                    [(xs[1:], xs[:k]), (ys[1:], ys[:k])], horizon, k, False
+                )
+                assert (1 + t, br.hi) == recur
+            t, br = sequence.bracket_scan([(xs, pattern)], horizon + 1, 16, False)
+            assert (t, br.lo) == near_pattern
+
+
 def test_recurrence_never_witnessed_at_time_zero(alpha_view):
     ones = OrbitView(ones_source(), 0)
     with pytest.raises(ValueError):

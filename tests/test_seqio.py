@@ -1,8 +1,11 @@
+import json
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import reference_readers
 
 from wkseq import (
     SeqWindow,
@@ -14,7 +17,7 @@ from wkseq import (
     loads_json,
     render_decimal,
 )
-from wkseq.seqio import window_chunks
+from wkseq.seqio import CSV_HEADER, window_chunks
 
 SAMPLE = SeqWindow(41, (F(14, 27), F(0), F(1), F(2, 3)))
 
@@ -112,3 +115,122 @@ def test_round_trips_are_bit_exact(w):
     assert loads_csv(dumps_csv(w)) == w
     assert loads_json(dumps_json(w)) == w
     assert loads_csv(dumps_csv(w, decimals=3)) == w
+
+
+# -- differential tests against the per-row readers -------------------------
+
+#: Values with repeats, unreduced pairs and both ends of [0, 1].
+PAIRS = [(0, 1), (1, 1), (1, 2), (2, 4), (2, 27), (4, 54), (0, 5), (3, 3), (1, 9)]
+CSV_FAULTS = ["bad_int", "den_zero", "neg_den", "gap", "out_of_range", "short"]
+#: Faults the JSON reader reports as the per-row reader did.
+JSON_FAULTS = ["bad_int", "out_of_range", "no_slash", "non_string", "neg_offset"]
+#: Faults the JSON reader now rejects with a message of its own.
+JSON_FIXES = ["den_zero", "neg_den", "float_offset", "bool_offset", "str_offset", "values_not_array"]
+
+
+def _outcome(load, text):
+    try:
+        w = load(text)
+    except WindowFormatError as exc:
+        return "error", str(exc), exc.line
+    return "window", w.offset, w.values
+
+
+@st.composite
+def _rows(draw):
+    offset = draw(st.integers(min_value=0, max_value=1000))
+    pairs = draw(st.lists(st.sampled_from(PAIRS), min_size=1, max_size=30))
+    at = draw(st.integers(min_value=0, max_value=len(pairs) - 1))
+    return offset, pairs, at
+
+
+@given(
+    rows=_rows(),
+    fault=st.sampled_from([None, *CSV_FAULTS]),
+    column=st.integers(min_value=0, max_value=2),
+    bad=st.sampled_from(["x", "1.5", "", "0x1"]),
+    decimals=st.booleans(),
+    blanks=st.sets(st.integers(min_value=0, max_value=30), max_size=4),
+)
+@settings(deadline=None)
+def test_csv_reader_matches_per_row_reader(rows, fault, column, bad, decimals, blanks):
+    offset, pairs, at = rows
+    lines = [",".join(CSV_HEADER + ("value_decimal",) * decimals)]
+    for i, (num, den) in enumerate(pairs):
+        fields = [str(offset + i), str(num), str(den)]
+        if i == at:
+            if fault == "bad_int":
+                fields[column] = bad
+            elif fault == "den_zero":
+                fields[2] = "0"
+            elif fault == "neg_den":
+                fields[1:] = ["-1", "-2"]
+            elif fault == "gap":
+                fields[0] = str(offset + i + 1)
+            elif fault == "out_of_range":
+                fields[1:] = ["3", "2"] if column else ["-1", "2"]
+            elif fault == "short":
+                fields = fields[:1 + column % 2]
+        if decimals and len(fields) == 3:
+            fields.append("0.500")
+        lines.append(",".join(fields))
+    for b in sorted(blanks, reverse=True):
+        lines.insert(1 + min(b, len(lines) - 1), "")
+    text = "\n".join(lines) + "\n"
+    got = _outcome(loads_csv, text)
+    assert got == _outcome(reference_readers.loads_csv, text)
+    # a one-row file has no index to break contiguity with
+    assert (got[0] == "window") == (fault is None or (fault == "gap" and len(pairs) == 1))
+
+
+@given(
+    rows=_rows(),
+    fault=st.sampled_from([None, *JSON_FAULTS, *JSON_FIXES]),
+    bad=st.sampled_from(["x/2", "1/x", "1.5/2", "/2", "1/"]),
+    entry=st.sampled_from([5, 0.5, None, True, [1, 2], {"a": 1}]),
+)
+@settings(deadline=None)
+def test_json_reader_matches_per_row_reader(rows, fault, bad, entry):
+    offset, pairs, at = rows
+    values = [f"{num}/{den}" for num, den in pairs]
+    fault_value = {"bad_int": bad, "out_of_range": "3/2", "no_slash": "1",
+                   "non_string": entry, "den_zero": "1/0", "neg_den": "-1/-2"}
+    if fault in fault_value:
+        values[at] = fault_value[fault]
+    doc = {"schema": "wk-window/1", "offset": offset, "values": values}
+    doc["offset"] = {"neg_offset": -1 - offset, "float_offset": offset + 0.5,
+                     "bool_offset": True, "str_offset": str(offset)}.get(fault, offset)
+    if fault == "values_not_array":
+        doc["values"] = values[0]
+    text = json.dumps(doc)
+    got = _outcome(loads_json, text)
+    if fault not in JSON_FIXES:
+        assert got == _outcome(reference_readers.loads_json, text)
+        assert (got[0] == "window") == (fault is None)
+        return
+    # the per-row reader crashed on "1/0", read "-1/-2" as 1/2, truncated
+    # a float offset, read true as 1 and a string offset as its integer,
+    # and iterated the characters of a string in place of an array
+    message = {
+        "den_zero": "denominator must be positive",
+        "neg_den": "denominator must be positive",
+        "float_offset": f"offset must be an integer, got {offset + 0.5!r}",
+        "bool_offset": "offset must be an integer, got True",
+        "str_offset": f"offset must be an integer, got {str(offset)!r}",
+        "values_not_array": '"values" must be an array',
+    }[fault]
+    assert got == ("error", message, None)
+    if fault == "den_zero":
+        with pytest.raises(ZeroDivisionError):
+            reference_readers.loads_json(text)
+    elif fault != "values_not_array":
+        assert _outcome(reference_readers.loads_json, text)[0] == "window"
+
+
+def test_readers_share_one_object_per_distinct_text():
+    w = loads_csv("index,value_num,value_den\n0,1,2\n1,0,1\n2,1,2\n3,2,4\n4,0,1\n")
+    assert w.values == (F(1, 2), 0, F(1, 2), F(1, 2), 0)
+    assert w.values[0] is w.values[2] and w.values[1] is w.values[4]
+    assert w.values[3] is not w.values[0]  # "2,4" is other text for the same value
+    w = loads_json('{"schema": "wk-window/1", "offset": 0, "values": ["0/1", "1/3", "0/1"]}')
+    assert w.values[0] is w.values[2]
