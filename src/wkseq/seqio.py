@@ -102,7 +102,7 @@ class _Values(dict):
         if isinstance(key, tuple):
             num, den = key
         else:
-            num, _, den = key.partition("/") if isinstance(key, str) else (key, "", "")
+            num, _, den = str(key).partition("/")
             if not den:
                 raise ValueError(f"expected num/den, got {key!r}")
         num, den = int(num), int(den)

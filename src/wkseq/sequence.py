@@ -14,7 +14,7 @@ from functools import cache
 from itertools import islice, starmap
 from math import lcm
 from operator import mul, sub
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .ladder import DomainError, Ladder, Rational, eval_ainf, eval_ratio
 
@@ -31,19 +31,13 @@ class SeqWindow:
             raise ValueError("window offset must be nonnegative")
         if not self.values:
             raise ValueError("window must hold at least one value")
-        for v in _distinct(self.values):
+        # once per object: the readers and alpha_block share one object per value
+        for v in dict(zip(map(id, self.values), self.values)).values():
             if not 0 <= v.numerator <= v.denominator:
                 raise ValueError(f"window value {v} outside [0, 1]")
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-def _distinct(vs: Sequence[Rational]) -> Iterable[Rational]:
-    """Each object of vs once, in order of first occurrence.  The window
-    readers and `alpha_block` hand out one object per distinct value, so
-    work done per object is done per distinct value."""
-    return dict(zip(map(id, vs), vs)).values()
 
 
 @dataclass(frozen=True)
@@ -149,7 +143,6 @@ def bracket_scan(
     Sums are exact integers over one common denominator per block of
     times.  A block holds at least one full k-window and ends once that
     denominator passes BLOCK_DEN_BITS bits or it holds BLOCK_TIMES times.
-    Each distinct object of a block is read and scaled once.
     """
     high = k - 1
     weights = [1 << (high - i) for i in range(k)]
@@ -161,8 +154,7 @@ def bracket_scan(
         den = lcm(*(
             v.denominator
             for xs, ys in sides
-            for vs in (xs[j0:j0 + k], ys[j0:j0 + k] if sliding else ys[:k])
-            for v in _distinct(vs)
+            for v in (*xs[j0:j0 + k], *(ys[j0:j0 + k] if sliding else ys[:k]))
         ))
         # Times j1 .. stop-1 add the values at j1+k-1 .. stop+k-2.  Runs of
         # times join at once while the limit holds, and one at a time where a
@@ -175,7 +167,7 @@ def bracket_scan(
                 v.denominator
                 for xs, ys in sides
                 for vs in ((xs, ys) if sliding else (xs,))
-                for v in _distinct(vs[j1 + high:stop + high])
+                for v in vs[j1 + high:stop + high]
             ))
             if run > 1 and grown.bit_length() > BLOCK_DEN_BITS:
                 run = 1
@@ -183,8 +175,7 @@ def bracket_scan(
             den, j1, run = grown, stop, 2 * run
 
         def scaled(vs: Sequence[Rational]) -> list[int]:
-            table = {id(v): v.numerator * (den // v.denominator) for v in _distinct(vs)}
-            return list(map(table.__getitem__, map(id, vs)))
+            return [v.numerator * (den // v.denominator) for v in vs]
 
         sums = []
         for xs, ys in sides:

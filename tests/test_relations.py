@@ -226,9 +226,10 @@ def _naive_fixed_target(fx, target, count, k):
 
 
 def test_scan_is_the_same_on_shared_and_distinct_objects(monkeypatch):
-    # The kernel scales each distinct object of a block once.  Sides holding
-    # one object per value, a new object per coordinate, or a mix of both
-    # (and a lazy constant side) must give the oracles' times and brackets.
+    # Window files and alpha_block hand the kernel one object per value; a
+    # library caller may hand it a new object per coordinate.  Sides holding
+    # either, a mix of both, or a lazy constant side must give the oracles'
+    # times and brackets.
     # alpha's powers of 3 among fifths and the reciprocals of a few primes,
     # so most blocks meet a denominator that the blocks before did not have
     primes = (7, 11, 13, 17, 19, 23, 29)

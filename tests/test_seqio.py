@@ -125,7 +125,8 @@ CSV_FAULTS = ["bad_int", "den_zero", "neg_den", "gap", "out_of_range", "short"]
 #: Faults the JSON reader reports as the per-row reader did.
 JSON_FAULTS = ["bad_int", "out_of_range", "no_slash", "non_string", "neg_offset"]
 #: Faults the JSON reader now rejects with a message of its own.
-JSON_FIXES = ["den_zero", "neg_den", "float_offset", "bool_offset", "str_offset", "values_not_array"]
+JSON_FIXES = ["den_zero", "neg_den", "float_offset", "bool_offset", "str_offset", "values_not_array",
+              "array_with_slash"]
 
 
 def _outcome(load, text):
@@ -194,7 +195,8 @@ def test_json_reader_matches_per_row_reader(rows, fault, bad, entry):
     offset, pairs, at = rows
     values = [f"{num}/{den}" for num, den in pairs]
     fault_value = {"bad_int": bad, "out_of_range": "3/2", "no_slash": "1",
-                   "non_string": entry, "den_zero": "1/0", "neg_den": "-1/-2"}
+                   "non_string": entry, "den_zero": "1/0", "neg_den": "-1/-2",
+                   "array_with_slash": ["1/2"]}
     if fault in fault_value:
         values[at] = fault_value[fault]
     doc = {"schema": "wk-window/1", "offset": offset, "values": values}
@@ -210,7 +212,8 @@ def test_json_reader_matches_per_row_reader(rows, fault, bad, entry):
         return
     # the per-row reader crashed on "1/0", read "-1/-2" as 1/2, truncated
     # a float offset, read true as 1 and a string offset as its integer,
-    # and iterated the characters of a string in place of an array
+    # iterated the characters of a string in place of an array, and parsed
+    # the text of an array entry that held a slash
     message = {
         "den_zero": "denominator must be positive",
         "neg_den": "denominator must be positive",
@@ -218,11 +221,15 @@ def test_json_reader_matches_per_row_reader(rows, fault, bad, entry):
         "bool_offset": "offset must be an integer, got True",
         "str_offset": f"offset must be an integer, got {str(offset)!r}",
         "values_not_array": '"values" must be an array',
+        "array_with_slash": "expected num/den, got ['1/2']",
     }[fault]
     assert got == ("error", message, None)
     if fault == "den_zero":
         with pytest.raises(ZeroDivisionError):
             reference_readers.loads_json(text)
+    elif fault == "array_with_slash":
+        message = "invalid literal for int() with base 10: " + repr("['1")
+        assert _outcome(reference_readers.loads_json, text) == ("error", message, None)
     elif fault != "values_not_array":
         assert _outcome(reference_readers.loads_json, text)[0] == "window"
 
