@@ -406,9 +406,7 @@ def check_ones_runs(
         raise DomainError("run certificates start at level 1")
     ladder.ensure(n)
     window = 2 * ladder.p(n)
-    required = ladder.p(n) // 9
-    if 9 * required != ladder.p(n):
-        raise AssertionError("level size is always divisible by nine")
+    required = ladder.p(n) // 9  # exact: p[n] = 9 L[n] p[n-1]
     if window_end < window:
         raise ValueError("window_end must cover at least one full window")
     if mode == "auto":

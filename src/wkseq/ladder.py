@@ -8,11 +8,12 @@ and shifts the periodized part by one past a splice point in the right
 half.  The limit restricted to nonnegative integers is the sequence this
 package studies.
 
-All arithmetic is exact and no floats are used: the evaluator core,
-`eval_ratio`, works on integer numerators and denominators, and values
-cross the API as `fractions.Fraction`.  Level sizes live in a `Ladder`,
-an append-only tower that can grow on demand and is safe to share
-between threads.
+All arithmetic is exact and no floats are used.  The one evaluator,
+`eval_ratio`, works on integer numerators and denominators.  Around it,
+`eval_b` reads a periodized level and `eval_ainf` the limit profile, and
+both return `fractions.Fraction`.  Level sizes live in a `Ladder`, an
+append-only tower that can grow on demand and is safe to share between
+threads.
 """
 from __future__ import annotations
 
@@ -142,9 +143,6 @@ class Ladder:
             raise DomainError("stretch factors start at level 1")
         return self.p(n - 1) * self.L(n)
 
-    def period(self, n: int) -> int:
-        return 2 * self.p(n)
-
 
 def ladder_new(policy: str | Sequence[int] = "default-minimal", depth: int = 0) -> Ladder:
     """Create a ladder.
@@ -203,45 +201,6 @@ def eval_ratio(p: Sequence[int], n: int, x: int, den: int) -> tuple[int, int]:
     if base > 0 and base * best_den > best * den:
         return base, den
     return best, best_den
-
-
-def eval_a0(t: Rational) -> Fraction:
-    """Base profile: 0 on [-1,1], ramps to 1 on [1,2], plateau 1 on [2,3], 0 beyond.
-
-    Symmetric about 0, so only |t| matters.
-    """
-    x, den = _exact(t)
-    if abs(x) > BASE_HALF_PERIOD * den:
-        return ZERO
-    return _value(*eval_ratio((), 0, x, den))
-
-
-def eval_b0(t: Rational) -> Fraction:
-    """Periodization of the base profile with period 6."""
-    x, den = _exact(t)
-    return _value(*eval_ratio((), 0, _fold(x, BASE_HALF_PERIOD * den), den))
-
-
-def eval_c(ladder: Ladder, n: int, t: Rational) -> Fraction:
-    """Level-n stretched copy of the periodized base profile."""
-    if n < 1:
-        raise DomainError("stretched copies start at level 1")
-    x, den = _exact(t)
-    den *= ladder.stretch(n)
-    return _value(*eval_ratio((), 0, _fold(x, BASE_HALF_PERIOD * den), den))
-
-
-def eval_a(ladder: Ladder, n: int, t: Rational) -> Fraction:
-    """Level-n profile on [-p[n], p[n]]; arguments beyond that are rejected.
-
-    The splice point belongs to the first (unshifted) branch; past it the
-    periodized previous level is read one step ahead.
-    """
-    p_n = ladder.p(n)
-    x, den = _exact(t)
-    if abs(x) > p_n * den:
-        raise DomainError(f"|t| > p[{n}] = {p_n}")
-    return _value(*eval_ratio(ladder.sizes, n, x, den))
 
 
 def eval_b(ladder: Ladder, n: int, t: Rational) -> Fraction:

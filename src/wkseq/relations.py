@@ -61,9 +61,6 @@ class OrbitSource:
             )
         return self._read(start, stop)
 
-    def value(self, i: int) -> Fraction:
-        return self.read(i, i + 1)[0]
-
 
 def alpha_source(ladder: Ladder) -> OrbitSource:
     return OrbitSource(lambda a, b: alpha_block(ladder, a, b - a))
@@ -115,9 +112,6 @@ class OrbitView:
     def __post_init__(self):
         if self.shift < 0:
             raise ValueError("view shift must be nonnegative")
-
-    def value(self, i: int) -> Fraction:
-        return self.source.value(self.shift + i)
 
     def read(self, start: int, stop: int) -> Sequence[Fraction]:
         """Values at times start .. stop-1."""
@@ -301,7 +295,11 @@ def thmB_witnesses(
 ) -> list[PairVerdict]:
     """For each pair of distinct shifts of one orbit, search for a time that
     carries both shifted views close to the fixed point (the proximality
-    mechanism) and for a joint near-return (the recurrence half)."""
+    mechanism) and for a joint near-return (the recurrence half).
+
+    Recurrence is searched from time 1; at horizon 0 its clause is
+    inconclusive, as in `classify_pair`.
+    """
     tau = Fraction(tau)
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -317,19 +315,20 @@ def thmB_witnesses(
             raise ValueError("pairs must use two distinct shifts")
         if m < 0 or n < 0:
             raise ValueError("shifts must be nonnegative")
-        # the recurrence half searches from time 1
-        _check_span([OrbitView(x, max(m, n))], 1, horizon, k)
+        _check_span([OrbitView(x, max(m, n))], 0, horizon, k)
     top = max(max(pair) for pair in pairs)
     xs = x.read(0, top + horizon + k)
     target = fixed_point.read(0, k)
     verdicts = []
     for m, n in pairs:
         pt, pbr = _search([(xs[m:], target), (xs[n:], target)], 0, horizon, k, False)
-        rt, rbr = _search(
-            [(xs[m + 1:], xs[m:m + k]), (xs[n + 1:], xs[n:n + k])], 1, horizon, k, False
-        )
         prox_hit = pbr.hi < tau
-        recur_hit = rbr.hi < tau
+        recur_hit = False
+        if horizon >= 1:
+            rt, rbr = _search(
+                [(xs[m + 1:], xs[m:m + k]), (xs[n + 1:], xs[n:n + k])], 1, horizon, k, False
+            )
+            recur_hit = rbr.hi < tau
         verdicts.append(
             PairVerdict(
                 labels=_labels(

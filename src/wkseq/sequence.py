@@ -1,10 +1,12 @@
-"""Symbol windows, distance brackets, and reference sequence generators.
+"""Windows of alpha, distance brackets, and the one bracket-scan kernel.
 
 A `SeqWindow` is a finite, exactly-valued view of a one-sided sequence of
-rationals in [0, 1].  Distances between points of the shift space use the
-summable metric sum |x(i) - y(i)| / 2^i; comparing finite windows of
-length k pins that distance inside a closed bracket of width exactly
-2^(1-k), which is the only form of distance this package ever reports.
+rationals in [0, 1]; `alpha_window` evaluates a range of alpha into one.
+Distances between points of the shift space use the summable metric
+sum |x(i) - y(i)| / 2^i; comparing finite windows of length k pins that
+distance inside a closed bracket of width exactly 2^(1-k), which is the
+only form of distance this package ever reports.  `bracket_scan` computes
+every such bracket.
 """
 from __future__ import annotations
 
@@ -93,25 +95,6 @@ def alpha_block(ladder: Ladder, start: int, length: int) -> list[Fraction]:
         out += starmap(fraction, [eval_ratio(sizes, n, x, 1) for x in range(i, end)])
         i = end
     return out
-
-
-def shift(window: SeqWindow, k: int) -> SeqWindow:
-    """Drop the first k values, advancing the offset by k."""
-    if k < 0:
-        raise ValueError("shift count must be nonnegative")
-    if k >= len(window):
-        raise ValueError("shift would leave an empty window")
-    return SeqWindow(window.offset + k, window.values[k:])
-
-
-def bebutov_dist_bracket(x: SeqWindow, y: SeqWindow) -> DistBracket:
-    """Bracket the metric between the points the two windows come from.
-
-    The caller is responsible for aligning both windows at the same logical
-    coordinate zero (via `shift`); offsets are not compared here.  The
-    bracket has width exactly 2^(1-k) for k = min(len x, len y).
-    """
-    return bracket_scan([(x.values, y.values)], 1, min(len(x), len(y)), True)[1]
 
 
 #: A block of times ends once the common denominator of its values passes
@@ -218,41 +201,3 @@ def _fixed_sums(xi: list[int], yi: list[int], weights: list[int]) -> Iterator[in
     k = len(weights)
     for j in range(len(xi) - k + 1):
         yield sum(map(mul, map(abs, map(sub, xi[j:j + k], yi)), weights))
-
-
-def constant_window(value: Rational, length: int, offset: int = 0) -> SeqWindow:
-    return SeqWindow(offset, (Fraction(value),) * length)
-
-
-# -- full-shift fixtures ---------------------------------------------------
-
-def full_shift_transitive_point(length: int) -> SeqWindow:
-    """Prefix of the concatenation of all binary words in length-lex order.
-
-    Every finite binary word occurs in the full sequence, so this is the
-    standard transitive point of the full shift on two symbols.
-    """
-    if length < 1:
-        raise ValueError("window length must be at least 1")
-    out: list[Fraction] = []
-    width = 1
-    zero, one = Fraction(0), Fraction(1)
-    while len(out) < length:
-        for v in range(1 << width):
-            for j in range(width - 1, -1, -1):
-                out.append(one if (v >> j) & 1 else zero)
-            if len(out) >= length:
-                break
-        width += 1
-    return SeqWindow(0, tuple(out[:length]))
-
-
-def full_shift_rigidity_witness(n: int, length: int) -> SeqWindow:
-    """Prefix of the 2n-periodic point: n zeros then n ones, repeated."""
-    if n < 1:
-        raise ValueError("block length must be at least 1")
-    if length < 2 * n:
-        raise ValueError("window must cover at least one full period")
-    zero, one = Fraction(0), Fraction(1)
-    vals = tuple(one if (i // n) % 2 else zero for i in range(length))
-    return SeqWindow(0, vals)

@@ -11,6 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 import oracles
+from fixtures import full_shift_transitive_point, profile
 from wkseq import (
     DELTA_SEPARATED_WITNESSED,
     PROXIMAL_WITNESSED,
@@ -23,8 +24,6 @@ from wkseq import (
     check_shift_defect,
     check_wm_returns,
     classify_pair,
-    eval_a,
-    full_shift_transitive_point,
     ladder_new,
     make_plfunc,
     pair_recur_defect,
@@ -189,7 +188,7 @@ def test_7_breakpoint_oracle_equivalence(announce):
     mismatches = sum(
         1
         for j in range(-486, 487)
-        if explicit.evaluate(F(j, 2)) != eval_a(lad, 1, F(j, 2))
+        if explicit.evaluate(F(j, 2)) != profile(lad, 1, F(j, 2))
     )
     elapsed = time.perf_counter() - t0
     ok = mismatches == 0 and elapsed < 60

@@ -7,11 +7,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from fixtures import full_shift_transitive_point
 from wkseq import (
     alpha_window,
     console_main,
     dumps_csv,
-    full_shift_transitive_point,
     ladder_new,
     load_window,
     loads_csv,

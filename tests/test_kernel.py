@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from wkseq import DomainError, eval_a, eval_ainf, eval_b, ladder_new
+from fixtures import profile
+from wkseq import DomainError, eval_ainf, eval_b, ladder_new
 from wkseq.sequence import alpha_block
 
 #: Growth factors 10 and 100000: p = 3, 270, 243000000, ... and stretches
@@ -38,7 +39,7 @@ def test_splice_and_fold_edges_match_oracle(schedule, n):
     for centre in (lad.splice(n), lad.p(n), -lad.p(n)):
         for t in range(centre - 2, centre + 3):
             if abs(t) <= p[n]:
-                assert eval_a(lad, n, t) == oracles.raw_level(p, L, n, t), t
+                assert profile(lad, n, t) == oracles.raw_level(p, L, n, t), t
             assert eval_b(lad, n, t) == oracles.raw_periodized(p, L, n, t), t
             assert eval_ainf(lad, t) == oracles.limit_value(t, schedule), t
     for start in (lad.splice(n) - 2, lad.p(n) - 2):
@@ -61,7 +62,7 @@ def test_half_and_third_steps_match_oracle(schedule, n, anchor, step, den):
     p, L = oracles.tower(4, schedule)
     t = _anchors(lad, n)[anchor] + F(step, den)
     if abs(t) <= p[n]:
-        assert eval_a(lad, n, t) == oracles.raw_level(p, L, n, t)
+        assert profile(lad, n, t) == oracles.raw_level(p, L, n, t)
     assert eval_b(lad, n, t) == oracles.raw_periodized(p, L, n, t)
     assert eval_ainf(lad, t) == oracles.limit_value(t, schedule)
 

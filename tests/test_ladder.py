@@ -5,16 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from fixtures import profile
 from wkseq import (
     DomainError,
     LadderDepthError,
     ScheduleViolationError,
-    eval_a,
-    eval_a0,
     eval_ainf,
     eval_b,
-    eval_b0,
-    eval_c,
     ladder_new,
 )
 
@@ -80,48 +77,42 @@ def test_epsilon_and_splice(lad):
     assert lad.splice(1) == 81
     assert lad.splice(2) == 43046721
     assert lad.stretch(1) == 27
-    assert lad.period(1) == 486
 
 
-def test_base_profile_cases():
-    assert eval_a0(0) == 0
-    assert eval_a0(1) == 0
-    assert eval_a0(F(3, 2)) == F(1, 2)
-    assert eval_a0(2) == 1
-    assert eval_a0(3) == 1
-    assert eval_a0(4) == 0
-    assert eval_a0(F(-5, 2)) == 1
+def test_base_profile_cases(lad):
+    assert profile(lad, 0, 0) == 0
+    assert profile(lad, 0, 1) == 0
+    assert profile(lad, 0, F(3, 2)) == F(1, 2)
+    assert profile(lad, 0, 2) == 1
+    assert profile(lad, 0, 3) == 1
+    assert profile(lad, 0, 4) == 0
+    assert profile(lad, 0, F(-5, 2)) == 1
 
 
-def test_periodized_base_cases():
-    assert eval_b0(4) == 1
-    assert eval_b0(6) == 0
-    assert eval_b0(-7) == 0
-    assert eval_b0(83) == 0
-    assert eval_b0(F(9, 2)) == F(1, 2)
+def test_periodized_base_cases(lad):
+    assert eval_b(lad, 0, 4) == 1
+    assert eval_b(lad, 0, 6) == 0
+    assert eval_b(lad, 0, -7) == 0
+    assert eval_b(lad, 0, 83) == 0
+    assert eval_b(lad, 0, F(9, 2)) == F(1, 2)
 
 
 def test_copy_level_is_a_stretch(lad):
-    assert eval_c(lad, 1, 54) == 1
-    assert eval_c(lad, 1, 27) == 0
-    assert eval_c(lad, 2, 2 * lad.stretch(2)) == 1
+    # level n lays the periodized base, stretched by stretch(n), over the
+    # periodized level below, so the profile is at least the copy there
+    for n, t, copy in ((1, 54, 1), (1, 27, 0), (2, 2 * lad.stretch(2), 1)):
+        assert eval_b(lad, 0, F(t, lad.stretch(n))) == copy
+        assert profile(lad, n, t) >= copy
     with pytest.raises(DomainError):
-        eval_c(lad, 0, 0)
+        lad.stretch(0)
 
 
 def test_level_evaluation_spec_points(lad):
-    assert eval_a(lad, 1, 4) == 1
-    assert eval_a(lad, 1, 82) == 1
-    assert eval_a(lad, 1, 243) == 1
-    assert eval_a(lad, 1, -243) == 1
-    assert eval_a(lad, 0, F(3, 2)) == F(1, 2)
-
-
-def test_level_evaluation_outside_domain_raises(lad):
-    with pytest.raises(DomainError):
-        eval_a(lad, 0, 4)
-    with pytest.raises(DomainError):
-        eval_a(lad, 1, 244)
+    assert profile(lad, 1, 4) == 1
+    assert profile(lad, 1, 82) == 1
+    assert profile(lad, 1, 243) == 1
+    assert profile(lad, 1, -243) == 1
+    assert profile(lad, 0, F(3, 2)) == F(1, 2)
 
 
 def test_periodized_levels(lad):
@@ -147,36 +138,38 @@ def test_limit_auto_deepens_for_huge_arguments():
 def test_localization_across_levels(lad):
     lad.ensure(3)
     for t in range(-243, 244):
-        v = eval_a(lad, 1, t)
-        assert eval_a(lad, 2, t) == v
-        assert eval_a(lad, 3, t) == v
+        v = profile(lad, 1, t)
+        assert profile(lad, 2, t) == v
+        assert profile(lad, 3, t) == v
         assert eval_ainf(lad, t) == v
 
 
 def test_seam_values_are_one(lad):
     for n in range(3):
-        assert eval_a(lad, n, lad.p(n)) == 1
-        assert eval_a(lad, n, -lad.p(n)) == 1
+        assert profile(lad, n, lad.p(n)) == 1
+        assert profile(lad, n, -lad.p(n)) == 1
 
 
 @given(t=rationals)
 def test_base_range_and_symmetry(t):
-    v = eval_a0(t)
+    lad = ladder_new("default-minimal")
+    v = profile(lad, 0, t)
     assert 0 <= v <= 1
-    assert eval_a0(-t) == v
+    assert profile(lad, 0, -t) == v
 
 
 @given(t=rationals)
 def test_periodized_base_has_period_six(t):
-    assert eval_b0(t + 6) == eval_b0(t)
-    assert eval_b0(t) == oracles.periodized_base(t)
+    lad = ladder_new("default-minimal")
+    assert eval_b(lad, 0, t + 6) == eval_b(lad, 0, t)
+    assert eval_b(lad, 0, t) == oracles.periodized_base(t)
 
 
 @given(t=rationals, n=st.integers(min_value=0, max_value=1))
 @settings(max_examples=60)
 def test_period_identity_per_level(t, n):
     lad = ladder_new("default-minimal", depth=2)
-    assert eval_b(lad, n, t + lad.period(n)) == eval_b(lad, n, t)
+    assert eval_b(lad, n, t + 2 * lad.p(n)) == eval_b(lad, n, t)
     assert 0 <= eval_b(lad, n, t) <= 1
 
 
@@ -191,4 +184,5 @@ def test_max_is_nonexpansive(u, v, u2, v2):
 @settings(max_examples=60, deadline=None)
 def test_fold_agrees_with_stepping(t):
     assert oracles.wrap(t, 3) == oracles.wrap_by_stepping(t, 3)
-    assert eval_b0(t) == eval_b0(oracles.wrap(t, 3))
+    lad = ladder_new("default-minimal")
+    assert eval_b(lad, 0, t) == eval_b(lad, 0, oracles.wrap(t, 3))

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import oracles
+from fixtures import full_shift_rigidity_witness, full_shift_transitive_point
 from wkseq import (
     console_main,
     dumps_csv,
@@ -17,8 +18,6 @@ from wkseq import (
     alpha_source,
     classify_pair,
     constant_source,
-    full_shift_rigidity_witness,
-    full_shift_transitive_point,
     ladder_new,
     ones_source,
     pair_recur_defect,
@@ -45,11 +44,11 @@ def test_sources_enforce_bounds(fixture):
     src = window_source(fixture)
     assert src.length == 12000
     with pytest.raises(IndexError):
-        src.value(12000)
+        src.read(12000, 12001)[0]
     with pytest.raises(IndexError):
-        src.value(-1)
-    assert constant_source(F(1, 3)).value(10**9) == F(1, 3)
-    assert ones_source().value(7) == 1
+        src.read(-1, 0)[0]
+    assert constant_source(F(1, 3)).read(10**9, 10**9 + 1)[0] == F(1, 3)
+    assert ones_source().read(7, 8)[0] == 1
 
 
 def test_constant_reads_stay_lazy():
@@ -65,7 +64,7 @@ def test_constant_reads_stay_lazy():
 def test_view_shift_and_max_time(fixture):
     src = window_source(fixture)
     v = OrbitView(src, 5)
-    assert v.value(0) == fixture.values[5]
+    assert v.read(0, 1)[0] == fixture.values[5]
     assert v.max_time(16) == 12000 - 5 - 16
     assert OrbitView(ones_source(), 3).max_time(16) is None
     with pytest.raises(ValueError):
@@ -281,10 +280,15 @@ def test_recurrence_never_witnessed_at_time_zero(alpha_view):
     ones = OrbitView(ones_source(), 0)
     with pytest.raises(ValueError):
         pair_recur_defect(alpha_view, ones, 0, 10, 8)
-    verdict = classify_pair(alpha_view, ones, F(1), 0, 0, 8, F(1, 100))
-    assert verdict.recur_witness is None
-    assert PAIR_RECURRENT_WITNESSED not in verdict.labels
-    assert INCONCLUSIVE in verdict.labels
+    # at horizon 0 both searches leave recurrence unsearched, not refused
+    verdicts = [
+        classify_pair(alpha_view, ones, F(1), 0, 0, 8, F(1, 100)),
+        *thmB_witnesses(alpha_view.source, ones_source(), [(0, 1)], 0, 8, F(1, 100)),
+    ]
+    for verdict in verdicts:
+        assert verdict.recur_witness is None
+        assert PAIR_RECURRENT_WITNESSED not in verdict.labels
+        assert INCONCLUSIVE in verdict.labels
 
 
 def test_classify_alpha_vs_fixed_point(alpha_view):

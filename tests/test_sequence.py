@@ -5,18 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from wkseq import (
-    DistBracket,
-    SeqWindow,
-    alpha,
-    alpha_window,
-    bebutov_dist_bracket,
-    constant_window,
-    full_shift_rigidity_witness,
-    full_shift_transitive_point,
-    ladder_new,
-    shift,
-)
+from fixtures import full_shift_rigidity_witness, full_shift_transitive_point
+from wkseq import DistBracket, SeqWindow, alpha, alpha_window, ladder_new
+from wkseq.sequence import bracket_scan
 
 
 @pytest.fixture(scope="module")
@@ -65,41 +56,30 @@ def test_alpha_window_basic(lad):
     assert w2.values[0] == alpha(lad, 0 + 161)
 
 
-def test_shift_window():
-    w = SeqWindow(2, (F(1), F(0), F(1, 2)))
-    assert shift(w, 0) == w
-    s = shift(w, 1)
-    assert s.offset == 3 and s.values == (F(0), F(1, 2))
-    assert shift(shift(w, 1), 1) == shift(w, 2)
-    with pytest.raises(ValueError):
-        shift(w, 3)
+def bracket(x, y):
+    """The distance bracket of two prefixes, compared on the shorter length."""
+    return bracket_scan([(x, y)], 1, min(len(x), len(y)), True)[1]
 
 
 def test_bracket_of_identical_windows():
-    w = constant_window(F(1, 3), 6)
-    br = bebutov_dist_bracket(w, w)
+    w = (F(1, 3),) * 6
+    br = bracket(w, w)
     assert br.lo == 0 and br.hi == F(2) ** -5
 
 
 def test_bracket_of_opposite_constants():
-    z = constant_window(0, 9)
-    o = constant_window(1, 9)
-    br = bebutov_dist_bracket(z, o)
+    br = bracket((F(0),) * 9, (F(1),) * 9)
     assert br.lo == 2 - F(2) ** -8
     assert br.hi == 2
 
 
 def test_bracket_single_difference():
-    x = SeqWindow(0, (F(1),) + (F(0),) * 7)
-    y = constant_window(0, 8)
-    br = bebutov_dist_bracket(x, y)
+    br = bracket((F(1),) + (F(0),) * 7, (F(0),) * 8)
     assert br.lo == 1 and br.hi == 1 + F(1, 128)
 
 
 def test_bracket_uses_shorter_length():
-    x = constant_window(0, 3)
-    y = constant_window(0, 10)
-    assert bebutov_dist_bracket(x, y).hi == F(2) ** -2
+    assert bracket((F(0),) * 3, (F(0),) * 10).hi == F(2) ** -2
 
 
 def test_transitive_fixture_prefix():
@@ -126,9 +106,7 @@ def test_rigidity_witness_pattern():
     assert full_shift_rigidity_witness(1, 6).values == (0, 1, 0, 1, 0, 1)
     w = full_shift_rigidity_witness(2, 32)
     assert w.values[:8] == (0, 0, 1, 1, 0, 0, 1, 1)
-    br = bebutov_dist_bracket(
-        SeqWindow(0, w.values[:30]), SeqWindow(0, w.values[2:])
-    )
+    br = bracket(w.values[:30], w.values[2:])
     assert br.lo == 2 - F(2) ** -29
     with pytest.raises(ValueError):
         full_shift_rigidity_witness(3, 5)
@@ -144,29 +122,24 @@ def test_rigidity_witness_every_coordinate_flips():
 
 
 values01 = st.fractions(min_value=0, max_value=1, max_denominator=16)
-windows = st.lists(values01, min_size=1, max_size=24).map(
-    lambda vs: SeqWindow(0, tuple(vs))
-)
+windows = st.lists(values01, min_size=1, max_size=24).map(tuple)
 
 
 @given(x=windows, y=windows)
 def test_bracket_symmetry_and_width(x, y):
     k = min(len(x), len(y))
-    br = bebutov_dist_bracket(x, y)
-    rev = bebutov_dist_bracket(y, x)
+    br = bracket(x, y)
+    rev = bracket(y, x)
     assert br == rev
     assert br.hi - br.lo == F(2) ** (1 - k)
-    assert br.lo == oracles.naive_bracket_lo(
-        lambda i: x.values[i], lambda i: y.values[i], 0, k
-    )
+    assert br.lo == oracles.naive_bracket_lo(x.__getitem__, y.__getitem__, 0, k)
 
 
 @given(x=windows, y=windows, z=windows)
 @settings(max_examples=60)
 def test_bracket_lo_triangle_on_common_length(x, y, z):
     k = min(len(x), len(y), len(z))
-    cut = lambda w: SeqWindow(0, w.values[:k])
-    xy = bebutov_dist_bracket(cut(x), cut(y)).lo
-    yz = bebutov_dist_bracket(cut(y), cut(z)).lo
-    xz = bebutov_dist_bracket(cut(x), cut(z)).lo
+    xy = bracket(x[:k], y[:k]).lo
+    yz = bracket(y[:k], z[:k]).lo
+    xz = bracket(x[:k], z[:k]).lo
     assert xz <= xy + yz
