@@ -219,11 +219,13 @@ def check_returns(ladder: Ladder, n: int, grid: Iterable[int]) -> ReturnReport:
 
     Grid points must be integers in [-p[n], p[n]].
     """
+    points = sorted(set(int(t) for t in grid))
+    if not points:
+        raise ValueError("need at least one grid point")
     ladder.ensure(n + 1)
     left = 2 * ladder.splice(n + 1)
     bound = ladder.p(n)
-    points = sorted(set(int(t) for t in grid))
-    if points and (points[0] < -bound or points[-1] > bound):
+    if points[0] < -bound or points[-1] > bound:
         bad = points[0] if points[0] < -bound else points[-1]
         raise DomainError(f"grid point {bad} outside [-p[{n}], p[{n}]]")
     defect, at = _max_defect(

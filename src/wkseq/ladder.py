@@ -25,6 +25,9 @@ Rational = Union[int, Fraction]
 
 #: Half-width of the base profile's support, and the level-0 size.
 BASE_HALF_PERIOD = 3
+#: Largest bit length a level size may be predicted to take.  Under the
+#: default policy level 12 (about 1.7 million bits) fits and level 13 does not.
+MAX_LEVEL_BITS = 1 << 22
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -77,9 +80,22 @@ class Ladder:
         return minimum
 
     def ensure(self, depth: int) -> None:
-        """Extend the tower so levels 0..depth are populated."""
+        """Extend the tower so levels 0..depth are populated.
+
+        First bound each new level's bit length by bits(L[n]) + bits(p[n-1])
+        + 4, with 2 * bits(p[n-1]) for a default factor, and refuse a depth
+        past MAX_LEVEL_BITS before growing any level.
+        """
         if depth < len(self._p):
             return
+        bits = self._p[-1].bit_length()
+        for n in range(len(self._p), depth + 1):
+            entry = self._explicit[n - 1].bit_length() if n - 1 < len(self._explicit) else 2 * bits
+            bits += entry + 4
+            if bits > MAX_LEVEL_BITS:
+                raise LadderError(
+                    f"level {n} would take about {bits} bits, past the limit of {MAX_LEVEL_BITS}"
+                )
         with self._lock:
             while len(self._p) <= depth:
                 n = len(self._p)

@@ -7,18 +7,19 @@ starts).  Every verdict is backed by an explicit witness time and an exact
 distance bracket; anything not witnessed within the search horizon is
 labeled inconclusive rather than refuted.
 
-Searches scan a closed time range in one pass, and ties always prefer the
-smallest time.  Each search reads the orbit values it needs once and hands
-them to `sequence.bracket_scan`, the one place a bracket sum is computed.
+All searches of one call share one block loop, `_scan`.  It walks the time
+range in blocks of `sequence.STREAM_BLOCK` times, reads each view once per
+block and hands that read to `sequence.bracket_scan`, the one place a
+bracket sum is computed.  So a search holds at most one block of each orbit
+at any horizon.  Ties always prefer the smallest time.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
+from . import sequence
 # eval_ainf stays bound here: bench/tracing.py counts evaluator calls
 # through this module's name for it.
 from .ladder import Ladder, Rational, eval_ainf
@@ -71,26 +72,9 @@ def window_source(window: SeqWindow) -> OrbitSource:
     return OrbitSource(lambda a, b: values[a:b], length=len(values))
 
 
-class _Repeated(SequenceABC):
-    """One value at each index of a range, held once; slices stay lazy."""
-
-    def __init__(self, value: Fraction, indices: range):
-        self._value, self._indices = value, indices
-
-    def __len__(self) -> int:
-        return len(self._indices)
-
-    def __iter__(self) -> Iterator[Fraction]:
-        return repeat(self._value, len(self._indices))
-
-    def __getitem__(self, index):
-        picked = self._indices[index]  # IndexError past the end
-        return _Repeated(self._value, picked) if isinstance(index, slice) else self._value
-
-
 def constant_source(value: Rational) -> OrbitSource:
     v = Fraction(value)
-    return OrbitSource(lambda a, b: _Repeated(v, range(a, b)))
+    return OrbitSource(lambda a, b: [v] * (b - a))
 
 
 def ones_source() -> OrbitSource:
@@ -137,53 +121,86 @@ def _check_span(views: Sequence[OrbitView], start: int, horizon: int, k: int) ->
             )
 
 
-def _search(
-    sides: Sequence[tuple[Sequence[Fraction], Sequence[Fraction]]],
+class _Search(NamedTuple):
+    """One bracket search of a `_scan`: its first time, its window length,
+    its kind (see `bracket_scan`) and its sides, built from one block's
+    reads with the search's own first time at index 0."""
+
+    first: int
+    k: int
+    sliding: bool
+    want_max: bool
+    sides: Callable[[list[Sequence[Fraction]]], list[tuple[Sequence, Sequence]]]
+
+
+def _scan(
+    views: Sequence[OrbitView | OrbitSource],
+    width: int,
     start: int,
     horizon: int,
-    k: int,
-    sliding: bool,
-    want_max: bool = False,
-) -> tuple[int, DistBracket]:
-    """`bracket_scan` over the times start .. horizon, whose values the
-    sides hold from time `start` on."""
-    t, bracket = bracket_scan(sides, horizon - start + 1, k, sliding, want_max)
-    return start + t, bracket
+    searches: Sequence[_Search],
+) -> list[tuple[int, DistBracket] | None]:
+    """The first best (time, bracket) of each search over its times first
+    .. horizon, or None where it covers no time.
+
+    The times start .. horizon are walked in blocks of
+    `sequence.STREAM_BLOCK`.  Each view is read once per block, with the
+    `width` values each time needs from its own coordinate on, and every
+    search that covers the block scans that read.  Only a strictly better
+    bracket replaces a search's best, a search that has met its bound scans
+    no further, and the walk ends once every search has.
+    """
+    best: list[tuple[int, DistBracket] | None] = [None] * len(searches)
+    done = [s.first > horizon for s in searches]
+    t0 = start
+    while t0 <= horizon and not all(done):
+        t1 = min(horizon + 1, t0 + sequence.STREAM_BLOCK)
+        reads = [view.read(t0, t1 + width - 1) for view in views]
+        for i, s in enumerate(searches):
+            if done[i] or s.first >= t1:
+                continue
+            skip = max(0, s.first - t0)
+            sides = s.sides([r[skip:] for r in reads] if skip else reads)
+            t, br = bracket_scan(sides, t1 - t0 - skip, s.k, s.sliding, s.want_max)
+            if best[i] is None or (br.lo > best[i][1].lo if s.want_max else br.lo < best[i][1].lo):
+                best[i] = t0 + skip + t, br
+            done[i] = br.hi == 2 if s.want_max else br.lo == 0
+        t0 = t1
+    return best
+
+
+def _pair_scan(
+    a: OrbitView, b: OrbitView, start: int, horizon: int, k: int, pick: Sequence[int] = (0, 1, 2)
+) -> list[tuple[int, DistBracket] | None]:
+    """The picked searches of one pair, in one `_scan`: 0 is proximity, 1
+    separation, and 2 recurrence from time max(start, 1)."""
+    _check_span([a, b], start, horizon, k)
+    homes = a.read(0, k), b.read(0, k)
+    searches = [
+        _Search(start, k, True, False, lambda reads: [tuple(reads)]),
+        _Search(start, k, True, True, lambda reads: [tuple(reads)]),
+        _Search(max(start, 1), k, False, False, lambda reads: list(zip(reads, homes))),
+    ]
+    return _scan([a, b], k, start, horizon, [searches[i] for i in pick])
 
 
 def prox_defect(
-    a: OrbitView,
-    b: OrbitView,
-    start: int,
-    horizon: int,
-    k: int,
+    a: OrbitView, b: OrbitView, start: int, horizon: int, k: int
 ) -> tuple[int, DistBracket]:
     """Time in [start, horizon] with the smallest distance bracket between
     the two t-shifted views, compared at prefix length k."""
-    _check_span([a, b], start, horizon, k)
-    reads = a.read(start, horizon + k), b.read(start, horizon + k)
-    return _search([reads], start, horizon, k, True)
+    return _pair_scan(a, b, start, horizon, k, [0])[0]
 
 
 def sep_sup(
-    a: OrbitView,
-    b: OrbitView,
-    start: int,
-    horizon: int,
-    k: int,
+    a: OrbitView, b: OrbitView, start: int, horizon: int, k: int
 ) -> tuple[int, DistBracket]:
     """Time in [start, horizon] with the largest certified separation."""
-    _check_span([a, b], start, horizon, k)
-    reads = a.read(start, horizon + k), b.read(start, horizon + k)
-    return _search([reads], start, horizon, k, True, want_max=True)
+    return _pair_scan(a, b, start, horizon, k, [1])[0]
 
 
 def pair_recur_defect(
-    a: OrbitView,
-    b: OrbitView,
-    start: int,
-    horizon: int,
-    k: int,
+    a: OrbitView, b: OrbitView, start: int, horizon: int, k: int
 ) -> tuple[int, DistBracket]:
     """Time whose shift nearly returns both views to their own start.
 
@@ -193,9 +210,7 @@ def pair_recur_defect(
     """
     if start < 1:
         raise ValueError("recurrence searches start at time 1 or later")
-    _check_span([a, b], start, horizon, k)
-    sides = [(v.read(start, horizon + k), v.read(0, k)) for v in (a, b)]
-    return _search(sides, start, horizon, k, False)
+    return _pair_scan(a, b, start, horizon, k, [2])[0]
 
 
 class Witness(NamedTuple):
@@ -230,21 +245,34 @@ class PairVerdict:
         return report_dict(kind="pair-verdict", **vars(self))
 
 
-def _labels(*clauses: tuple[str, bool]) -> tuple[str, ...]:
-    out = [name for name, hit in clauses if hit]
-    if any(not hit for _, hit in clauses):
-        out.append(INCONCLUSIVE)
-    return tuple(out)
+def _verdict(
+    delta: Fraction | None, tau: Fraction, span: tuple[int, int], k: int, pair=None, **found
+) -> PairVerdict:
+    """Label the clauses searched for one pair.
+
+    `found` maps each searched clause (prox, sep, recur) to its best
+    (time, bracket), or to None when its search covered no time.  Proximity
+    and recurrence are witnessed when the bracket's upper bound is below
+    tau, separation when its lower bound reaches delta - tau; any clause
+    left unwitnessed adds the "inconclusive" label.
+    """
+    labels, witnesses = [], {}
+    for name, label in (("prox", PROXIMAL_WITNESSED), ("sep", DELTA_SEPARATED_WITNESSED),
+                        ("recur", PAIR_RECURRENT_WITNESSED)):
+        if found.get(name) is not None:
+            t, br = found[name]
+            value = br.lo if name == "sep" else br.hi
+            if (value >= delta - tau) if name == "sep" else (value < tau):
+                labels.append(label)
+                witnesses[name] = Witness(t, value)
+    if len(labels) < len(found):
+        labels.append(INCONCLUSIVE)
+    return PairVerdict(tuple(labels), delta, span, k, tau, witnesses.get("prox"),
+                       witnesses.get("sep"), witnesses.get("recur"), pair)
 
 
 def classify_pair(
-    a: OrbitView,
-    b: OrbitView,
-    delta: Rational,
-    start: int,
-    horizon: int,
-    k: int,
-    tau: Rational,
+    a: OrbitView, b: OrbitView, delta: Rational, start: int, horizon: int, k: int, tau: Rational
 ) -> PairVerdict:
     """Run the three witness searches on one pair and label the outcome.
 
@@ -254,44 +282,18 @@ def classify_pair(
     delta, tau = Fraction(delta), Fraction(tau)
     if delta <= 0 or tau <= 0:
         raise ValueError("delta and tau must be positive")
-    _check_span([a, b], start, horizon, k)
-    reads = a.read(start, horizon + k), b.read(start, horizon + k)
-    pt, pbr = _search([reads], start, horizon, k, True)
-    st, sbr = _search([reads], start, horizon, k, True, want_max=True)
-    prox_hit = pbr.hi < tau
-    sep_hit = sbr.lo >= delta - tau
-    first = max(start, 1)
-    recur_hit = False
-    if first <= horizon:
-        sides = [
-            (read[first - start:], view.read(0, k))
-            for view, read in zip((a, b), reads)
-        ]
-        rt, rbr = _search(sides, first, horizon, k, False)
-        recur_hit = rbr.hi < tau
-    return PairVerdict(
-        labels=_labels(
-            (PROXIMAL_WITNESSED, prox_hit),
-            (DELTA_SEPARATED_WITNESSED, sep_hit),
-            (PAIR_RECURRENT_WITNESSED, recur_hit),
-        ),
-        delta=delta,
-        horizon=(start, horizon),
-        prefix_len=k,
-        tau=tau,
-        prox_witness=Witness(pt, pbr.hi) if prox_hit else None,
-        sep_witness=Witness(st, sbr.lo) if sep_hit else None,
-        recur_witness=Witness(rt, rbr.hi) if recur_hit else None,
-    )
+    prox, sep, recur = _pair_scan(a, b, start, horizon, k)
+    return _verdict(delta, tau, (start, horizon), k, prox=prox, sep=sep, recur=recur)
+
+
+def _shifted(m: int, n: int, home_m: Sequence, home_n: Sequence) -> Callable:
+    """Sides comparing the orbit from shifts m and n with fixed targets."""
+    return lambda reads: [(reads[0][m:], home_m), (reads[0][n:], home_n)]
 
 
 def thmB_witnesses(
-    x: OrbitSource,
-    fixed_point: OrbitSource,
-    pairs: Iterable[tuple[int, int]],
-    horizon: int,
-    k: int,
-    tau: Rational,
+    x: OrbitSource, fixed_point: OrbitSource, pairs: Iterable[tuple[int, int]],
+    horizon: int, k: int, tau: Rational,
 ) -> list[PairVerdict]:
     """For each pair of distinct shifts of one orbit, search for a time that
     carries both shifted views close to the fixed point (the proximality
@@ -317,44 +319,22 @@ def thmB_witnesses(
             raise ValueError("shifts must be nonnegative")
         _check_span([OrbitView(x, max(m, n))], 0, horizon, k)
     top = max(max(pair) for pair in pairs)
-    xs = x.read(0, top + horizon + k)
     target = fixed_point.read(0, k)
-    verdicts = []
+    searches = []
     for m, n in pairs:
-        pt, pbr = _search([(xs[m:], target), (xs[n:], target)], 0, horizon, k, False)
-        prox_hit = pbr.hi < tau
-        recur_hit = False
-        if horizon >= 1:
-            rt, rbr = _search(
-                [(xs[m + 1:], xs[m:m + k]), (xs[n + 1:], xs[n:n + k])], 1, horizon, k, False
-            )
-            recur_hit = rbr.hi < tau
-        verdicts.append(
-            PairVerdict(
-                labels=_labels(
-                    (PROXIMAL_WITNESSED, prox_hit),
-                    (PAIR_RECURRENT_WITNESSED, recur_hit),
-                ),
-                delta=None,
-                horizon=(0, horizon),
-                prefix_len=k,
-                tau=tau,
-                prox_witness=Witness(pt, pbr.hi) if prox_hit else None,
-                sep_witness=None,
-                recur_witness=Witness(rt, rbr.hi) if recur_hit else None,
-                pair=(m, n),
-            )
-        )
-    return verdicts
+        searches += [
+            _Search(0, k, False, False, _shifted(m, n, target, target)),
+            _Search(1, k, False, False, _shifted(m, n, x.read(m, m + k), x.read(n, n + k))),
+        ]
+    found = _scan([x], top + k, 0, horizon, searches)
+    return [
+        _verdict(None, tau, (0, horizon), k, pair, prox=prox, recur=recur)
+        for pair, prox, recur in zip(pairs, found[::2], found[1::2])
+    ]
 
 
 def thmC_witnesses(
-    x: OrbitSource,
-    q: int,
-    delta: Rational,
-    horizon: int,
-    k: int,
-    tau: Rational,
+    x: OrbitSource, q: int, delta: Rational, horizon: int, k: int, tau: Rational
 ) -> PairVerdict:
     """Separate the orbit from its q-shift through an occurrence of the
     alternating-blocks pattern (q zeros, q ones, repeating), then search
@@ -375,34 +355,18 @@ def thmC_witnesses(
     top = horizon - need + 1
     if x.length is not None:
         top = min(top, x.length - need)
-    found = None
-    if top >= 0:
-        xs = x.read(0, top + need)
-        pattern = [(i // q) % 2 for i in range(need)]
-        # the first exact occurrence is the first time whose bracket sum is 0
-        t, match = _search([(xs, pattern)], 0, top, need, False)
-        if match.lo == 0:
-            found = t
-    if found is None:
+    pattern = [(i // q) % 2 for i in range(need)]
+    # the first exact occurrence is the first time whose bracket sum is 0;
+    # the shifted pair reads coordinates up to top + q + k - 1, as the pattern does
+    match, prox = _scan([x], need, 0, top, [
+        _Search(0, need, False, False, lambda reads: [(reads[0], pattern)]),
+        _Search(0, k, True, False, lambda reads: [(reads[0], reads[0][q:])]),
+    ])
+    if match is None or match[1].lo != 0:
         raise NotFoundInHorizonError(
             f"no block-alternating occurrence of length {need} within horizon {horizon}"
         )
-    sep_lo = bracket_scan([(xs[found:found + k], xs[found + q:found + q + k])], 1, k, True)[1].lo
-    # the shifted pair reads coordinates up to top + q + k - 1, as the pattern did
-    pt, pbr = _search([(xs, xs[q:])], 0, top, k, True)
-    sep_hit = sep_lo >= delta - tau
-    prox_hit = pbr.hi < tau
-    return PairVerdict(
-        labels=_labels(
-            (PROXIMAL_WITNESSED, prox_hit),
-            (DELTA_SEPARATED_WITNESSED, sep_hit),
-        ),
-        delta=delta,
-        horizon=(0, horizon),
-        prefix_len=k,
-        tau=tau,
-        prox_witness=Witness(pt, pbr.hi) if prox_hit else None,
-        sep_witness=Witness(found, sep_lo) if sep_hit else None,
-        recur_witness=None,
-        pair=(0, q),
-    )
+    found = match[0]
+    xs = x.read(found, found + need)
+    sep = found, bracket_scan([(xs, xs[q:])], 1, k, True)[1]
+    return _verdict(delta, tau, (0, horizon), k, (0, q), prox=prox, sep=sep)

@@ -6,7 +6,8 @@ Distances between points of the shift space use the summable metric
 sum |x(i) - y(i)| / 2^i; comparing finite windows of length k pins that
 distance inside a closed bracket of width exactly 2^(1-k), which is the
 only form of distance this package ever reports.  `bracket_scan` computes
-every such bracket.
+every such bracket; the relation searches hand it one block of at most
+`STREAM_BLOCK` times at a time.
 """
 from __future__ import annotations
 
@@ -65,8 +66,9 @@ def alpha_window(ladder: Ladder, start: int, length: int) -> SeqWindow:
     return SeqWindow(start, tuple(alpha_block(ladder, start, length)))
 
 
-#: Values per window that `alpha_windows` yields: few enough that a
-#: streamed range of alpha takes the same memory at any length.
+#: Values per window that `alpha_windows` yields, and times per block of a
+#: relation search: few enough that a streamed range of alpha, or a search
+#: over it, takes the same memory at any length.
 STREAM_BLOCK = 4096
 
 
@@ -101,9 +103,6 @@ def alpha_block(ladder: Ladder, start: int, length: int) -> list[Fraction]:
 #: this many bits.  Many coprime denominators would otherwise make every
 #: integer numerator, and the memory they take, grow with the whole range.
 BLOCK_DEN_BITS = 1024
-#: A block also ends at this many times, so a range whose denominator never
-#: grows, such as a constant orbit, is still summed in bounded memory.
-BLOCK_TIMES = 1 << 14
 
 
 def bracket_scan(
@@ -125,7 +124,8 @@ def bracket_scan(
 
     Sums are exact integers over one common denominator per block of
     times.  A block holds at least one full k-window and ends once that
-    denominator passes BLOCK_DEN_BITS bits or it holds BLOCK_TIMES times.
+    denominator passes BLOCK_DEN_BITS bits.  The memory taken grows with
+    count; the relation searches pass at most STREAM_BLOCK times.
     """
     high = k - 1
     weights = [1 << (high - i) for i in range(k)]
@@ -143,9 +143,8 @@ def bracket_scan(
         # times join at once while the limit holds, and one at a time where a
         # run would pass it, so the block ends at the same time either way.
         j1, run = j0 + 1, 1
-        end = min(count, j0 + BLOCK_TIMES)
-        while j1 < end and den.bit_length() <= BLOCK_DEN_BITS:
-            stop = min(end, j1 + run)
+        while j1 < count and den.bit_length() <= BLOCK_DEN_BITS:
+            stop = min(count, j1 + run)
             grown = lcm(den, *(
                 v.denominator
                 for xs, ys in sides

@@ -125,6 +125,8 @@ def test_returns_sampled_level_two(lad):
 def test_returns_grid_out_of_range(lad):
     with pytest.raises(DomainError):
         check_returns(lad, 0, [4])
+    with pytest.raises(ValueError, match="at least one grid point"):
+        check_returns(lad, 1, [])
 
 
 def test_wm_level_zero(lad):

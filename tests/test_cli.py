@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -100,6 +101,14 @@ def test_verify_rigidity_level_zero_is_parameter_error(capsys):
     code, _, err = run_cli(capsys, "verify", "rigidity", "--n", "0", "--count", "5")
     assert code == 2
     assert "error" in err
+
+
+def test_ladder_too_deep_is_refused_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "rigidity", "--n", "30", "--count", "1")
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == ""
+    assert "level 13 would take about" in err
 
 
 def test_verify_failed_certificate_exits_one(capsys):

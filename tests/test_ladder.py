@@ -9,11 +9,13 @@ from fixtures import profile
 from wkseq import (
     DomainError,
     LadderDepthError,
+    LadderError,
     ScheduleViolationError,
     eval_ainf,
     eval_b,
     ladder_new,
 )
+from wkseq.ladder import MAX_LEVEL_BITS
 
 rationals = st.fractions(
     min_value=F(-2000), max_value=F(2000), max_denominator=64
@@ -59,6 +61,20 @@ def test_undersized_schedule_entry_is_rejected():
         ladder_new([8], depth=1)
     with pytest.raises(ScheduleViolationError):
         ladder_new([9, 243**2 - 1], depth=2)
+
+
+def test_oversized_levels_are_refused_before_growing():
+    lad = ladder_new("default-minimal", depth=2)
+    with pytest.raises(LadderError, match="level 13 would take about"):
+        lad.ensure(30)
+    assert lad.depth == 2
+    lad.ensure(12)
+    assert lad.p(12).bit_length() == 1684627 <= MAX_LEVEL_BITS
+    with pytest.raises(LadderError, match="level 13"):
+        lad.ensure(13)
+    # an explicit entry is bounded by its own bit length
+    with pytest.raises(LadderError, match="level 2 would take about"):
+        ladder_new([9, 1 << MAX_LEVEL_BITS])
 
 
 def test_depth_is_lazy_and_require_raises(lad):

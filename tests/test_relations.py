@@ -13,6 +13,7 @@ from wkseq import (
     PAIR_RECURRENT_WITNESSED,
     PROXIMAL_WITNESSED,
     NotFoundInHorizonError,
+    OrbitSource,
     OrbitView,
     SeqWindow,
     alpha_source,
@@ -28,6 +29,7 @@ from wkseq import (
     window_source,
 )
 from wkseq import sequence
+from wkseq.sequence import alpha_block
 
 
 @pytest.fixture(scope="module")
@@ -49,16 +51,6 @@ def test_sources_enforce_bounds(fixture):
         src.read(-1, 0)[0]
     assert constant_source(F(1, 3)).read(10**9, 10**9 + 1)[0] == F(1, 3)
     assert ones_source().read(7, 8)[0] == 1
-
-
-def test_constant_reads_stay_lazy():
-    big = ones_source().read(0, 10**15)
-    assert len(big) == 10**15 and big[0] == 1 and big[-1] == 1
-    part = big[10**14:10**14 + 3]
-    assert len(part) == 3 and list(part) == [1, 1, 1]
-    assert len(big[5:2]) == 0 and len(part[1:]) == 2
-    with pytest.raises(IndexError):
-        big[10**15]
 
 
 def test_view_shift_and_max_time(fixture):
@@ -193,26 +185,79 @@ def test_coprime_denominators_match_brute_force(k):
         assert (t, br.hi) == oracles.naive_recur_defect(fx, fy, 1, horizon, k)
 
 
-@pytest.mark.parametrize("block_times", [1, 5, 64])
-def test_block_length_limit_does_not_change_results(block_times, monkeypatch):
-    # alpha's denominators are powers of 3, so only the limit on the number
-    # of times ends a block here; the constant orbit has denominator 1.
+@pytest.mark.parametrize("block", [1, 3, 5, 7, 64])
+def test_block_length_limit_does_not_change_results(block, monkeypatch):
+    # alpha's denominators are powers of 3, so only the number of times in a
+    # search block ends a block here; the constant orbit has denominator 1.
     lad = ladder_new("default-minimal")
     values = tuple(oracles.seq_value(i) for i in range(300))
     x = OrbitView(window_source(SeqWindow(0, values)), 0)
     fx = values.__getitem__
-    monkeypatch.setattr(sequence, "BLOCK_TIMES", block_times)
+    monkeypatch.setattr(sequence, "STREAM_BLOCK", block)
     for other, fy in (
         (OrbitView(ones_source(), 0), lambda i: F(1)),
         (OrbitView(alpha_source(lad), 3), lambda i: values[i + 3]),
     ):
         horizon, k = 280, 8
-        t, br = prox_defect(x, other, 0, horizon, k)
-        assert (t, br.lo, br.hi) == oracles.naive_min_hi(fx, fy, 0, horizon, k)
-        t, br = sep_sup(x, other, 0, horizon, k)
-        assert (t, br.lo, br.hi) == oracles.naive_max_lo(fx, fy, 0, horizon, k)
-        t, br = pair_recur_defect(x, other, 1, horizon, k)
-        assert (t, br.hi) == oracles.naive_recur_defect(fx, fy, 1, horizon, k)
+        for start in (0, 1, 5):
+            t, br = prox_defect(x, other, start, horizon, k)
+            assert (t, br.lo, br.hi) == oracles.naive_min_hi(fx, fy, start, horizon, k)
+            t, br = sep_sup(x, other, start, horizon, k)
+            assert (t, br.lo, br.hi) == oracles.naive_max_lo(fx, fy, start, horizon, k)
+            first = max(start, 1)
+            t, br = pair_recur_defect(x, other, first, horizon, k)
+            assert (t, br.hi) == oracles.naive_recur_defect(fx, fy, first, horizon, k)
+
+
+def _all_verdicts(fixture):
+    """classify from three starts, thmB with shifts above 0 and at horizon 0,
+    and thmC with an occurrence and without one."""
+    lad = ladder_new("default-minimal")
+    src, tau = window_source(fixture), F(1, 512)
+    a, b = OrbitView(src, 0), OrbitView(src, 1)
+    alpha, ones = OrbitView(alpha_source(lad), 0), OrbitView(ones_source(), 0)
+    out = [classify_pair(a, b, F(2), start, 2000, 12, tau) for start in (0, 1, 5)]
+    out += [classify_pair(alpha, ones, F(1), start, 400, 8, F(1, 100)) for start in (0, 1, 5)]
+    # separation appears only after the first blocks, where every bracket is 0
+    late = window_source(SeqWindow(0, (F(0),) * 30 + (F(1),) * 30))
+    out.append(classify_pair(OrbitView(late), OrbitView(constant_source(0)), F(1), 0, 50, 4, F(1, 16)))
+    out += thmB_witnesses(alpha.source, ones_source(), [(2, 5), (7, 3)], 300, 8, F(1, 100))
+    out += thmB_witnesses(src, constant_source(0), [(1, 2), (4, 9)], 4000, 8, F(1, 64))
+    out += thmB_witnesses(src, ones_source(), [(1, 2)], 0, 8, F(1, 64))
+    # the occurrence at 11604 runs over 17 coordinates, across a block edge
+    # at block sizes 1, 3 and 7
+    out.append(thmC_witnesses(src, 1, F(2), 11900, 16, F(1, 1024)))
+    for orbit, q, horizon in ((src, 3, 40), (constant_source(1), 1, 300)):
+        with pytest.raises(NotFoundInHorizonError):
+            thmC_witnesses(orbit, q, F(2), horizon, 16, F(1, 1024))
+    return out
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, 64])
+def test_block_size_does_not_change_verdicts(block, fixture, monkeypatch):
+    expected = _all_verdicts(fixture)
+    monkeypatch.setattr(sequence, "STREAM_BLOCK", block)
+    assert _all_verdicts(fixture) == expected
+
+
+def test_reads_hold_at_most_one_block(monkeypatch):
+    lad = ladder_new("default-minimal")
+    reads = []
+
+    def read(a, b):
+        reads.append(b - a)
+        return alpha_block(lad, a, b - a)
+
+    src, block, tau = OrbitSource(read), 64, F(1, 100)
+    monkeypatch.setattr(sequence, "STREAM_BLOCK", block)
+    for run, overlap in (
+        (lambda: classify_pair(OrbitView(src), OrbitView(src, 3), F(1), 2, 1000, 8, tau), 8 - 1),
+        (lambda: thmB_witnesses(src, ones_source(), [(0, 5), (9, 2)], 1000, 8, tau), 9 + 8 - 1),
+        (lambda: thmC_witnesses(src, 1, F(2), 1000, 1, F(1, 64)), 1 + 1 - 1),
+    ):
+        reads.clear()
+        run()
+        assert reads and max(reads) <= block + overlap
 
 
 def _naive_fixed_target(fx, target, count, k):
@@ -227,7 +272,7 @@ def _naive_fixed_target(fx, target, count, k):
 def test_scan_is_the_same_on_shared_and_distinct_objects(monkeypatch):
     # Window files and alpha_block hand the kernel one object per value; a
     # library caller may hand it a new object per coordinate.  Sides holding
-    # either, a mix of both, or a lazy constant side must give the oracles'
+    # either, a mix of both, or a constant side must give the oracles'
     # times and brackets.
     # alpha's powers of 3 among fifths and the reciprocals of a few primes,
     # so most blocks meet a denominator that the blocks before did not have
@@ -259,8 +304,8 @@ def test_scan_is_the_same_on_shared_and_distinct_objects(monkeypatch):
         for k in (1, 8, 16)
     }
     near_pattern = _naive_fixed_target(fx, pattern, horizon + 1, 16)
-    for block_times in (1, 5, 64):
-        monkeypatch.setattr(sequence, "BLOCK_TIMES", block_times)
+    for den_bits in (8, 16, 64):
+        monkeypatch.setattr(sequence, "BLOCK_DEN_BITS", den_bits)
         for xs in (shared, fresh, mixed):
             for (n, k), (prox, sep, recur) in expected.items():
                 ys = others[n][0](xs)
