@@ -18,25 +18,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import chain, groupby
+from operator import is_
 from typing import Callable, Iterable, Sequence
 
+from . import sequence
 from .ladder import (
+    ONE,
+    ZERO,
     DomainError,
     Ladder,
     Rational,
     eval_ainf,
     eval_b,
+    eval_block,
 )
 from .seqio import report_dict
 from .sequence import alpha_windows
 
-ONE = Fraction(1)
-
 #: Every coordinate scan visits at most this many points; a larger scan is
-#: refused before it evaluates anything.  The costliest scan it allows, wm
-#: at four evaluations per point and about 5 us each with the comparison
-#: (2.5-4 us for the evaluation alone) on a 2-CPU host, takes under a minute.
+#: refused before it evaluates anything.  A contiguous scan of alpha reads
+#: it a block at a time by its structure, at about 0.25 us per point
+#: (`rigidity --n 2` over all of them: 0.5 s on a 2-CPU host).  A sampled
+#: `returns` grid or a rational `shift-defect` grid costs one `eval_ratio`
+#: call per point and shift, 2-4 us each, so the costliest of those (about
+#: 2 * 10^6 points at two or three evaluations each) takes 13-14 s.
 SCAN_LIMIT = 2_000_001
 
 
@@ -48,24 +55,43 @@ def scan_points(points: Sequence[int]) -> Sequence[int]:
     return points
 
 
+def _moved(points: Sequence[int], s: int) -> Iterable[int]:
+    """The points shifted by s: a range for a range, and lazily otherwise."""
+    if isinstance(points, range):
+        return range(points.start + s, points.stop + s, points.step)
+    return (t + s for t in points)
+
+
 def _max_defect(
-    f: Callable[[int], Fraction],
+    read: Callable[[Iterable[int]], Sequence[Fraction]],
     points: Sequence[int],
     shifts: tuple[int, ...],
     first: bool = False,
 ) -> tuple[Fraction, int]:
     """Largest |f(t + s) - f(t)| over t in points and s in shifts, and the
-    index of the first point that reaches it.  With `first`, the scan stops
-    at the first nonzero defect."""
-    worst, worst_i = Fraction(0), 0
-    for i, t in enumerate(scan_points(points)):
-        here = f(t)
-        for s in shifts:
-            defect = abs(f(t + s) - here)
-            if defect > worst:
-                worst, worst_i = defect, i
-                if first:
-                    return worst, worst_i
+    index of the first point that reaches it.  `read` gives f at a block of
+    points, and is handed at most `sequence.STREAM_BLOCK` of them at a time.
+    With `first`, the scan stops at the first nonzero defect, taking points
+    in order and each point's shifts in order."""
+    worst, worst_i = ZERO, 0
+    points = scan_points(points)
+    for b0 in range(0, len(points), sequence.STREAM_BLOCK):
+        block = points[b0:b0 + sequence.STREAM_BLOCK]
+        here = read(block)
+        moved = [read(_moved(block, s)) for s in shifts]
+        # list equality tries identity before ==, so blocks built from the
+        # same shared values compare without touching a Fraction
+        if all(map(here.__eq__, moved)):
+            continue
+        for i, (h, *vs) in enumerate(zip(here, *moved), b0):
+            for v in vs:
+                if v is h or v == h:
+                    continue
+                defect = abs(v - h)
+                if defect > worst:
+                    worst, worst_i = defect, i
+                    if first:
+                        return worst, worst_i
     return worst, worst_i
 
 
@@ -170,7 +196,7 @@ def check_shift_defect(
     # the grid -span, -span + step, ... <= span, in units of 1/den(step)
     den = grid_step.denominator
     worst, worst_k = _max_defect(
-        lambda x: eval_b(ladder, m, Fraction(x, den)),
+        lambda xs: [eval_b(ladder, m, Fraction(x, den)) for x in xs],
         range(-span * den, span * den + 1, grid_step.numerator),
         (displacement * den,),
     )
@@ -198,7 +224,7 @@ def check_rigidity(ladder: Ladder, n: int, count: int) -> RigidityReport:
     ladder.ensure(n)
     displacement = 2 * ladder.p(n)
     worst, worst_j = _max_defect(
-        lambda t: eval_ainf(ladder, t), range(count), (displacement,)
+        partial(eval_block, ladder), range(count), (displacement,)
     )
     bound = ladder.epsilon(n)
     return RigidityReport(
@@ -229,7 +255,7 @@ def check_returns(ladder: Ladder, n: int, grid: Iterable[int]) -> ReturnReport:
         bad = points[0] if points[0] < -bound else points[-1]
         raise DomainError(f"grid point {bad} outside [-p[{n}], p[{n}]]")
     defect, at = _max_defect(
-        lambda t: eval_ainf(ladder, t), points, (-left, left - 1), first=True
+        partial(eval_block, ladder), points, (-left, left - 1), first=True
     )
     return ReturnReport(
         n=n,
@@ -257,7 +283,7 @@ def check_wm_returns(
             raise ValueError("tolerance must be positive")
     agree = range(p_n + 1)
     forward, backward = (
-        _max_defect(lambda t: eval_ainf(ladder, t), agree, (s,), first=True)[0] == 0
+        _max_defect(partial(eval_block, ladder), agree, (s,), first=True)[0] == 0
         for s in (big_n, -big_n - 1)
     )
     # 2**p_n is built only once the scans fit the limit
@@ -416,7 +442,8 @@ def check_ones_runs(
     if mode == "scan":
         windows = alpha_windows(ladder, 0, len(scan_points(range(window_end + 1))))
         runs, i = [], 0
-        for one, run in groupby(chain.from_iterable(w.values for w in windows), ONE.__eq__):
+        # the block reader hands out the one shared ONE for every 1
+        for one, run in groupby(chain.from_iterable(w.values for w in windows), partial(is_, ONE)):
             size = sum(1 for _ in run)
             if one and size >= required:
                 runs.append((i, i + size - 1))

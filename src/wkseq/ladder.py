@@ -8,18 +8,23 @@ and shifts the periodized part by one past a splice point in the right
 half.  The limit restricted to nonnegative integers is the sequence this
 package studies.
 
-All arithmetic is exact and no floats are used.  The one evaluator,
-`eval_ratio`, works on integer numerators and denominators.  Around it,
-`eval_b` reads a periodized level and `eval_ainf` the limit profile, and
-both return `fractions.Fraction`.  Level sizes live in a `Ladder`, an
-append-only tower that can grow on demand and is safe to share between
-threads.
+All arithmetic is exact and no floats are used.  The one per-point
+evaluator, `eval_ratio`, works on integer numerators and denominators.
+Around it, `eval_b` reads a periodized level and `eval_ainf` the limit
+profile, and both return `fractions.Fraction`.  `eval_block` reads the limit
+profile on a range of integers by its structure: each level is a plateau of
+ones, a repeat of the periodized level below, or a ramp over it, so its
+cost grows with the levels and pieces the range meets, not with its length.
+It shares `eval_ratio`'s level step, `_descend`.  Level sizes live in a
+`Ladder`, an append-only tower that can grow on demand and is safe to share
+between threads.
 """
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -106,13 +111,9 @@ class Ladder:
     def ensure_cover(self, bound: Rational) -> int:
         """Grow until some level size reaches |bound|; return the least such level."""
         bound = abs(bound)
-        n = 0
-        while True:
-            if n == len(self._p):
-                self.ensure(n)
-            if self._p[n] >= bound:
-                return n
-            n += 1
+        while self._p[-1] < bound:
+            self.ensure(len(self._p))
+        return bisect_left(self._p, bound)
 
     def require(self, depth: int) -> None:
         if depth >= len(self._p):
@@ -190,6 +191,19 @@ def _fold(x: int, half: int) -> int:
     return (x + half) % (2 * half) - half
 
 
+def _descend(p: Sequence[int], n: int, x: int, den: int) -> tuple[int, int, int]:
+    """One step of level n >= 1 at x/den, all in units of 1/den: the
+    stretched base copy there before clamping to [0, s], the stretch
+    s = stretch(n), and the point where level n reads the level below: x,
+    or x + 1 past the splice point p[n]/3, folded into [-p[n-1], p[n-1])."""
+    s = p[n] // 9 * den
+    copy = abs((x + 3 * s) % (6 * s) - 3 * s) - s
+    if x > p[n] // 3 * den:
+        x += den
+    half = p[n - 1] * den
+    return copy, s, (x + half) % (2 * half) - half
+
+
 def eval_ratio(p: Sequence[int], n: int, x: int, den: int) -> tuple[int, int]:
     """The level-n profile at x/den, |x| <= p[n]*den, as an unreduced pair
     (num, den), in int arithmetic only; p holds the level sizes.
@@ -200,23 +214,101 @@ def eval_ratio(p: Sequence[int], n: int, x: int, den: int) -> tuple[int, int]:
     """
     best, best_den = 0, 1
     while n:
-        s = p[n] // 9 * den  # stretch(n), in units of 1/den
-        copy = abs((x + 3 * s) % (6 * s) - 3 * s) - s  # before clamping to [0, s]
+        copy, s, x = _descend(p, n, x, den)
         if copy >= s:
             return 1, 1
         if copy > 0 and copy * best_den > best * s:
             best, best_den = copy, s
-        if x > p[n] // 3 * den:  # past the splice point, read one step ahead
-            x += den
         n -= 1
-        half = p[n] * den
-        x = (x + half) % (2 * half) - half
     base = abs(x) - den
     if base >= den:
         return 1, 1
     if base > 0 and base * best_den > best * den:
         return base, den
     return best, best_den
+
+
+#: Multiples of stretch(n) where level n's stretched copy changes form
+#: inside [-p[n], p[n]]: it is 0 on [-s, s] and [5s, 7s], 1 on [2s, 4s]
+#: and [8s, 9s] (and their mirror images), and a ramp in between.  The
+#: splice 3s lies inside the plateau [2s, 4s], so each piece that reads the
+#: level below lies on one side of it.
+_COPY_EDGES = (-8, -7, -5, -4, -2, -1, 1, 2, 4, 5, 7, 8)
+#: Pieces this short are read point by point through `eval_ratio`.
+SHORT_PIECE = 16
+
+
+def eval_block(ladder: Ladder, points: Iterable[int]) -> list[Fraction]:
+    """The limit profile at integer points of either sign, each read at the
+    least level whose domain covers it, as `eval_ainf` does; the shared
+    ZERO and ONE stand for every 0 and 1.
+
+    A range of step 1 is read by its structure: split at each +-p[m], then,
+    at level n with s = stretch(n), where the stretched copy changes form
+    (+-s, +-2s, +-4s, +-5s, +-7s, +-8s).  Where the copy is 1 the piece is
+    ONE; where it is 0 the piece is the periodized level below, read one
+    step ahead past the splice 3s; on a ramp each point takes the larger of
+    the two.  The periodized level over more than its period is one period,
+    expanded once per call and tiled.  Any other points, short pieces and
+    level 0 go through `eval_ratio` point by point.
+    """
+    p = ladder.sizes
+    if not isinstance(points, range) or points.step != 1:
+        return [_value(*eval_ratio(p, ladder.ensure_cover(x), x, 1)) for x in points]
+    tiles: dict[int, list[Fraction]] = {}
+
+    def level(n: int, lo: int, hi: int) -> list[Fraction]:
+        """Level n at lo .. hi-1, inside [-p[n], p[n]]."""
+        if n == 0 or hi - lo <= SHORT_PIECE:
+            return [_value(*eval_ratio(p, n, x, 1)) for x in range(lo, hi)]
+        s = ladder.stretch(n)
+        cuts = sorted({lo, hi, *(k * s for k in _COPY_EDGES if lo < k * s < hi)})
+        out: list[Fraction] = []
+        for a, b in zip(cuts, cuts[1:]):
+            first, _, read_at = _descend(p, n, a, 1)
+            last = _descend(p, n, b - 1, 1)[0]
+            if min(first, last) >= s:
+                out += [ONE] * (b - a)
+                continue
+            below = periodized(n - 1, read_at, b - a)
+            if max(first, last) <= 0:
+                out += below
+                continue
+            step = 1 if last >= first else -1
+            out += [
+                ONE if c >= s
+                else v if c <= 0 or v is ONE or c * v.denominator <= v.numerator * s
+                else Fraction(c, s)
+                for c, v in zip(range(first, last + step, step), below)
+            ]
+        return out
+
+    def periodized(m: int, i: int, length: int) -> list[Fraction]:
+        """Level m periodized with period 2p[m], at i .. i+length-1, for i
+        in [-p[m], p[m])."""
+        half = p[m]
+        if length > 2 * half:
+            if m not in tiles:
+                tiles[m] = level(m, -half, half)
+            tile = tiles[m]
+            out = tile[i + half:]
+            reps, rest = divmod(length - len(out), 2 * half)
+            out += tile * reps
+            out += tile[:rest]
+            return out
+        if i + length <= half:
+            return level(m, i, i + length)
+        return level(m, i, half) + level(m, -half, i + length - 2 * half)
+
+    out: list[Fraction] = []
+    i, stop = points.start, points.stop
+    while i < stop:
+        n = ladder.ensure_cover(i)
+        # level n covers [-p[n], -p[n-1]) and (p[n-1], p[n]]; level 0 [-3, 3]
+        end = min(stop, -p[n - 1] if n and i < 0 else p[n] + 1)
+        out += level(n, i, end)
+        i = end
+    return out
 
 
 def eval_b(ladder: Ladder, n: int, t: Rational) -> Fraction:

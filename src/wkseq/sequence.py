@@ -1,7 +1,8 @@
 """Windows of alpha, distance brackets, and the one bracket-scan kernel.
 
 A `SeqWindow` is a finite, exactly-valued view of a one-sided sequence of
-rationals in [0, 1]; `alpha_window` evaluates a range of alpha into one.
+rationals in [0, 1]; `alpha_window` reads a range of alpha into one through
+`alpha_block`, the ladder's block reader on nonnegative coordinates.
 Distances between points of the shift space use the summable metric
 sum |x(i) - y(i)| / 2^i; comparing finite windows of length k pins that
 distance inside a closed bracket of width exactly 2^(1-k), which is the
@@ -13,13 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from itertools import islice, starmap
+from itertools import islice
 from math import lcm
 from operator import mul, sub
 from typing import Iterator, Sequence
 
-from .ladder import DomainError, Ladder, Rational, eval_ainf, eval_ratio
+from .ladder import DomainError, Ladder, Rational, eval_ainf, eval_block
 
 
 @dataclass(frozen=True)
@@ -82,21 +82,13 @@ def alpha_windows(ladder: Ladder, start: int, length: int) -> Iterator[SeqWindow
 def alpha_block(ladder: Ladder, start: int, length: int) -> list[Fraction]:
     """alpha(start) .. alpha(start + length - 1); none for length < 1.
 
-    Each coordinate is evaluated at the least level whose domain covers it,
-    as in `alpha`, so the range splits at each level size p[m].  Each
-    distinct value is built into a Fraction once.
+    This is `ladder.eval_block` on nonnegative coordinates: each coordinate
+    is read at the least level whose domain covers it, as in `alpha`, at a
+    cost that grows with the levels and pieces the range meets.
     """
     if not isinstance(start, int) or start < 0:
         raise DomainError("sequence coordinates are nonnegative integers")
-    sizes, fraction = ladder.sizes, cache(Fraction)
-    out: list[Fraction] = []
-    i, stop = start, start + length
-    while i < stop:
-        n = ladder.ensure_cover(i)
-        end = min(stop, sizes[n] + 1)
-        out += starmap(fraction, [eval_ratio(sizes, n, x, 1) for x in range(i, end)])
-        i = end
-    return out
+    return eval_block(ladder, range(start, start + length))
 
 
 #: A block of times ends once the common denominator of its values passes

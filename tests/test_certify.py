@@ -1,9 +1,10 @@
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 
 import oracles
-from wkseq import certify
+from wkseq import certify, sequence
 from wkseq import (
     DomainError,
     LadderDepthError,
@@ -12,8 +13,10 @@ from wkseq import (
     check_rigidity,
     check_shift_defect,
     check_wm_returns,
+    eval_ainf,
     ladder_new,
 )
+from wkseq.ladder import eval_block
 
 
 @pytest.fixture(scope="module")
@@ -219,24 +222,77 @@ def test_report_json_shapes(lad):
     ]
 
 
-def test_scan_kernel_ties_and_early_return():
+def test_scan_kernel_ties_and_early_return(monkeypatch):
     values = {0: 0, 1: 2, 2: 0, 3: 5, 4: 3, 5: 0, 6: 5, 7: 1}
     seen = []
 
-    def f(t):
-        seen.append(t)
-        return F(values[t])
+    def read(points):
+        seen.append(list(points))
+        return [F(values[t]) for t in seen[-1]]  # equal values, never one object
 
-    # |f(t+1) - f(t)| over t = 0..6 is 2, 2, 5, 2, 3, 5, 4: the first 5 wins
-    assert certify._max_defect(f, range(7), (1,)) == (5, 2)
-    assert certify._max_defect(f, [3, 5, 6], (-2, 1)) == (5, 1)
-    seen.clear()
-    assert certify._max_defect(f, range(1, 7), (1,), first=True) == (2, 0)
-    assert seen == [1, 2]
-    seen.clear()
-    assert certify._max_defect(f, [5, 2, 0], (0, 1, -2), first=True) == (5, 0)
-    assert seen == [5, 5, 6]
-    assert certify._max_defect(f, [], (1,)) == (0, 0)
+    for block in (1, 2, 4096):
+        monkeypatch.setattr(sequence, "STREAM_BLOCK", block)
+        # |f(t+1) - f(t)| over t = 0..6 is 2, 2, 5, 2, 3, 5, 4: the first 5 wins
+        assert certify._max_defect(read, range(7), (1,)) == (5, 2)
+        assert certify._max_defect(read, [3, 5, 6], (-2, 1)) == (5, 1)
+        assert certify._max_defect(read, [0, 2], (0, 2)) == (3, 1)
+        assert certify._max_defect(read, [0], (2, 5)) == (0, 0)
+        # the first nonzero defect in point order, then in each point's shift order
+        assert certify._max_defect(read, [0, 1], (2, 1), first=True) == (2, 0)
+        seen.clear()
+        assert certify._max_defect(read, range(1, 7), (1,), first=True) == (2, 0)
+        # no block after the one holding the defect is read
+        head = list(range(1, 7))[:block]
+        assert seen == [head, [t + 1 for t in head]]
+        seen.clear()
+        assert certify._max_defect(read, [5, 2, 3], (0, 1, -2), first=True) == (5, 0)
+        head = [5, 2, 3][:block]
+        assert seen == [head, head, [t + 1 for t in head], [t - 2 for t in head]]
+        assert certify._max_defect(read, [], (1,)) == (0, 0)
+
+
+def _reference_defect(lad, points, shifts, first=False):
+    """The scan point by point through eval_ainf, as it ran before block reads."""
+    worst, worst_i = F(0), 0
+    for i, t in enumerate(points):
+        here = eval_ainf(lad, t)
+        for s in shifts:
+            defect = abs(eval_ainf(lad, t + s) - here)
+            if defect > worst:
+                worst, worst_i = defect, i
+                if first:
+                    return worst, worst_i
+    return worst, worst_i
+
+
+@pytest.mark.parametrize("count", [1, 4095, 4096, 4097])
+def test_block_scans_match_point_by_point_scan(lad, count):
+    for n in (1, 2):
+        rep = check_rigidity(lad, n, count)
+        assert (rep.max_defect, rep.argmax_index) == _reference_defect(lad, range(count), (rep.shift,))
+    p2 = lad.p(2)
+    for grid in (range(-p2, -p2 + count), range(-p2, p2 + 1, 2 * p2 // count)):
+        rep = check_returns(lad, 2, grid)
+        defect = _reference_defect(lad, grid, (-rep.left_shift, rep.right_shift), first=True)[0]
+        assert rep.all_equal == (defect == 0) and rep.checked == len(grid)
+    for n in (0, 1):
+        rep = check_wm_returns(lad, n)
+        agree = range(rep.agree_len)
+        assert rep.forward_exact == (_reference_defect(lad, agree, (rep.N,), True)[0] == 0)
+        assert rep.backward_exact == (_reference_defect(lad, agree, (-rep.N - 1,), True)[0] == 0)
+    # Nonzero defects, with ties, across block edges: alpha against its own
+    # shifts on the level-2 ramp, and the first change after the plateau of
+    # ones on [2 stretch(2), 4 stretch(2)] placed at index count - 1.
+    read = partial(eval_block, lad)
+    ramp = range(lad.stretch(2) + 100, lad.stretch(2) + 100 + count)
+    assert certify._max_defect(read, ramp, (1, -3)) == _reference_defect(lad, ramp, (1, -3))
+    edge = 4 * lad.stretch(2)
+    while eval_ainf(lad, edge + 1) == eval_ainf(lad, edge):
+        edge += 1
+    points = range(edge - count + 1, edge + 2)
+    got = certify._max_defect(read, points, (1,), first=True)
+    assert got == _reference_defect(lad, points, (1,), first=True)
+    assert got[1] == count - 1 and got[0] > 0
 
 
 def test_scan_limit_refuses_before_evaluating(lad):

@@ -278,13 +278,16 @@ def test_unexpected_crash_exits_three(capsys, monkeypatch):
 
 
 def test_installed_entry_point_runs():
+    # -X importtime lists every module the run imports on stderr
     proc = subprocess.run(
-        [sys.executable, "-m", "wkseq", "gen", "--len", "6"],
+        [sys.executable, "-X", "importtime", "-m", "wkseq", "gen", "--len", "6"],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "index,value_num,value_den"
+    # configparser is imported only for --config
+    assert "wkseq.cli" in proc.stderr and "configparser" not in proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import oracles
 from fixtures import profile
-from wkseq import DomainError, eval_ainf, eval_b, ladder_new
+from wkseq import DomainError, eval_ainf, eval_b, ladder, ladder_new
+from wkseq.ladder import ONE, eval_block
 from wkseq.sequence import alpha_block
 
 #: Growth factors 10 and 100000: p = 3, 270, 243000000, ... and stretches
@@ -31,6 +32,27 @@ def _anchors(lad, n):
     return [lad.splice(n), p, -p, s, 2 * s, 3 * s, -2 * s, lad.p(n - 1), -lad.p(n - 1)]
 
 
+def _breakpoints(lad, n):
+    """Where level n changes form: each +-p[n], where the block reader splits
+    the range, the multiples of stretch(n) where the stretched copy changes
+    form, where it splits a level, and the splice, past which the read of
+    the level below moves one step ahead."""
+    s, p = lad.stretch(n), lad.p(n)
+    return [p, -p, lad.splice(n), *(k * s for k in (-8, -7, -5, -4, -2, -1, 1, 2, 4, 5, 7, 8))]
+
+
+def _check_block(lad, start, length, schedule, near=None):
+    """eval_block on start .. start+length-1 equals per-point eval_ainf, and
+    tests/oracles.py at every point, or only within 1 of `near`; every 1 in
+    it is the shared ONE."""
+    block = eval_block(lad, range(start, start + length))
+    assert block == [eval_ainf(lad, t) for t in range(start, start + length)], start
+    for t in range(start, start + length):
+        if near is None or abs(t - near) <= 1:
+            assert block[t - start] == oracles.limit_value(t, schedule), t
+    assert all(v is ONE for v in block if v == 1)
+
+
 @pytest.mark.parametrize("schedule", SCHEDULES)
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_splice_and_fold_edges_match_oracle(schedule, n):
@@ -47,6 +69,14 @@ def test_splice_and_fold_edges_match_oracle(schedule, n):
         block = alpha_block(lad, start, 5)
         assert block == [oracles.limit_value(t, schedule) for t in range(start, start + 5)]
         assert block == [eval_ainf(lad, t) for t in range(start, start + 5)]
+    # Each breakpoint +-1, inside blocks long enough to be read by their
+    # structure, and with every piece read that way (SHORT_PIECE 0).
+    for short in (ladder.SHORT_PIECE, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ladder, "SHORT_PIECE", short)
+            for c in _breakpoints(lad, n):
+                for back in (1, 40):
+                    _check_block(lad, c - back, 80, schedule, near=c)
 
 
 @given(
@@ -80,22 +110,27 @@ def test_blocks_straddling_a_level_step_match_oracle(schedule, level, back, leng
     block = alpha_block(lad, start, length)
     assert block == [eval_ainf(lad, t) for t in range(start, start + length)]
     assert block == [oracles.limit_value(t, schedule) for t in range(start, start + length)]
+    # the same step on the negative side: -p[level] - 1 is read one level up
+    _check_block(lad, -lad.p(level) - length + back, length, schedule)
 
 
 @given(
-    band=st.sampled_from([0, 10**8, 10**20]),
+    band=st.sampled_from([0, 10**8, 10**20, -(10**8), -(10**20)]),
     offset=st.integers(min_value=0, max_value=10**6),
-    length=st.integers(min_value=0, max_value=300),
+    length=st.sampled_from([0, 1, 7, 100, 300, 487, 1500]),
 )
 @settings(max_examples=40, deadline=None)
 def test_block_equals_pointwise_evaluation(band, offset, length):
     lad = ladder_new("default-minimal")
     start = band + offset
-    block = alpha_block(lad, start, length)
+    block = eval_block(lad, range(start, start + length))
     assert block == [eval_ainf(lad, t) for t in range(start, start + length)]
+    assert all(v is ONE for v in block if v == 1)
+    if start >= 0:
+        assert alpha_block(lad, start, length) == block
     for t in (start, start + length // 2):
         if length:
-            assert block[t - start] == oracles.seq_value(t)
+            assert block[t - start] == oracles.limit_value(t)
 
 
 def test_explicit_schedule_window_matches_oracle():
@@ -104,6 +139,18 @@ def test_explicit_schedule_window_matches_oracle():
     assert block == [oracles.limit_value(t, EXPLICIT) for t in range(600)]
     # the schedule really leaves powers of 3 behind
     assert any(v.denominator % 2 == 0 for v in block)
+    # Longer than a period of b_0 (6) and of b_1 (2p[1]), so both are tiled,
+    # on each side of 0 and across +-p[1]; and a sampled grid, read point by
+    # point.
+    for schedule in SCHEDULES:
+        lad = _ladder(schedule)
+        period = 2 * lad.p(1)
+        for start in (lad.p(1) + 1, lad.p(1) - 5, -lad.p(1) - 2 * period, -3 * period // 2):
+            _check_block(lad, start, 2 * period + 7, schedule)
+        grid = range(-lad.p(2), lad.p(2) + 1, lad.p(2) // 50)
+        values = eval_block(lad, grid)
+        assert values == [eval_ainf(lad, t) for t in grid]
+        assert values == [oracles.limit_value(t, schedule) for t in grid]
 
 
 def test_block_rejects_negative_coordinates():
