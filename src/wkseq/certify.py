@@ -254,6 +254,9 @@ def check_returns(ladder: Ladder, n: int, grid: Iterable[int]) -> ReturnReport:
     if points[0] < -bound or points[-1] > bound:
         bad = points[0] if points[0] < -bound else points[-1]
         raise DomainError(f"grid point {bad} outside [-p[{n}], p[{n}]]")
+    if points[-1] - points[0] + 1 == len(points):
+        # a contiguous grid is read by its structure, not point by point
+        points = range(points[0], points[-1] + 1)
     defect, at = _max_defect(
         partial(eval_block, ladder), points, (-left, left - 1), first=True
     )

@@ -15,9 +15,9 @@ profile, and both return `fractions.Fraction`.  `eval_block` reads the limit
 profile on a range of integers by its structure: each level is a plateau of
 ones, a repeat of the periodized level below, or a ramp over it, so its
 cost grows with the levels and pieces the range meets, not with its length.
-It shares `eval_ratio`'s level step, `_descend`.  Level sizes live in a
-`Ladder`, an append-only tower that can grow on demand and is safe to share
-between threads.
+It shares `eval_ratio`'s level arithmetic, `_copy` and `_below`.  Level
+sizes live in a `Ladder`, an append-only tower that can grow on demand and
+is safe to share between threads.
 """
 from __future__ import annotations
 
@@ -191,17 +191,19 @@ def _fold(x: int, half: int) -> int:
     return (x + half) % (2 * half) - half
 
 
-def _descend(p: Sequence[int], n: int, x: int, den: int) -> tuple[int, int, int]:
-    """One step of level n >= 1 at x/den, all in units of 1/den: the
-    stretched base copy there before clamping to [0, s], the stretch
-    s = stretch(n), and the point where level n reads the level below: x,
-    or x + 1 past the splice point p[n]/3, folded into [-p[n-1], p[n-1])."""
-    s = p[n] // 9 * den
-    copy = abs((x + 3 * s) % (6 * s) - 3 * s) - s
+def _copy(x: int, s: int) -> int:
+    """Level n's stretched base copy at x, before clamping to [0, s]; x and
+    the stretch s = stretch(n) in the same units."""
+    return abs((x + 3 * s) % (6 * s) - 3 * s) - s
+
+
+def _below(p: Sequence[int], n: int, x: int, den: int) -> int:
+    """Where level n >= 1 reads the level below at x/den, in units of 1/den:
+    x, or x + 1 past the splice point p[n]/3, folded into [-p[n-1], p[n-1])."""
     if x > p[n] // 3 * den:
         x += den
     half = p[n - 1] * den
-    return copy, s, (x + half) % (2 * half) - half
+    return (x + half) % (2 * half) - half
 
 
 def eval_ratio(p: Sequence[int], n: int, x: int, den: int) -> tuple[int, int]:
@@ -214,11 +216,13 @@ def eval_ratio(p: Sequence[int], n: int, x: int, den: int) -> tuple[int, int]:
     """
     best, best_den = 0, 1
     while n:
-        copy, s, x = _descend(p, n, x, den)
+        s = p[n] // 9 * den  # stretch(n), in units of 1/den
+        copy = _copy(x, s)
         if copy >= s:
             return 1, 1
         if copy > 0 and copy * best_den > best * s:
             best, best_den = copy, s
+        x = _below(p, n, x, den)
         n -= 1
     base = abs(x) - den
     if base >= den:
@@ -234,8 +238,6 @@ def eval_ratio(p: Sequence[int], n: int, x: int, den: int) -> tuple[int, int]:
 #: splice 3s lies inside the plateau [2s, 4s], so each piece that reads the
 #: level below lies on one side of it.
 _COPY_EDGES = (-8, -7, -5, -4, -2, -1, 1, 2, 4, 5, 7, 8)
-#: Pieces this short are read point by point through `eval_ratio`.
-SHORT_PIECE = 16
 
 
 def eval_block(ladder: Ladder, points: Iterable[int]) -> list[Fraction]:
@@ -249,8 +251,8 @@ def eval_block(ladder: Ladder, points: Iterable[int]) -> list[Fraction]:
     ONE; where it is 0 the piece is the periodized level below, read one
     step ahead past the splice 3s; on a ramp each point takes the larger of
     the two.  The periodized level over more than its period is one period,
-    expanded once per call and tiled.  Any other points, short pieces and
-    level 0 go through `eval_ratio` point by point.
+    expanded once per call and tiled.  Level 0 and any other points go
+    through `eval_ratio` point by point.
     """
     p = ladder.sizes
     if not isinstance(points, range) or points.step != 1:
@@ -259,25 +261,24 @@ def eval_block(ladder: Ladder, points: Iterable[int]) -> list[Fraction]:
 
     def level(n: int, lo: int, hi: int) -> list[Fraction]:
         """Level n at lo .. hi-1, inside [-p[n], p[n]]."""
-        if n == 0 or hi - lo <= SHORT_PIECE:
+        if n == 0:
             return [_value(*eval_ratio(p, n, x, 1)) for x in range(lo, hi)]
         s = ladder.stretch(n)
         cuts = sorted({lo, hi, *(k * s for k in _COPY_EDGES if lo < k * s < hi)})
         out: list[Fraction] = []
         for a, b in zip(cuts, cuts[1:]):
-            first, _, read_at = _descend(p, n, a, 1)
-            last = _descend(p, n, b - 1, 1)[0]
+            first, last = _copy(a, s), _copy(b - 1, s)
             if min(first, last) >= s:
                 out += [ONE] * (b - a)
                 continue
-            below = periodized(n - 1, read_at, b - a)
+            below = periodized(n - 1, _below(p, n, a, 1), b - a)
             if max(first, last) <= 0:
                 out += below
                 continue
             step = 1 if last >= first else -1
             out += [
                 ONE if c >= s
-                else v if c <= 0 or v is ONE or c * v.denominator <= v.numerator * s
+                else v if c <= 0 or c * v.denominator <= v.numerator * s
                 else Fraction(c, s)
                 for c, v in zip(range(first, last + step, step), below)
             ]

@@ -271,8 +271,11 @@ def test_block_scans_match_point_by_point_scan(lad, count):
         rep = check_rigidity(lad, n, count)
         assert (rep.max_defect, rep.argmax_index) == _reference_defect(lad, range(count), (rep.shift,))
     p2 = lad.p(2)
-    for grid in (range(-p2, -p2 + count), range(-p2, p2 + 1, 2 * p2 // count)):
-        rep = check_returns(lad, 2, grid)
+    contiguous = range(-p2, -p2 + count)
+    # a contiguous grid, also given as an unordered list, is read by its
+    # structure; a stepped one point by point
+    for grid in (contiguous, contiguous[::-1], range(-p2, p2 + 1, 2 * p2 // count)):
+        rep = check_returns(lad, 2, list(grid))
         defect = _reference_defect(lad, grid, (-rep.left_shift, rep.right_shift), first=True)[0]
         assert rep.all_equal == (defect == 0) and rep.checked == len(grid)
     for n in (0, 1):
