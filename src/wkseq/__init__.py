@@ -2,67 +2,27 @@
 orbit it generates: ladder evaluation, window serialization, finite
 certificates, and orbit-pair relation verdicts."""
 
-from .certify import (
-    OnesRunReport,
-    ReturnReport,
-    RigidityReport,
-    WMReport,
-    check_ones_runs,
-    check_returns,
-    check_rigidity,
-    check_shift_defect,
-    check_wm_returns,
-)
-from .cli import console_main
-from .ladder import (
-    DomainError,
-    Ladder,
-    LadderDepthError,
-    LadderError,
-    ScheduleViolationError,
-    eval_ainf,
-    eval_b,
-    ladder_new,
-)
-from .plfunc import PLFunc, make_plfunc, pointwise_max, splice
-from .relations import (
-    DELTA_SEPARATED_WITNESSED,
-    INCONCLUSIVE,
-    PAIR_RECURRENT_WITNESSED,
-    PROXIMAL_WITNESSED,
-    NotFoundInHorizonError,
-    OrbitSource,
-    OrbitView,
-    PairVerdict,
-    alpha_source,
-    classify_pair,
-    constant_source,
-    ones_source,
-    pair_recur_defect,
-    prox_defect,
-    sep_sup,
-    thmB_witnesses,
-    thmC_witnesses,
-    window_source,
-    zeros_source,
-)
-from .seqio import (
-    REPORT_SCHEMA,
-    WINDOW_SCHEMA,
-    WindowFormatError,
-    dumps_csv,
-    dumps_json,
-    load_window,
-    loads_csv,
-    loads_json,
-    render_decimal,
-)
-from .sequence import (
-    DistBracket,
-    SeqWindow,
-    alpha,
-    alpha_window,
-)
+#: Each export's submodule; `__getattr__` imports it on first access, so
+#: importing the package, or running one CLI command, loads no other layer.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "certify": "OnesRunReport ReturnReport RigidityReport WMReport check_ones_runs"
+        " check_returns check_rigidity check_shift_defect check_wm_returns",
+        "cli": "console_main",
+        "ladder": "DomainError Ladder LadderDepthError LadderError"
+        " ScheduleViolationError eval_ainf eval_b ladder_new",
+        "plfunc": "PLFunc make_plfunc pointwise_max splice",
+        "relations": "DELTA_SEPARATED_WITNESSED INCONCLUSIVE PAIR_RECURRENT_WITNESSED"
+        " PROXIMAL_WITNESSED NotFoundInHorizonError OrbitSource OrbitView PairVerdict"
+        " alpha_source classify_pair constant_source ones_source pair_recur_defect"
+        " prox_defect sep_sup thmB_witnesses thmC_witnesses window_source zeros_source",
+        "seqio": "REPORT_SCHEMA WINDOW_SCHEMA WindowFormatError dumps_csv dumps_json"
+        " load_window loads_csv loads_json render_decimal",
+        "sequence": "DistBracket SeqWindow alpha alpha_window",
+    }.items()
+    for name in names.split()
+}
 
 __version__ = "0.1.0"
 
@@ -122,3 +82,17 @@ __all__ = [
     "window_source",
     "zeros_source",
 ]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    """The names an eager import of every submodule would show."""
+    return sorted({*globals(), *__all__, *_EXPORTS.values()} - {"_EXPORTS", "__getattr__", "__dir__"})

@@ -16,12 +16,11 @@ plateaus are what plant those runs in the first place.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain, groupby
 from operator import is_
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import sequence
 from .ladder import (
@@ -39,8 +38,8 @@ from .sequence import alpha_windows
 
 #: Every coordinate scan visits at most this many points; a larger scan is
 #: refused before it evaluates anything.  A contiguous scan of alpha reads
-#: it a block at a time by its structure, at about 0.25 us per point
-#: (`rigidity --n 2` over all of them: 0.5 s on a 2-CPU host).  A sampled
+#: it a block at a time by its structure, at about 0.05 us per point
+#: (`rigidity --n 2` over all of them: 0.1 s in process on a 2-CPU host).  A sampled
 #: `returns` grid or a rational `shift-defect` grid costs one `eval_ratio`
 #: call per point and shift, 2-4 us each, so the costliest of those (about
 #: 2 * 10^6 points at two or three evaluations each) takes 13-14 s.
@@ -95,17 +94,14 @@ def _max_defect(
     return worst, worst_i
 
 
-class _Report:
-    """One wk-report/1 encoding for every certificate: each field, the
+def _report_json(report) -> dict:
+    """The one wk-report/1 encoding of every certificate: each field, the
     lemma's name and the verdict under "pass"."""
-
-    def to_json_dict(self) -> dict:
-        body = {k: v for k, v in vars(self).items() if k != "passed"}
-        return report_dict(lemma=self.lemma, **body, **{"pass": self.passed})
+    body = {k: v for k, v in report._asdict().items() if k != "passed"}
+    return report_dict(lemma=report.lemma, **body, **{"pass": report.passed})
 
 
-@dataclass(frozen=True)
-class RigidityReport(_Report):
+class RigidityReport(NamedTuple):
     """Worst displacement seen when comparing a profile against its 2p[n] shift."""
 
     n: int
@@ -118,16 +114,15 @@ class RigidityReport(_Report):
     m: int | None = None
     grid_step: Fraction | None = None
 
+    to_json_dict = _report_json
+
     @property
     def lemma(self) -> str:
         return "shift-defect" if self.m is not None else "rigidity"
 
 
-@dataclass(frozen=True)
-class ReturnReport(_Report):
+class ReturnReport(NamedTuple):
     """Exact equality of the sequence with both of its certified return shifts."""
-
-    lemma = "returns"
 
     n: int
     left_shift: int
@@ -136,16 +131,16 @@ class ReturnReport(_Report):
     all_equal: bool
     first_mismatch: int | None
 
+    lemma = "returns"
+    to_json_dict = _report_json
+
     @property
     def passed(self) -> bool:
         return self.all_equal
 
 
-@dataclass(frozen=True)
-class OnesRunReport(_Report):
+class OnesRunReport(NamedTuple):
     """Syndetic occurrence of long all-ones blocks in an initial window."""
-
-    lemma = "ones-runs"
 
     n: int
     run_length_required: int
@@ -157,12 +152,12 @@ class OnesRunReport(_Report):
     runs_found: int
     mode: str
 
+    lemma = "ones-runs"
+    to_json_dict = _report_json
 
-@dataclass(frozen=True)
-class WMReport(_Report):
+
+class WMReport(NamedTuple):
     """Certified double return: N and N+1 both send the start cylinder home."""
-
-    lemma = "wm-returns"
 
     n: int
     N: int
@@ -172,6 +167,9 @@ class WMReport(_Report):
     dist_hi: Fraction
     eps: Fraction
     passed: bool
+
+    lemma = "wm-returns"
+    to_json_dict = _report_json
 
 
 # -- shift defect and rigidity --------------------------------------------

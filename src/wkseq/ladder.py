@@ -68,6 +68,8 @@ class Ladder:
         self._p: list[int] = [BASE_HALF_PERIOD]
         self._L: list[int] = [0]  # index 0 unused; L[n] valid for n >= 1
         self._lock = threading.Lock()
+        # level m -> one period of level m, shared by every `eval_block` read
+        self._tiles: dict[int, list[Fraction]] = {}
         self.ensure(max(depth, len(self._explicit)))
 
     # -- growth ---------------------------------------------------------
@@ -251,13 +253,13 @@ def eval_block(ladder: Ladder, points: Iterable[int]) -> list[Fraction]:
     ONE; where it is 0 the piece is the periodized level below, read one
     step ahead past the splice 3s; on a ramp each point takes the larger of
     the two.  The periodized level over more than its period is one period,
-    expanded once per call and tiled.  Level 0 and any other points go
-    through `eval_ratio` point by point.
+    expanded once per ladder and tiled, so all reads share its values.
+    Level 0 and any other points go through `eval_ratio` point by point.
     """
     p = ladder.sizes
     if not isinstance(points, range) or points.step != 1:
         return [_value(*eval_ratio(p, ladder.ensure_cover(x), x, 1)) for x in points]
-    tiles: dict[int, list[Fraction]] = {}
+    tiles = ladder._tiles
 
     def level(n: int, lo: int, hi: int) -> list[Fraction]:
         """Level n at lo .. hi-1, inside [-p[n], p[n]]."""

@@ -8,27 +8,26 @@ again piecewise linear on its own breakpoints.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, NamedTuple, Tuple
 
 from .ladder import Rational
 
 Point = Tuple[Fraction, Fraction]
 
 
-@dataclass(frozen=True)
-class PLFunc:
-    breakpoints: tuple[Point, ...]
+class PLFunc(NamedTuple("PLFunc", [("breakpoints", Tuple[Point, ...])])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.breakpoints:
+    def __new__(cls, breakpoints: tuple[Point, ...]):
+        if not breakpoints:
             raise ValueError("a piecewise-linear function needs breakpoints")
-        xs = [x for x, _ in self.breakpoints]
+        xs = [x for x, _ in breakpoints]
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ValueError("breakpoint abscissas must be strictly increasing")
-        if any(y < 0 or y > 1 for _, y in self.breakpoints):
+        if any(y < 0 or y > 1 for _, y in breakpoints):
             raise ValueError("breakpoint ordinates must lie in [0, 1]")
+        return super().__new__(cls, breakpoints)
 
     @property
     def span(self) -> tuple[Fraction, Fraction]:

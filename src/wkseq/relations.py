@@ -15,7 +15,6 @@ at any horizon.  Ties always prefer the smallest time.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -86,16 +85,15 @@ def zeros_source() -> OrbitSource:
     return constant_source(0)
 
 
-@dataclass(frozen=True)
-class OrbitView:
+class OrbitView(NamedTuple("OrbitView", [("source", OrbitSource), ("shift", int)])):
     """An orbit source read from a fixed shift onward."""
 
-    source: OrbitSource
-    shift: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.shift < 0:
+    def __new__(cls, source: OrbitSource, shift: int = 0):
+        if shift < 0:
             raise ValueError("view shift must be nonnegative")
+        return super().__new__(cls, source, shift)
 
     def read(self, start: int, stop: int) -> Sequence[Fraction]:
         """Values at times start .. stop-1."""
@@ -220,8 +218,7 @@ class Witness(NamedTuple):
     value: Fraction
 
 
-@dataclass(frozen=True)
-class PairVerdict:
+class PairVerdict(NamedTuple):
     """Outcome of the witness searches for one pair of orbit views.
 
     Witness fields are populated only when the corresponding threshold was
@@ -242,7 +239,7 @@ class PairVerdict:
     pair: tuple[int, int] | None = None
 
     def to_json_dict(self) -> dict:
-        return report_dict(kind="pair-verdict", **vars(self))
+        return report_dict(kind="pair-verdict", **self._asdict())
 
 
 def _verdict(

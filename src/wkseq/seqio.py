@@ -10,10 +10,9 @@ same "num/den" form.
 """
 from __future__ import annotations
 
-import csv
 import io
-import json
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .sequence import SeqWindow
@@ -113,7 +112,14 @@ class _Values(dict):
 
 
 def loads_csv(text: str) -> SeqWindow:
-    rows = csv.reader(io.StringIO(text))
+    return _csv_window(io.StringIO(text))
+
+
+def _csv_window(lines: Iterable[str]) -> SeqWindow:
+    """The window of a CSV file's lines, parsed one row at a time."""
+    import csv  # only a window read needs it
+
+    rows = csv.reader(lines)
     header = next(rows, None)
     if header is None:
         raise WindowFormatError("empty file")
@@ -154,6 +160,8 @@ def dumps_json(window: SeqWindow) -> str:
 
 
 def loads_json(text: str) -> SeqWindow:
+    import json  # only a window read needs it
+
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -178,9 +186,14 @@ def loads_json(text: str) -> SeqWindow:
 
 
 def load_window(path: str) -> SeqWindow:
-    """Load a window file, dispatching on its first byte (JSON vs CSV)."""
+    """Load a window file, dispatching on its first non-blank character
+    (JSON vs CSV).  A CSV file is parsed as it is read, never held whole."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if text.lstrip().startswith("{"):
-        return loads_json(text)
-    return loads_csv(text)
+        lead = []
+        for line in fh:
+            lead.append(line)
+            if not line.isspace():
+                break
+        if lead and lead[-1].lstrip().startswith("{"):
+            return loads_json("".join(lead) + fh.read())
+        return _csv_window(chain(lead, fh))

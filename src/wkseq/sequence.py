@@ -12,47 +12,64 @@ every such bracket; the relation searches hand it one block of at most
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import lcm
 from operator import mul, sub
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .ladder import DomainError, Ladder, Rational, eval_ainf, eval_block
 
 
-@dataclass(frozen=True)
 class SeqWindow:
-    """Contiguous slice values[i] = x(offset + i) of a one-sided sequence."""
+    """Contiguous slice values[i] = x(offset + i) of a one-sided sequence.
 
-    offset: int
-    values: tuple[Fraction, ...]
+    Immutable, equal by value, and as long as its values.
+    """
 
-    def __post_init__(self):
-        if self.offset < 0:
+    __slots__ = ("offset", "values")
+
+    def __init__(self, offset: int, values: tuple[Fraction, ...]):
+        if offset < 0:
             raise ValueError("window offset must be nonnegative")
-        if not self.values:
+        if not values:
             raise ValueError("window must hold at least one value")
         # once per object: the readers and alpha_block share one object per value
-        for v in dict(zip(map(id, self.values), self.values)).values():
+        for v in dict(zip(map(id, values), values)).values():
             if not 0 <= v.numerator <= v.denominator:
                 raise ValueError(f"window value {v} outside [0, 1]")
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
 
     def __len__(self) -> int:
         return len(self.values)
 
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.offset, self.values) == (other.offset, other.values)
 
-@dataclass(frozen=True)
-class DistBracket:
+    def __hash__(self) -> int:
+        return hash((self.offset, self.values))
+
+    def __repr__(self) -> str:
+        return f"SeqWindow(offset={self.offset!r}, values={self.values!r})"
+
+
+class DistBracket(NamedTuple("DistBracket", [("lo", Fraction), ("hi", Fraction)])):
     """Closed interval certain to contain an orbit distance."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.lo <= self.hi <= 2:
+    def __new__(cls, lo: Fraction, hi: Fraction):
+        if not 0 <= lo <= hi <= 2:
             raise ValueError("bracket must satisfy 0 <= lo <= hi <= 2")
+        return super().__new__(cls, lo, hi)
 
 
 def alpha(ladder: Ladder, i: int) -> Fraction:

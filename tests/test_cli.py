@@ -266,28 +266,51 @@ def test_parallelism_does_not_change_output(capsys, tmp_path):
 
 
 def test_unexpected_crash_exits_three(capsys, monkeypatch):
-    import wkseq.cli as cli
+    import wkseq.certify as certify
 
     def boom(*_args, **_kwargs):
         raise RuntimeError("simulated fault")
 
-    monkeypatch.setattr(cli, "check_wm_returns", boom)
+    # the CLI imports the certificate layer when a verify runs
+    monkeypatch.setattr(certify, "check_wm_returns", boom)
     code, _, err = run_cli(capsys, "verify", "wm", "--n", "0")
     assert code == 3
     assert "unexpected failure" in err
 
 
-def test_installed_entry_point_runs():
-    # -X importtime lists every module the run imports on stderr
+def _imported(*argv: str) -> tuple[subprocess.CompletedProcess, set[str]]:
+    """Run Python with -X importtime, which lists every module the run
+    imports on stderr, and return the run and those modules."""
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "wkseq", "gen", "--len", "6"],
-        capture_output=True,
-        text=True,
+        [sys.executable, "-X", "importtime", *argv], capture_output=True, text=True
     )
-    assert proc.returncode == 0
-    assert proc.stdout.splitlines()[0] == "index,value_num,value_den"
-    # configparser is imported only for --config
-    assert "wkseq.cli" in proc.stderr and "configparser" not in proc.stderr
+    lines = (line for line in proc.stderr.splitlines() if line.startswith("import time:"))
+    return proc, {line.rsplit("|", 1)[1].strip() for line in lines}
+
+
+#: Modules each command must not import: the dataclasses machinery, and the
+#: layers and readers it does not run (configparser is only for --config).
+NOT_IMPORTED = {
+    "gen --len 6": "json csv configparser wkseq.certify wkseq.relations wkseq.plfunc",
+    "verify wm --n 1": "wkseq.relations wkseq.plfunc",
+    "relations classify --a alpha --b ones --delta 1 --horizon 400 --k 8"
+    " --tau 1/100 --require proximal-witnessed": "wkseq.certify wkseq.plfunc",
+}
+
+
+def test_installed_entry_point_runs():
+    _, bare = _imported("-c", "pass")  # what the interpreter loads anyway
+    out = {}
+    for argv, banned in NOT_IMPORTED.items():
+        proc, modules = _imported("-m", "wkseq", *argv.split())
+        assert proc.returncode == 0, argv
+        assert "wkseq.cli" in modules
+        unwanted = {"dataclasses", "inspect", *banned.split()} & (modules - bare)
+        assert not unwanted, (argv, unwanted)
+        out[argv.split()[0]] = proc.stdout
+    assert out["gen"].splitlines()[0] == "index,value_num,value_den"
+    assert json.loads(out["verify"])["lemma"] == "wm-returns"
+    assert json.loads(out["relations"])["kind"] == "pair-verdict"
 
 
 @pytest.mark.parametrize(

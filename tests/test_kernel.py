@@ -153,3 +153,15 @@ def test_block_rejects_negative_coordinates():
     with pytest.raises(DomainError):
         alpha_block(ladder_new(), -1, 3)
     assert alpha_block(ladder_new(), 5, 0) == []
+
+
+def test_reads_share_period_tiles():
+    # Two reads longer than a period of b_1 (2p[1]) inside the periodic stretch
+    # [p[1] + 1, stretch(2)) hand out the same objects at the same coordinates,
+    # so comparing them never needs Fraction.__eq__.
+    lad = ladder_new("default-minimal", depth=2)
+    period, start = 2 * lad.p(1), lad.p(1) + 1
+    first = eval_block(lad, range(start, start + 2 * period + 5))
+    second = eval_block(lad, range(start + period, start + 3 * period + 5))
+    assert first[period:] == second[:period + 5]
+    assert all(a is b for a, b in zip(first[period:], second))

@@ -1,5 +1,7 @@
 """The README's library example, run as written, and the names `wkseq` exports."""
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -24,3 +26,7 @@ def test_public_names_resolve_once():
     assert twice == []
     missing = [name for name in wkseq.__all__ if not hasattr(wkseq, name)]
     assert missing == []
+    # exports resolve on first use; a fresh interpreter's dir() lists them all
+    check = "import wkseq; print(sorted(set(wkseq.__all__) - set(dir(wkseq))))"
+    proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True)
+    assert proc.stdout == "[]\n", proc.stderr

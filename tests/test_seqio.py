@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -12,12 +13,14 @@ from wkseq import (
     WindowFormatError,
     dumps_csv,
     dumps_json,
+    ladder_new,
     load_window,
     loads_csv,
     loads_json,
     render_decimal,
 )
 from wkseq.seqio import CSV_HEADER, window_chunks
+from wkseq.sequence import alpha_windows
 
 SAMPLE = SeqWindow(41, (F(14, 27), F(0), F(1), F(2, 3)))
 
@@ -97,6 +100,30 @@ def test_load_window_dispatches_on_content(tmp_path):
     j.write_text(dumps_json(SAMPLE))
     assert load_window(c) == SAMPLE
     assert load_window(j) == SAMPLE
+    # the first non-blank character decides, past blank lines and spaces
+    j.write_text("\n \t\n\n  " + dumps_json(SAMPLE))
+    assert load_window(j) == SAMPLE
+    c.write_text("\n\n" + dumps_csv(SAMPLE))
+    with pytest.raises(WindowFormatError, match="line 1: expected header"):
+        load_window(c)
+
+
+def test_csv_file_is_read_as_a_stream(tmp_path):
+    # 100 000 rows of alpha, as the benchmark's window file.  The window
+    # holds 8 bytes per row in its tuple, and its list while parsing; the
+    # text of the file (about 1 MB), or a copy of it, is never held whole.
+    rows = 100_000
+    path = tmp_path / "w.csv"
+    with open(path, "w") as fh:
+        fh.writelines(window_chunks(alpha_windows(ladder_new(), 4860, rows)))
+    tracemalloc.start()
+    try:
+        window = load_window(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(window) == rows and window.offset == 4860
+    assert peak < 3 * 8 * rows, peak
 
 
 windows = st.builds(
