@@ -9,10 +9,8 @@ Every comparison of a profile with its own shift runs through one kernel,
 `_max_defect`, and every coordinate scan is refused up front when it would
 visit more than SCAN_LIMIT points.
 
-Two execution strategies appear for the ones-run certificate: small levels
-scan every coordinate; large levels certify runs through exact interval
-arithmetic on the plateau preimages of the stretched base profile, whose
-plateaus are what plant those runs in the first place.
+The ones-run certificate scans every coordinate at small levels; at large
+ones it reads the runs off `ladder.pieces`, the walker `eval_block` expands.
 """
 from __future__ import annotations
 
@@ -20,7 +18,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain, groupby
 from operator import is_
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import sequence
 from .ladder import (
@@ -32,6 +30,8 @@ from .ladder import (
     eval_ainf,
     eval_b,
     eval_block,
+    pieces,
+    spans,
 )
 from .seqio import report_dict
 from .sequence import alpha_windows
@@ -305,87 +305,47 @@ def check_wm_returns(
 
 # -- ones runs -------------------------------------------------------------
 
-def _merge_runs(runs: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Union of integer intervals; adjacent intervals fuse."""
-    out: list[tuple[int, int]] = []
-    for u, v in sorted(runs):
-        if out and u <= out[-1][1] + 1:
-            prev = out[-1]
-            if v > prev[1]:
-                out[-1] = (prev[0], v)
-        else:
-            out.append((u, v))
-    return out
+def _ones_runs(ladder: Ladder, lo: int, hi: int, prune: int) -> list[tuple[int, int]]:
+    """Runs of exact ones of the limit profile on lo .. hi-1, as closed
+    intervals, at least `prune` long: a sound under-approximation.  A read
+    of level m is descended only while one period of it (with the next one's
+    first point) can hold such a run, and each level's runs over one full
+    period are found once."""
+    p = ladder.sizes
+    period_runs: dict[int, list[tuple[int, int]]] = {}
 
+    def level(n: int, lo: int, hi: int, at: int) -> Iterator[tuple[int, int]]:
+        # runs of level n on lo .. hi-1, moved by `at`, in order
+        for a, b, i, copies, s in pieces(ladder, n, lo, hi):
+            if i is None:
+                yield a + at, b - 1 + at
+                continue
+            if copies and copies[0] >= s:  # only a ramp's first point reaches 1
+                yield a + at, a + at
+            if n and 2 * p[n - 1] + 1 >= prune:
+                yield from periodized(n - 1, i, b - a, a + at)
 
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
+    def periodized(m: int, i: int, length: int, at: int) -> Iterator[tuple[int, int]]:
+        # runs of level m periodized, read from i for `length` points, moved to `at`
+        half = p[m]
+        while length:
+            take = min(length, half - i)
+            if take == 2 * half:
+                if m not in period_runs:
+                    period_runs[m] = list(level(m, -half, half, half))
+                yield from ((u + at, v + at) for u, v in period_runs[m])
+            else:
+                yield from level(m, i, i + take, at - i)
+            at, length, i = at + take, length - take, -half
 
-
-def _plateau_runs(ladder: Ladder, level: int, lo: int, hi: int) -> list[tuple[int, int]]:
-    """Integer intervals of [lo, hi] where the level's stretched copy is 1.
-
-    The periodized base profile is exactly 1 on [2, 4] modulo 6, so after
-    stretching by q the plateaus are [(6k+2)q, (6k+4)q].
-    """
-    q = ladder.stretch(level)
-    out = []
-    k0 = _ceil_div(lo - 4 * q, 6 * q)
-    k1 = (hi - 2 * q) // (6 * q)
-    for k in range(k0, k1 + 1):
-        u = max(lo, (6 * k + 2) * q)
-        v = min(hi, (6 * k + 4) * q)
-        if u <= v:
-            out.append((u, v))
-    return out
-
-
-def _certified_runs(
-    ladder: Ladder, level: int, lo: int, hi: int, prune: int
-) -> list[tuple[int, int]]:
-    """Certified all-ones integer intervals of the level profile on [lo, hi].
-
-    Sound under-approximation: every returned interval really is identically
-    one; intervals shorter than `prune` may be dropped.  Recursion descends
-    only while the previous level can still contribute an interval of that
-    size, which keeps the work proportional to the number of plateaus in
-    range rather than to the length of the range.
-    """
-    if lo > hi:
-        return []
-    if level == 0:
-        runs = [(u, v) for u, v in ((-3, -2), (2, 3)) if u <= hi and v >= lo]
-        return [(max(u, lo), min(v, hi)) for u, v in runs]
-    runs = _plateau_runs(ladder, level, lo, hi)
-    if 2 * ladder.p(level - 1) + 1 >= prune:
-        cut = ladder.splice(level)
-        runs += _periodized_runs(ladder, level - 1, lo, min(hi, cut), prune, 0)
-        runs += _periodized_runs(ladder, level - 1, max(lo, cut + 1), hi, prune, 1)
-    merged = _merge_runs(runs)
-    return [r for r in merged if r[1] - r[0] + 1 >= prune]
-
-
-def _periodized_runs(
-    ladder: Ladder, level: int, lo: int, hi: int, prune: int, shift: int
-) -> list[tuple[int, int]]:
-    """Certified intervals where the periodized level profile, read `shift`
-    steps ahead, is identically one."""
-    if lo > hi:
-        return []
-    p = ladder.p(level)
-    period = 2 * p
-    out = []
-    a, b = lo + shift, hi + shift
-    for k in range((a + p) // period, (b + p) // period + 1):
-        seg_lo = max(a, period * k - p)
-        seg_hi = min(b, period * k + p - 1)
-        if seg_lo > seg_hi:
-            continue
-        for u, v in _certified_runs(
-            ladder, level, seg_lo - period * k, seg_hi - period * k, prune
-        ):
-            out.append((u + period * k - shift, v + period * k - shift))
-    return out
+    runs: list[tuple[int, int]] = []
+    for n, a, b in spans(ladder, lo, hi):
+        for u, v in level(n, a, b, 0):
+            if runs and u <= runs[-1][1] + 1:
+                runs[-1] = (runs[-1][0], max(v, runs[-1][1]))
+            else:
+                runs.append((u, v))
+    return [r for r in runs if r[1] - r[0] + 1 >= prune]
 
 
 def _window_coverage(
@@ -427,7 +387,7 @@ def check_ones_runs(
     ones.
 
     Mode "scan" inspects every coordinate and is exact in both directions;
-    mode "plateau" certifies runs through interval arithmetic and can only
+    mode "plateau" reads runs off the ladder's pieces and can only
     affirm (a False there means the certificate could not be built).  The
     default picks scan at level 1 and plateau above.
     """
@@ -450,10 +410,8 @@ def check_ones_runs(
                 runs.append((i, i + size - 1))
             i += size
     elif mode == "plateau":
-        prune = max(1, required // 8)
-        top = ladder.ensure_cover(window_end)
-        candidates = _certified_runs(ladder, top, 0, window_end, prune)
-        for u, v in candidates:  # spot-check the interval arithmetic
+        candidates = _ones_runs(ladder, 0, window_end + 1, max(1, required // 8))
+        for u, v in candidates:  # spot-check the pieces
             for probe in (u, (u + v) // 2, v):
                 if eval_ainf(ladder, probe) != ONE:
                     raise AssertionError(

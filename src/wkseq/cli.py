@@ -276,8 +276,27 @@ def _cmd_relations(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_PASS if relations.INCONCLUSIVE not in verdict.labels else EXIT_FAIL
 
 
+class _Formatter(argparse.HelpFormatter):
+    """argparse's help formatter, set up (which imports `shutil` for the
+    terminal width) only to write text, not to check each added argument."""
+
+    def __init__(self, prog: str):
+        self._prog = prog
+
+    def __getattr__(self, name: str):
+        if "_width" in vars(self):  # set up, so the attribute does not exist
+            raise AttributeError(name)
+        super().__init__(self._prog)
+        return getattr(self, name)
+
+
+class _Parser(argparse.ArgumentParser):
+    def _get_formatter(self) -> argparse.HelpFormatter:
+        return _Formatter(self.prog)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wkseq",
         description="Generate, verify and classify exact shift-orbit data.",
     )
@@ -286,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("csv", "json"))
     parser.add_argument("--decimals", type=_nonneg_int, help="extra decimal column width for CSV output")
     parser.add_argument("--parallelism", type=_positive_int, help="accepted for compatibility and ignored: searches run as one pass")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, prog="wkseq")
 
     gen = sub.add_parser("gen", help="emit a window of the limit sequence")
     gen.add_argument("--from", dest="start", type=_nonneg_int, default=0)
@@ -294,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", metavar="PATH")
 
     verify = sub.add_parser("verify", help="run one finite certificate check")
-    vsub = verify.add_subparsers(dest="lemma", required=True)
+    vsub = verify.add_subparsers(dest="lemma", required=True, prog="wkseq verify")
     rig = vsub.add_parser("rigidity", help="sequence-level near-period bound")
     rig.add_argument("--n", type=_nonneg_int, required=True)
     rig.add_argument("--count", type=_positive_int, required=True)
@@ -314,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     sd.add_argument("--step", type=_fraction_arg, default=Fraction(1))
 
     rel = sub.add_parser("relations", help="orbit-pair witness searches")
-    rsub = rel.add_subparsers(dest="subcommand", required=True)
+    rsub = rel.add_subparsers(dest="subcommand", required=True, prog="wkseq relations")
     cls = rsub.add_parser("classify", help="three-way label for one pair")
     cls.add_argument("--a", required=True, metavar="ORBIT")
     cls.add_argument("--b", required=True, metavar="ORBIT")

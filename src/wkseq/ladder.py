@@ -11,20 +11,21 @@ package studies.
 All arithmetic is exact and no floats are used.  The one per-point
 evaluator, `eval_ratio`, works on integer numerators and denominators.
 Around it, `eval_b` reads a periodized level and `eval_ainf` the limit
-profile, and both return `fractions.Fraction`.  `eval_block` reads the limit
-profile on a range of integers by its structure: each level is a plateau of
-ones, a repeat of the periodized level below, or a ramp over it, so its
-cost grows with the levels and pieces the range meets, not with its length.
-It shares `eval_ratio`'s level arithmetic, `_copy` and `_below`.  Level
-sizes live in a `Ladder`, an append-only tower that can grow on demand and
-is safe to share between threads.
+profile, and both return `fractions.Fraction`.  The one walker of a range
+of integers, `pieces`, gives a level by its structure: plateaus of ones,
+repeats of the periodized level below, and ramps over them; `spans` splits
+a range by the least level covering each point.  `eval_block` expands the
+pieces into values and `certify` reads runs of ones off them, so both cost
+what the levels and pieces of a range do, not its length.  Level sizes
+live in a `Ladder`, an append-only tower that can grow on demand and is
+safe to share between threads.
 """
 from __future__ import annotations
 
 import threading
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -242,19 +243,45 @@ def eval_ratio(p: Sequence[int], n: int, x: int, den: int) -> tuple[int, int]:
 _COPY_EDGES = (-8, -7, -5, -4, -2, -1, 1, 2, 4, 5, 7, 8)
 
 
+def pieces(ladder: Ladder, n: int, lo: int, hi: int) -> Iterator[tuple]:
+    """Level n on lo .. hi-1, inside [-p[n], p[n]], as pieces (a, b, i,
+    copies, s) in order, cut where the stretched copy (stretch s) changes
+    form.  A piece is all ones where i is None; otherwise it reads the
+    periodized level below at i .. i+b-a-1, one step ahead past the splice,
+    and on a ramp `copies` holds the copy's c/s at each point, which takes
+    the larger of the two.  Level 0 is the copy of stretch 1 over a level
+    -1 that is 0 everywhere, read at i = a."""
+    s = ladder.stretch(n) if n else 1
+    cuts = sorted({lo, hi, *(k * s for k in _COPY_EDGES if lo < k * s < hi)})
+    for a, b in zip(cuts, cuts[1:]):
+        first, last = _copy(a, s), _copy(b - 1, s)
+        if min(first, last) >= s:
+            yield a, b, None, None, s
+        else:
+            step = 1 if last >= first else -1
+            copies = range(first, last + step, step) if max(first, last) > 0 else None
+            yield a, b, _below(ladder.sizes, n, a, 1) if n else a, copies, s
+
+
+def spans(ladder: Ladder, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
+    """The integers lo .. hi-1 of either sign as runs (n, a, b), each at the
+    least level n whose domain covers it, as `eval_ainf` reads them."""
+    p = ladder.sizes
+    while lo < hi:
+        n = ladder.ensure_cover(lo)
+        # level n covers [-p[n], -p[n-1]) and (p[n-1], p[n]]; level 0 [-3, 3]
+        end = min(hi, -p[n - 1] if n and lo < 0 else p[n] + 1)
+        yield n, lo, end
+        lo = end
+
+
 def eval_block(ladder: Ladder, points: Iterable[int]) -> list[Fraction]:
     """The limit profile at integer points of either sign, each read at the
     least level whose domain covers it, as `eval_ainf` does; the shared
-    ZERO and ONE stand for every 0 and 1.
-
-    A range of step 1 is read by its structure: split at each +-p[m], then,
-    at level n with s = stretch(n), where the stretched copy changes form
-    (+-s, +-2s, +-4s, +-5s, +-7s, +-8s).  Where the copy is 1 the piece is
-    ONE; where it is 0 the piece is the periodized level below, read one
-    step ahead past the splice 3s; on a ramp each point takes the larger of
-    the two.  The periodized level over more than its period is one period,
-    expanded once per ladder and tiled, so all reads share its values.
-    Level 0 and any other points go through `eval_ratio` point by point.
+    ZERO and ONE stand for every 0 and 1.  A range of step 1 is the
+    expansion of its `pieces`, where the periodized level over more than its
+    period is one period, expanded once per ladder and tiled, so all reads
+    share its values.  Other points go through `eval_ratio` one by one.
     """
     p = ladder.sizes
     if not isinstance(points, range) or points.step != 1:
@@ -263,32 +290,28 @@ def eval_block(ladder: Ladder, points: Iterable[int]) -> list[Fraction]:
 
     def level(n: int, lo: int, hi: int) -> list[Fraction]:
         """Level n at lo .. hi-1, inside [-p[n], p[n]]."""
-        if n == 0:
-            return [_value(*eval_ratio(p, n, x, 1)) for x in range(lo, hi)]
-        s = ladder.stretch(n)
-        cuts = sorted({lo, hi, *(k * s for k in _COPY_EDGES if lo < k * s < hi)})
         out: list[Fraction] = []
-        for a, b in zip(cuts, cuts[1:]):
-            first, last = _copy(a, s), _copy(b - 1, s)
-            if min(first, last) >= s:
+        for a, b, i, copies, s in pieces(ladder, n, lo, hi):
+            if i is None:
                 out += [ONE] * (b - a)
                 continue
-            below = periodized(n - 1, _below(p, n, a, 1), b - a)
-            if max(first, last) <= 0:
+            below = periodized(n - 1, i, b - a)
+            if copies is None:
                 out += below
                 continue
-            step = 1 if last >= first else -1
             out += [
                 ONE if c >= s
                 else v if c <= 0 or c * v.denominator <= v.numerator * s
                 else Fraction(c, s)
-                for c, v in zip(range(first, last + step, step), below)
+                for c, v in zip(copies, below)
             ]
         return out
 
     def periodized(m: int, i: int, length: int) -> list[Fraction]:
         """Level m periodized with period 2p[m], at i .. i+length-1, for i
         in [-p[m], p[m])."""
+        if m < 0:
+            return [ZERO] * length
         half = p[m]
         if length > 2 * half:
             if m not in tiles:
@@ -304,13 +327,8 @@ def eval_block(ladder: Ladder, points: Iterable[int]) -> list[Fraction]:
         return level(m, i, half) + level(m, -half, i + length - 2 * half)
 
     out: list[Fraction] = []
-    i, stop = points.start, points.stop
-    while i < stop:
-        n = ladder.ensure_cover(i)
-        # level n covers [-p[n], -p[n-1]) and (p[n-1], p[n]]; level 0 [-3, 3]
-        end = min(stop, -p[n - 1] if n and i < 0 else p[n] + 1)
-        out += level(n, i, end)
-        i = end
+    for n, lo, hi in spans(ladder, points.start, points.stop):
+        out += level(n, lo, hi)
     return out
 
 

@@ -164,13 +164,40 @@ def test_ones_runs_scan_matches_oracle(lad):
     assert rep.runs_found == len(expected)
 
 
-def test_ones_runs_plateau_agrees_with_scan(lad):
-    scan = check_ones_runs(lad, 1, 2000, mode="scan")
-    plat = check_ones_runs(lad, 1, 2000, mode="plateau")
-    assert plat.passed == scan.passed
-    assert plat.first_run == scan.first_run
-    assert plat.runs_found == scan.runs_found
-    assert plat.worst_gap == scan.worst_gap
+#: Windows from the least level-1 window, 2p[1] = 486, to 10^5; the explicit
+#: schedule's least window is 2p[1] = 540.
+PLATEAU_WINDOWS = [486, 487, 539, 540, 600, 729, 1000, 1457, 2000, 2917, 4373,
+                   6561, 9999, 13122, 19683, 27000, 39366, 59049, 77777, 100000]
+
+
+@pytest.mark.parametrize("schedule", [(), (10, 100000)], ids=["default", "explicit"])
+@pytest.mark.parametrize("window", PLATEAU_WINDOWS)
+def test_ones_runs_plateau_agrees_with_scan(window, schedule):
+    lad = ladder_new(schedule or "default-minimal", depth=2)
+    if window < 2 * lad.p(1):
+        for mode in ("scan", "plateau"):
+            with pytest.raises(ValueError):
+                check_ones_runs(lad, 1, window, mode=mode)
+        return
+    scan = check_ones_runs(lad, 1, window, mode="scan")
+    plat = check_ones_runs(lad, 1, window, mode="plateau")
+    assert plat == scan._replace(mode="plateau")
+    assert scan.runs_found > 0
+
+
+@pytest.mark.parametrize(
+    "n, window, runs_found, first_run, worst_gap",
+    [
+        (2, 3 * 10**8, 3, (28697814, 57395628), 71744534),
+        (2, 10**12, 11615, (28697814, 57395628), 71744534),
+        (3, 4 * 10**25, 3, (4307387926151115532621494, 8614775852302231065242988),
+         10768469815377788831553734),
+    ],
+)
+def test_ones_runs_plateau_reports_are_pinned(lad, n, window, runs_found, first_run, worst_gap):
+    rep = check_ones_runs(lad, n, window, mode="plateau")
+    assert rep.passed
+    assert (rep.runs_found, rep.first_run, rep.worst_gap) == (runs_found, first_run, worst_gap)
 
 
 def test_ones_runs_level_two_plateau(lad):

@@ -1,13 +1,16 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import wkseq
 from fixtures import full_shift_transitive_point
 from wkseq import (
     alpha_window,
@@ -52,6 +55,44 @@ def test_gen_decimals_column(capsys):
     )
     assert code == 0
     assert out.splitlines()[1] == "41,14,27,0.518"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (
+            "verify ones --n 0 --window 5",
+            "usage: wkseq verify ones [-h] --n N --window WINDOW\n"
+            "                         [--mode {auto,scan,plateau}]\n"
+            "wkseq verify ones: error: argument --n: must be at least 1\n",
+        ),
+        (
+            "verify",
+            "usage: wkseq verify [-h] {rigidity,returns,ones,wm,shift-defect} ...\n"
+            "wkseq verify: error: the following arguments are required: lemma\n",
+        ),
+        (
+            "relations",
+            "usage: wkseq relations [-h] {classify,thmB,thmC} ...\n"
+            "wkseq relations: error: the following arguments are required: subcommand\n",
+        ),
+        (
+            "bogus",
+            "usage: wkseq [-h] [--config PATH] [--ladder-schedule PATH]\n"
+            "             [--format {csv,json}] [--decimals DECIMALS]\n"
+            "             [--parallelism PARALLELISM]\n"
+            "             {gen,verify,relations} ...\n"
+            "wkseq: error: argument command: invalid choice: 'bogus' "
+            "(choose from 'gen', 'verify', 'relations')\n",
+        ),
+    ],
+)
+def test_usage_errors_keep_their_bytes(capsys, monkeypatch, argv, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        console_main(argv.split())
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", err)
 
 
 def test_gen_len_zero_is_usage_error(capsys):
@@ -280,16 +321,21 @@ def test_unexpected_crash_exits_three(capsys, monkeypatch):
 
 def _imported(*argv: str) -> tuple[subprocess.CompletedProcess, set[str]]:
     """Run Python with -X importtime, which lists every module the run
-    imports on stderr, and return the run and those modules."""
+    imports on stderr, and return the run and those modules.  The run skips
+    `site` (-S), whose imports differ between installs, and finds wkseq
+    through PYTHONPATH instead."""
+    env = {**os.environ, "PYTHONPATH": str(Path(wkseq.__file__).parents[1])}
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", *argv], capture_output=True, text=True
+        [sys.executable, "-S", "-X", "importtime", *argv],
+        capture_output=True, text=True, env=env,
     )
     lines = (line for line in proc.stderr.splitlines() if line.startswith("import time:"))
     return proc, {line.rsplit("|", 1)[1].strip() for line in lines}
 
 
-#: Modules each command must not import: the dataclasses machinery, and the
-#: layers and readers it does not run (configparser is only for --config).
+#: Modules each command must not import, besides the dataclasses machinery
+#: and shutil (argparse's terminal-width lookup): the layers and readers it
+#: does not run (configparser is only for --config).
 NOT_IMPORTED = {
     "gen --len 6": "json csv configparser wkseq.certify wkseq.relations wkseq.plfunc",
     "verify wm --n 1": "wkseq.relations wkseq.plfunc",
@@ -305,7 +351,7 @@ def test_installed_entry_point_runs():
         proc, modules = _imported("-m", "wkseq", *argv.split())
         assert proc.returncode == 0, argv
         assert "wkseq.cli" in modules
-        unwanted = {"dataclasses", "inspect", *banned.split()} & (modules - bare)
+        unwanted = {"dataclasses", "inspect", "shutil", *banned.split()} & (modules - bare)
         assert not unwanted, (argv, unwanted)
         out[argv.split()[0]] = proc.stdout
     assert out["gen"].splitlines()[0] == "index,value_num,value_den"

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import oracles
 from fixtures import profile
 from wkseq import DomainError, eval_ainf, eval_b, ladder_new
-from wkseq.ladder import ONE, eval_block
+from wkseq.ladder import ONE, _below, _copy, eval_block, pieces
 from wkseq.sequence import alpha_block
 
 #: Growth factors 10 and 100000: p = 3, 270, 243000000, ... and stretches
@@ -165,3 +165,37 @@ def test_reads_share_period_tiles():
     second = eval_block(lad, range(start + period, start + 3 * period + 5))
     assert first[period:] == second[:period + 5]
     assert all(a is b for a, b in zip(first[period:], second))
+
+
+@given(schedule=st.sampled_from(SCHEDULES), n=st.integers(min_value=0, max_value=3), data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_pieces_cover_a_range_and_read_the_level_below(schedule, n, data):
+    lad = _ladder(schedule)
+    P, L = oracles.tower(4, schedule)
+    p, s = lad.p(n), lad.stretch(n) if n else 1
+    # draws near the copy's edges as often as anywhere else
+    edges = [k * s + d for k in range(-9, 10) for d in (-1, 0, 1) if -p <= k * s + d <= p]
+    point = st.one_of(st.integers(min_value=-p, max_value=p), st.sampled_from(edges))
+    lo, last = sorted((data.draw(point), data.draw(point)))
+    hi = last + 1
+    cut = list(pieces(lad, n, lo, hi))
+    assert [a for a, *_ in cut] == [lo] + [b for _, b, *_ in cut][:-1]
+    assert cut[-1][1] == hi and all(a < b for a, b, *_ in cut)
+    for a, b, i, copies, s in cut:
+        for x in sorted({a, min(a + 1, b - 1), (a + b) // 2, max(b - 2, a), b - 1}):
+            value = oracles.raw_level(P, L, n, x)
+            if i is None:
+                assert value == 1 == profile(lad, n, x), x
+                continue
+            below = F(0)
+            if n:
+                h = P[n - 1]
+                at = (i + x - a + h) % (2 * h) - h  # the periodized read at x
+                assert at == _below(lad.sizes, n, x, 1), x
+                below = oracles.raw_level(P, L, n - 1, at)
+            copy = F(0) if copies is None else min(F(copies[x - a], s), F(1))
+            if copies is not None:
+                assert copies[x - a] == _copy(x, s)
+            else:
+                assert _copy(x, s) <= 0
+            assert value == max(copy, below) == profile(lad, n, x), x
