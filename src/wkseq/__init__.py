@@ -26,62 +26,7 @@ _EXPORTS = {
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "REPORT_SCHEMA",
-    "WINDOW_SCHEMA",
-    "DELTA_SEPARATED_WITNESSED",
-    "DistBracket",
-    "DomainError",
-    "INCONCLUSIVE",
-    "Ladder",
-    "LadderDepthError",
-    "LadderError",
-    "NotFoundInHorizonError",
-    "OnesRunReport",
-    "OrbitSource",
-    "OrbitView",
-    "PAIR_RECURRENT_WITNESSED",
-    "PLFunc",
-    "PROXIMAL_WITNESSED",
-    "PairVerdict",
-    "ReturnReport",
-    "RigidityReport",
-    "ScheduleViolationError",
-    "SeqWindow",
-    "WMReport",
-    "WindowFormatError",
-    "alpha",
-    "alpha_source",
-    "alpha_window",
-    "check_ones_runs",
-    "check_returns",
-    "check_rigidity",
-    "check_shift_defect",
-    "check_wm_returns",
-    "classify_pair",
-    "console_main",
-    "constant_source",
-    "dumps_csv",
-    "dumps_json",
-    "eval_ainf",
-    "eval_b",
-    "ladder_new",
-    "load_window",
-    "loads_csv",
-    "loads_json",
-    "make_plfunc",
-    "ones_source",
-    "pair_recur_defect",
-    "pointwise_max",
-    "prox_defect",
-    "render_decimal",
-    "sep_sup",
-    "splice",
-    "thmB_witnesses",
-    "thmC_witnesses",
-    "window_source",
-    "zeros_source",
-]
+__all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name: str):

@@ -11,6 +11,8 @@ visit more than SCAN_LIMIT points.
 
 The ones-run certificate scans every coordinate at small levels; at large
 ones it reads the runs off `ladder.pieces`, the walker `eval_block` expands.
+Either way the runs stream into one pass that decides the report, so its
+memory does not grow with the window.
 """
 from __future__ import annotations
 
@@ -34,7 +36,6 @@ from .ladder import (
     spans,
 )
 from .seqio import report_dict
-from .sequence import alpha_windows
 
 #: Every coordinate scan visits at most this many points; a larger scan is
 #: refused before it evaluates anything.  A contiguous scan of alpha reads
@@ -305,12 +306,13 @@ def check_wm_returns(
 
 # -- ones runs -------------------------------------------------------------
 
-def _ones_runs(ladder: Ladder, lo: int, hi: int, prune: int) -> list[tuple[int, int]]:
+def _ones_runs(ladder: Ladder, lo: int, hi: int, prune: int) -> Iterator[tuple[int, int]]:
     """Runs of exact ones of the limit profile on lo .. hi-1, as closed
-    intervals, at least `prune` long: a sound under-approximation.  A read
-    of level m is descended only while one period of it (with the next one's
-    first point) can hold such a run, and each level's runs over one full
-    period are found once."""
+    intervals, at least `prune` long, in order: a sound under-approximation.
+    Each run is spot-checked at its ends and middle and yielded as soon as
+    the next run cannot extend it.  A read of level m is descended only
+    while one period of it (with the next one's first point) can hold such
+    a run, and each level's runs over one full period are found once."""
     p = ladder.sizes
     period_runs: dict[int, list[tuple[int, int]]] = {}
 
@@ -338,45 +340,54 @@ def _ones_runs(ladder: Ladder, lo: int, hi: int, prune: int) -> list[tuple[int, 
                 yield from level(m, i, i + take, at - i)
             at, length, i = at + take, length - take, -half
 
-    runs: list[tuple[int, int]] = []
-    for n, a, b in spans(ladder, lo, hi):
-        for u, v in level(n, a, b, 0):
-            if runs and u <= runs[-1][1] + 1:
-                runs[-1] = (runs[-1][0], max(v, runs[-1][1]))
-            else:
-                runs.append((u, v))
-    return [r for r in runs if r[1] - r[0] + 1 >= prune]
+    start, stop = lo, lo - 2  # no run, and no run extends it
+    found = chain.from_iterable(level(n, a, b, 0) for n, a, b in spans(ladder, lo, hi))
+    for u, v in chain(found, [(hi + 1, hi)]):  # a last run that extends none
+        if u > stop + 1:
+            if stop - start + 1 >= prune:
+                for probe in (start, (start + stop) // 2, stop):
+                    if eval_ainf(ladder, probe) != ONE:
+                        raise AssertionError(f"certified interval [{start}, {stop}] fails at {probe}")
+                yield start, stop
+            start = u
+        stop = max(stop, v)
+
+def _scanned_runs(ladder: Ladder, points: range) -> Iterator[tuple[int, int]]:
+    """The runs of ones of alpha on points, a range from 0, read a block of
+    STREAM_BLOCK at a time; the block reader hands out the one shared ONE
+    for every 1."""
+    block = sequence.STREAM_BLOCK
+    values = (eval_block(ladder, points[b:b + block]) for b in range(0, len(points), block))
+    i = 0
+    for one, run in groupby(chain.from_iterable(values), partial(is_, ONE)):
+        size = sum(1 for _ in run)
+        if one:
+            yield i, i + size - 1
+        i += size
 
 
-def _window_coverage(
-    runs: list[tuple[int, int]], required: int, window: int, end: int
-) -> bool:
-    """True iff every length-`window` slice of [0, end] meets a run segment
-    of at least `required` consecutive ones."""
-    target = end - window + 1
-    pos = 0
+def _summary(
+    runs: Iterable[tuple[int, int]], required: int, window: int, end: int
+) -> tuple[bool, int, tuple[int, int] | None, int]:
+    """One pass over sorted, disjoint runs; those under `required` long are
+    skipped.  Returns whether every length-`window` slice of [0, end] holds
+    `required` points of one run; the largest step between consecutive
+    starts of a required-length block of one run, the lead-in from
+    coordinate zero included (end + 1 when there is none); the first run;
+    and the number of runs."""
+    target = end - window + 1  # the last slice's start
+    pos = last = worst = count = 0  # slices starting before pos are covered
+    first, lost = None, False
     for u, v in runs:
-        a = max(0, u + required - window)
-        b = v - required + 1
-        if a > pos:
-            return False
-        if b >= pos:
-            pos = b + 1
-        if pos > target:
-            return True
-    return pos > target
-
-
-def _worst_gap(runs: list[tuple[int, int]], required: int, end: int) -> int:
-    """Largest jump between consecutive starting positions of a required-length
-    all-ones block, counting the lead-in from coordinate zero; end + 1 when
-    no qualifying run exists."""
-    if not runs:
-        return end + 1
-    worst = runs[0][0]
-    for (u0, v0), (u1, _) in zip(runs, runs[1:]):
-        worst = max(worst, u1 - (v0 - required + 1))
-    return worst
+        if v - u + 1 < required:
+            continue
+        # the run's block starts u .. v-required+1, one apart when it is longer
+        worst = max(worst, u - last, min(1, v - u + 1 - required))
+        last, count, first = v - required + 1, count + 1, first or (u, v)
+        if not lost and pos <= target:  # slices u+required-window .. last are covered
+            lost = u + required - window > pos
+            pos = last + 1
+    return not lost and pos > target, worst if count else end + 1, first, count
 
 
 def check_ones_runs(
@@ -386,10 +397,11 @@ def check_ones_runs(
     window_end + 1 coordinates contains at least p[n]/9 consecutive exact
     ones.
 
-    Mode "scan" inspects every coordinate and is exact in both directions;
-    mode "plateau" reads runs off the ladder's pieces and can only
-    affirm (a False there means the certificate could not be built).  The
-    default picks scan at level 1 and plateau above.
+    Mode "scan" reads every coordinate, in blocks of STREAM_BLOCK, and is
+    exact in both directions; mode "plateau" reads runs off the ladder's
+    pieces, spot-checks each as it comes, and can only affirm (a False there
+    means the certificate could not be built).  The default picks scan at
+    level 1 and plateau above.
     """
     if n < 1:
         raise DomainError("run certificates start at level 1")
@@ -401,34 +413,20 @@ def check_ones_runs(
     if mode == "auto":
         mode = "scan" if n == 1 else "plateau"
     if mode == "scan":
-        windows = alpha_windows(ladder, 0, len(scan_points(range(window_end + 1))))
-        runs, i = [], 0
-        # the block reader hands out the one shared ONE for every 1
-        for one, run in groupby(chain.from_iterable(w.values for w in windows), partial(is_, ONE)):
-            size = sum(1 for _ in run)
-            if one and size >= required:
-                runs.append((i, i + size - 1))
-            i += size
+        runs = _scanned_runs(ladder, scan_points(range(window_end + 1)))
     elif mode == "plateau":
-        candidates = _ones_runs(ladder, 0, window_end + 1, max(1, required // 8))
-        for u, v in candidates:  # spot-check the pieces
-            for probe in (u, (u + v) // 2, v):
-                if eval_ainf(ladder, probe) != ONE:
-                    raise AssertionError(
-                        f"certified interval [{u}, {v}] fails at {probe}"
-                    )
-        runs = [r for r in candidates if r[1] - r[0] + 1 >= required]
+        runs = _ones_runs(ladder, 0, window_end + 1, max(1, required // 8))
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    passed = _window_coverage(runs, required, window, window_end)
+    passed, worst_gap, first_run, runs_found = _summary(runs, required, window, window_end)
     return OnesRunReport(
         n=n,
         run_length_required=required,
         gap_bound=window,
         window=(0, window_end),
         passed=passed,
-        worst_gap=_worst_gap(runs, required, window_end),
-        first_run=runs[0] if runs else None,
-        runs_found=len(runs),
+        worst_gap=worst_gap,
+        first_run=first_run,
+        runs_found=runs_found,
         mode=mode,
     )

@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .ladder import Ladder, LadderError, ladder_new
+from .ladder import Ladder, LadderError
 from .seqio import WindowFormatError, load_window, report_dict, window_chunks
 from .sequence import alpha_windows
 
@@ -82,9 +82,7 @@ class RunConfig:
     decimals: int = 0
 
     def make_ladder(self) -> Ladder:
-        if self.schedule is None:
-            return ladder_new("default-minimal")
-        return ladder_new(self.schedule)
+        return Ladder(self.schedule)
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -111,6 +109,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             cfg.schedule = load_schedule_file(path)
         elif policy != "default-minimal":
             raise ValueError(f"{args.config}: unknown ladder_policy {policy!r}")
+        elif "ladder_schedule" in section:
+            raise ValueError(f"{args.config}: ladder_schedule needs ladder_policy = explicit")
         if "format" in section:
             cfg.format = section.get("format")
         if "decimals" in section:

@@ -1,7 +1,10 @@
+import tracemalloc
 from fractions import Fraction as F
 from functools import partial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from wkseq import certify, sequence
@@ -220,6 +223,56 @@ def test_ones_runs_preconditions(lad):
     with pytest.raises(ValueError):
         check_ones_runs(lad, 1, 2000, mode="guess")
 
+
+
+def _summary_by_brute_force(runs, required, window, end):
+    """The ones summary read off every slice and every block start."""
+    long = [(u, v) for u, v in runs if v - u + 1 >= required]
+    covered = all(
+        any(min(v, s + window - 1) - max(u, s) + 1 >= required for u, v in long)
+        for s in range(end - window + 2)
+    )
+    starts = [x for u, v in long for x in range(u, v - required + 2)]
+    worst = max(b - a for a, b in zip([0, *starts], starts)) if starts else end + 1
+    return covered, worst, long[0] if long else None, len(long)
+
+
+@st.composite
+def _run_lists(draw):
+    """Sorted, disjoint runs, some past `end`, with a window of at least
+    `required` and an end of at least `window`."""
+    required = draw(st.integers(1, 5))
+    window = draw(st.integers(required, 24))
+    end = draw(st.integers(window, window + 40))
+    runs, u = [], 0
+    for gap, length in draw(st.lists(st.tuples(st.integers(0, 12), st.integers(1, 12)), max_size=8)):
+        runs.append((u + gap, u + gap + length - 1))
+        u = runs[-1][1] + 1
+    return [r for r in runs if r[0] <= end + 10], required, window, end
+
+
+@settings(deadline=None)
+@given(_run_lists())
+@example(([], 2, 5, 9))  # no runs
+@example(([(0, 6)], 3, 6, 12))  # a run at 0, longer than required
+@example(([(3, 5), (9, 12)], 3, 6, 12))  # a run ending at end
+@example(([(1, 2), (4, 8), (10, 10)], 3, 6, 12))  # runs shorter than required
+@example(([(2, 4), (5, 9)], 3, 6, 12))  # adjacent runs
+@example(([(0, 12), (20, 24)], 3, 6, 14))  # coverage lost only after the last slice
+def test_ones_summary_matches_brute_force(case):
+    runs, required, window, end = case
+    assert certify._summary(iter(runs), required, window, end) == _summary_by_brute_force(*case)
+
+
+@pytest.mark.parametrize("window", [10**11, 10**12])
+def test_ones_runs_plateau_memory_is_flat(lad, window):
+    tracemalloc.start()
+    try:
+        assert check_ones_runs(lad, 2, window, "plateau").passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 def test_report_json_shapes(lad):
     docs = [

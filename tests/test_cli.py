@@ -208,6 +208,10 @@ def test_config_file_settings(capsys, tmp_path):
     )
     assert code == 0
     assert loads_json(out).values == (F(11, 30),)
+    # a schedule under the default policy is refused, not silently dropped
+    cfg.write_text(f"[run]\nladder_schedule = {sched}\n")
+    code, out, err = run_cli(capsys, "--config", str(cfg), "gen", "--len", "1")
+    assert (code, out) == (2, "") and "ladder_policy = explicit" in err
 
 
 def test_flags_override_config(capsys, tmp_path):
