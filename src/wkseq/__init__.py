@@ -13,10 +13,11 @@ _EXPORTS = {
         "ladder": "DomainError Ladder LadderDepthError LadderError"
         " ScheduleViolationError eval_ainf eval_b ladder_new",
         "plfunc": "PLFunc make_plfunc pointwise_max splice",
+        "orbits": "OrbitSource OrbitView alpha_source constant_source ones_source"
+        " window_source zeros_source",
         "relations": "DELTA_SEPARATED_WITNESSED INCONCLUSIVE PAIR_RECURRENT_WITNESSED"
-        " PROXIMAL_WITNESSED NotFoundInHorizonError OrbitSource OrbitView PairVerdict"
-        " alpha_source classify_pair constant_source ones_source pair_recur_defect"
-        " prox_defect sep_sup thmB_witnesses thmC_witnesses window_source zeros_source",
+        " PROXIMAL_WITNESSED NotFoundInHorizonError PairVerdict classify_pair"
+        " pair_recur_defect prox_defect sep_sup thmB_witnesses thmC_witnesses",
         "seqio": "REPORT_SCHEMA WINDOW_SCHEMA WindowFormatError dumps_csv dumps_json"
         " load_window loads_csv loads_json render_decimal",
         "sequence": "DistBracket SeqWindow alpha alpha_window",

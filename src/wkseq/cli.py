@@ -25,7 +25,7 @@ from .seqio import WindowFormatError, load_window, report_dict, window_chunks
 from .sequence import alpha_windows
 
 if TYPE_CHECKING:
-    from .relations import OrbitSource
+    from .orbits import OrbitSource
 
 EXIT_PASS = 0
 EXIT_FAIL = 1

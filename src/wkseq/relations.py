@@ -11,7 +11,9 @@ All searches of one call share one block loop, `_scan`.  It walks the time
 range in blocks of `sequence.STREAM_BLOCK` times, reads each view once per
 block and hands that read to `sequence.bracket_scan`, the one place a
 bracket sum is computed.  So a search holds at most one block of each orbit
-at any horizon.  Ties always prefer the smallest time.
+at any horizon.  Ties always prefer the smallest time.  Where the orbits
+it reads repeat (see `orbits`), a search scans one period of the stretch
+and jumps to where its windows leave it.
 """
 from __future__ import annotations
 
@@ -21,9 +23,13 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from . import sequence
 # eval_ainf stays bound here: bench/tracing.py counts evaluator calls
 # through this module's name for it.
-from .ladder import Ladder, Rational, eval_ainf
+from .ladder import Rational, eval_ainf
+# alpha_source, ones_source, window_source and zeros_source stay bound here:
+# the CLI calls them, and bench/tracing.py times them, through this module.
+from .orbits import (OrbitSource, OrbitView, alpha_source, jump_over, ones_source,
+                     window_source, zeros_source)
 from .seqio import report_dict
-from .sequence import DistBracket, SeqWindow, alpha_block, bracket_scan
+from .sequence import DistBracket, bracket_scan
 
 PROXIMAL_WITNESSED = "proximal-witnessed"
 DELTA_SEPARATED_WITNESSED = "delta-separated-witnessed"
@@ -33,77 +39,6 @@ INCONCLUSIVE = "inconclusive"
 
 class NotFoundInHorizonError(Exception):
     """The requested pattern does not occur within the search horizon."""
-
-
-class OrbitSource:
-    """Lazy coordinate access to a one-sided orbit point.
-
-    length is None for sources that can produce arbitrarily many
-    coordinates.  The `read` callback returns coordinates start .. stop-1;
-    `read` checks them against the bounds before calling it.
-    """
-
-    def __init__(
-        self,
-        read: Callable[[int, int], Sequence[Fraction]],
-        length: int | None = None,
-    ):
-        self.length = length
-        self._read = read
-
-    def read(self, start: int, stop: int) -> Sequence[Fraction]:
-        """Coordinates start .. stop-1."""
-        if start < 0:
-            raise IndexError("orbit coordinates are nonnegative")
-        if self.length is not None and stop > self.length:
-            raise IndexError(
-                f"coordinate {stop - 1} beyond orbit data of length {self.length}"
-            )
-        return self._read(start, stop)
-
-
-def alpha_source(ladder: Ladder) -> OrbitSource:
-    return OrbitSource(lambda a, b: alpha_block(ladder, a, b - a))
-
-
-def window_source(window: SeqWindow) -> OrbitSource:
-    values = window.values
-    return OrbitSource(lambda a, b: values[a:b], length=len(values))
-
-
-def constant_source(value: Rational) -> OrbitSource:
-    v = Fraction(value)
-    return OrbitSource(lambda a, b: [v] * (b - a))
-
-
-def ones_source() -> OrbitSource:
-    """The all-ones fixed point, the distinguished target for proximality."""
-    return constant_source(1)
-
-
-def zeros_source() -> OrbitSource:
-    return constant_source(0)
-
-
-class OrbitView(NamedTuple("OrbitView", [("source", OrbitSource), ("shift", int)])):
-    """An orbit source read from a fixed shift onward."""
-
-    __slots__ = ()
-
-    def __new__(cls, source: OrbitSource, shift: int = 0):
-        if shift < 0:
-            raise ValueError("view shift must be nonnegative")
-        return super().__new__(cls, source, shift)
-
-    def read(self, start: int, stop: int) -> Sequence[Fraction]:
-        """Values at times start .. stop-1."""
-        return self.source.read(self.shift + start, self.shift + stop)
-
-    def max_time(self, k: int) -> int | None:
-        """Largest time t for which coordinates t..t+k-1 are available."""
-        if self.source.length is None:
-            return None
-        return self.source.length - self.shift - k
 
 
 def _check_span(views: Sequence[OrbitView], start: int, horizon: int, k: int) -> None:
@@ -132,7 +67,7 @@ class _Search(NamedTuple):
 
 
 def _scan(
-    views: Sequence[OrbitView | OrbitSource],
+    views: Sequence[OrbitView],
     width: int,
     start: int,
     horizon: int,
@@ -147,12 +82,24 @@ def _scan(
     search that covers the block scans that read.  Only a strictly better
     bracket replaces a search's best, a search that has met its bound scans
     no further, and the walk ends once every search has.
+
+    From the second block on, the walk asks at each block start whether
+    every view repeats (`orbits.jump_over`).  If so, it scans one common
+    period of the stretch, then jumps to the first time whose windows leave
+    it.  Every search starts at `start` or one time later, so each has
+    scanned that period; the sums skipped repeat ones already scanned, and
+    none can be strictly better.
     """
     best: list[tuple[int, DistBracket] | None] = [None] * len(searches)
     done = [s.first > horizon for s in searches]
-    t0 = start
+    t0, jump = start, None
     while t0 <= horizon and not all(done):
-        t1 = min(horizon + 1, t0 + sequence.STREAM_BLOCK)
+        if jump is None and t0 > start:
+            jump = jump_over(views, width, t0, horizon)
+        if jump and t0 == jump[0]:
+            t0, jump = jump[1], None
+            continue
+        t1 = min(horizon + 1, t0 + sequence.STREAM_BLOCK, jump[0] if jump else horizon + 1)
         reads = [view.read(t0, t1 + width - 1) for view in views]
         for i, s in enumerate(searches):
             if done[i] or s.first >= t1:
@@ -323,7 +270,7 @@ def thmB_witnesses(
             _Search(0, k, False, False, _shifted(m, n, target, target)),
             _Search(1, k, False, False, _shifted(m, n, x.read(m, m + k), x.read(n, n + k))),
         ]
-    found = _scan([x], top + k, 0, horizon, searches)
+    found = _scan([OrbitView(x)], top + k, 0, horizon, searches)
     return [
         _verdict(None, tau, (0, horizon), k, pair, prox=prox, recur=recur)
         for pair, prox, recur in zip(pairs, found[::2], found[1::2])
@@ -338,8 +285,8 @@ def thmC_witnesses(
     for proximity of the same pair.
 
     The occurrence must fit inside the horizon: coordinates t .. t+q+k-1
-    all lie in [0, horizon].  Raises NotFoundInHorizonError when no such
-    occurrence exists.
+    all lie in [0, horizon], so a finite orbit needs horizon < its length.
+    Raises NotFoundInHorizonError when no such occurrence exists.
     """
     delta, tau = Fraction(delta), Fraction(tau)
     if q < 1:
@@ -348,14 +295,14 @@ def thmC_witnesses(
         raise ValueError("prefix length must be at least 1")
     if delta <= 0 or tau <= 0:
         raise ValueError("delta and tau must be positive")
+    if x.length is not None and horizon >= x.length:
+        raise ValueError(f"horizon {horizon} exceeds available data (max {x.length - 1})")
     need = q + k
     top = horizon - need + 1
-    if x.length is not None:
-        top = min(top, x.length - need)
     pattern = [(i // q) % 2 for i in range(need)]
     # the first exact occurrence is the first time whose bracket sum is 0;
     # the shifted pair reads coordinates up to top + q + k - 1, as the pattern does
-    match, prox = _scan([x], need, 0, top, [
+    match, prox = _scan([OrbitView(x)], need, 0, top, [
         _Search(0, need, False, False, lambda reads: [(reads[0], pattern)]),
         _Search(0, k, True, False, lambda reads: [(reads[0], reads[0][q:])]),
     ])

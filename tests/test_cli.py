@@ -297,6 +297,22 @@ def test_thmC_not_found_emits_error_report(capsys, tmp_path):
     assert doc["error"] == "not-found-in-horizon"
 
 
+def test_thmC_refuses_a_horizon_past_the_file(capsys, tmp_path):
+    # an occurrence reads coordinates up to the horizon, so 399 is the
+    # largest horizon a 400-row file allows
+    path = tmp_path / "w.csv"
+    path.write_text(dumps_csv(full_shift_transitive_point(400)))
+    argv = ["relations", "thmC", "--orbit", str(path), "--q", "1", "--delta", "1",
+            "--k", "8", "--tau", "1/4", "--horizon"]
+    for horizon in ("400", "20000"):
+        code, out, err = run_cli(capsys, *argv, horizon)
+        assert (code, out) == (2, "")
+        assert f"horizon {horizon} exceeds available data (max 399)" in err
+    code, out, _ = run_cli(capsys, *argv, "399")
+    doc = json.loads(out)
+    assert code == 0 and doc["horizon"] == [0, 399] and doc["sep_witness"]["time"] == 384
+
+
 def test_parallelism_does_not_change_output(capsys, tmp_path):
     path = tmp_path / "w.csv"
     path.write_text(dumps_csv(full_shift_transitive_point(2000)))

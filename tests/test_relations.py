@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -20,6 +21,8 @@ from wkseq import (
     classify_pair,
     constant_source,
     ladder_new,
+    loads_csv,
+    loads_json,
     ones_source,
     pair_recur_defect,
     prox_defect,
@@ -27,8 +30,9 @@ from wkseq import (
     thmB_witnesses,
     thmC_witnesses,
     window_source,
+    zeros_source,
 )
-from wkseq import sequence
+from wkseq import relations, sequence
 from wkseq.sequence import alpha_block
 
 
@@ -484,3 +488,259 @@ def test_verdict_json_shape(alpha_view):
     assert doc["prox_witness"] == {"time": 54, "value": "1/128"}
     assert doc["tau"] == "1/100"
     assert doc["horizon"] == [0, 60]
+
+
+# -- searches that skip repeated periods ------------------------------------
+# Every expected value below comes from tests/oracles.py or from the
+# construction itself, never from a search that can skip.
+
+POOL = (F(0), F(1), F(1, 2), F(1, 3), F(3, 4))
+
+
+def _periodic(rng, head, period, length, tail=0, pool=POOL):
+    """`head` random values, one random period repeated, then `tail` more
+    random values; `length` values in all."""
+    unit = [rng.choice(pool) for _ in range(period)]
+    body = [unit[i % period] for i in range(length - head - tail)]
+    return tuple([rng.choice(pool) for _ in range(head)] + body + [rng.choice(pool) for _ in range(tail)])
+
+
+def _stretch_source(values, period, first, stop):
+    """values as a source stating the one repeat they have by construction."""
+    return OrbitSource(lambda a, b: values[a:b], len(values),
+                       lambda i: (period, stop) if first <= i < stop else None)
+
+
+def _assert_pair_oracles(a, b, fa, fb, start, horizon, k):
+    """The three searches of one classify scan equal the oracles'."""
+    prox, sep, recur = relations._pair_scan(a, b, start, horizon, k)
+    assert (prox[0], *prox[1]) == oracles.naive_min_hi(fa, fb, start, horizon, k)
+    assert (sep[0], *sep[1]) == oracles.naive_max_lo(fa, fb, start, horizon, k)
+    assert (recur[0], recur[1].hi) == oracles.naive_recur_defect(fa, fb, max(start, 1), horizon, k)
+
+
+def _window_cases():
+    """(values, horizon, skips) of window files that repeat in different
+    ways; a file's period is looked for in its last half."""
+    rng = random.Random(1410)
+    k = 8
+    return [
+        (_periodic(rng, 37, 7, 700), 700 - k - 1, True),
+        (_periodic(rng, 300, 11, 900), 900 - k - 1, True),  # periodic on its tail only
+        (_periodic(rng, 0, 9, 900, tail=300), 900 - k - 1, False),  # on its head only
+        (_periodic(rng, 0, 150, 900), 140, False),  # a period past the horizon
+        # the least period, 2100, is past half of the 4096 values looked at
+        (_periodic(rng, 0, 2100, 8500), 4400, False),
+    ]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_skip_on_window_files_matches_oracles(case, monkeypatch):
+    values, horizon, skips = _window_cases()[case]
+    monkeypatch.setattr(sequence, "STREAM_BLOCK", 64)
+    window, fx, k = window_source(SeqWindow(0, values)), values.__getitem__, 8
+    reads = []
+    src = OrbitSource(lambda a, b: reads.append(b - a - (k - 1)) or window.read(a, b),
+                      window.length, window.repeat)
+    others = [
+        (OrbitView(constant_source(F(1, 2))), lambda i: F(1, 2)),
+        (OrbitView(src, 1), lambda i: values[i + 1]),
+        (OrbitView(ones_source()), lambda i: F(1)),
+    ]
+    long = horizon > 1000  # the naive searches take seconds there
+    for other, fy in others[:2] if long else others:
+        reads.clear()
+        _assert_pair_oracles(OrbitView(src), other, fx, fy, 0, horizon, k)
+        # the times read, not counting the recurrence search's home window
+        assert (sum(reads[1:]) < horizon + 1) == skips
+
+
+def test_skip_treats_equal_values_alike_whatever_their_text(monkeypatch):
+    # 1/2 is written three ways, so the texts repeat with period 6 and the
+    # values with period 3; the file is read as JSON and as CSV
+    texts = ["1/2", "1/3", "1/1", "2/4", "1/3", "1/1", "3/6", "1/3", "1/1"] * 70
+    values = tuple(F(t) for t in texts)
+    doc = json.dumps({"schema": "wk-window/1", "offset": 0, "values": texts})
+    rows = "".join(f"{i},{t.replace('/', ',')}\n" for i, t in enumerate(texts))
+    monkeypatch.setattr(sequence, "STREAM_BLOCK", 64)
+    horizon, k = len(values) - 9, 8
+    for window in (loads_json(doc), loads_csv("index,value_num,value_den\n" + rows)):
+        assert window.values == values and len(set(map(id, window.values))) == 5
+        reads = []
+        src = window_source(window)
+        counted = OrbitSource(lambda a, b: reads.append(b - a) or src.read(a, b), src.length, src.repeat)
+        _assert_pair_oracles(OrbitView(counted), OrbitView(constant_source(F(1, 4))),
+                             values.__getitem__, lambda i: F(1, 4), 0, horizon, k)
+        assert len(reads) <= 4  # one period of 3 after the first block, then done
+
+
+@pytest.mark.parametrize("first, leave", [(127, 385), (128, 384), (129, 383)])
+def test_skip_at_stretch_edges_matches_oracles(first, leave, monkeypatch):
+    # One stretch of period 5 from `first`; windows of k = 8 values leave it
+    # at time `leave`, and a thmC pattern of q = 2 sits just past its end.
+    # Each edge falls one before, on, or one after a block edge.
+    rng = random.Random(first * 1000 + leave)
+    k, q, stop = 8, 2, leave + 8 - 1
+    no_pattern = (F(1, 2), F(1, 3), F(3, 4))
+    values = _periodic(rng, first, 5, 600, tail=600 - stop, pool=no_pattern)
+    pattern = tuple(F((i // q) % 2) for i in range(q + k))
+    values = values[:stop + 3] + pattern + values[stop + 3 + len(pattern):]
+    src = _stretch_source(values, 5, first, stop)
+    fx = values.__getitem__
+    monkeypatch.setattr(sequence, "STREAM_BLOCK", 64)
+    horizon = len(values) - k - 1
+    for other, fy in (
+        (OrbitView(constant_source(F(1, 3))), lambda i: F(1, 3)),
+        (OrbitView(src, 1), lambda i: values[i + 1]),
+    ):
+        for start in (0, first + 1):
+            _assert_pair_oracles(OrbitView(src), other, fx, fy, start, horizon, k)
+    verdict = thmC_witnesses(src, q, F(1), len(values) - 1, k, F(2))
+    top = len(values) - q - k
+    occurs = [t for t in range(top + 1) if values[t:t + q + k] == pattern]
+    assert occurs[0] == stop + 3 and verdict.sep_witness.time == stop + 3
+    prox = oracles.naive_min_hi(fx, lambda i: values[i + q], 0, top, k)
+    assert verdict.prox_witness == (prox[0], prox[2])
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+@pytest.mark.parametrize("leave", [383, 384, 385])
+def test_skip_keeps_a_best_on_either_edge_of_a_period(leave, shift, monkeypatch):
+    # Ones, then a stretch of period 5 from the block edge 128 whose windows
+    # leave it at `leave`, then ones, read from `shift` on.  Against zeros,
+    # the windows that start on a 0 of the stretch start at 132, the last
+    # time of the first period the walk scans, and every fifth time on.  In
+    # a stretch of halves that ends in a 0, each time from `leave` on ties
+    # with the next, and the first, `leave`, is the best.
+    monkeypatch.setattr(sequence, "STREAM_BLOCK", 64)
+    k = 8
+    stop = leave + k - 1
+    for stretch, last, best in (
+        (lambda j: F(0) if j % 5 == 2 else F(3, 4), F(1), 132),
+        (lambda j: F(1, 2), F(0), leave),
+    ):
+        values = tuple(F(1) if j < 128 or j > stop else last if j == stop else stretch(j)
+                       for j in range(stop + 40))
+        fx, zero, horizon = values.__getitem__, (lambda i: F(0)), len(values) - k
+        assert oracles.naive_min_hi(fx, zero, 0, horizon, k)[0] == best
+        src = _stretch_source((F(1),) * shift + values, 5, 128 + shift, stop + shift)
+        _assert_pair_oracles(OrbitView(src, shift), OrbitView(zeros_source()), fx, zero, 0, horizon, k)
+
+
+def test_skip_from_a_window_period_one_past_a_block_edge(monkeypatch):
+    # The file is 5-periodic from 129, one past a block edge, and the first
+    # window against zeros that starts on a 0 is at 133 = 129 + 5 - 1.
+    monkeypatch.setattr(sequence, "STREAM_BLOCK", 64)
+    values = tuple(F(1) if j < 128 else F(1, 4) if j == 128 else F(0) if j % 5 == 3 else F(3, 4)
+                   for j in range(440))
+    fx, zero, k = values.__getitem__, (lambda i: F(0)), 8
+    horizon = len(values) - k
+    assert oracles.naive_min_hi(fx, zero, 0, horizon, k)[0] == 133
+    _assert_pair_oracles(OrbitView(window_source(SeqWindow(0, values))), OrbitView(zeros_source()),
+                         fx, zero, 0, horizon, k)
+
+
+def _shifted_source(src, shift):
+    """src read from coordinate `shift` on, with its repeats."""
+
+    def repeat(i):
+        rep = src.repeat(shift + i)
+        return rep and (rep[0], rep[1] - shift)
+
+    return OrbitSource(OrbitView(src, shift).read, repeat=repeat)
+
+
+@pytest.mark.parametrize("schedule", [(), (10, 72901)])
+def test_alpha_repeats_hold_against_the_oracle(schedule):
+    lad = ladder_new(list(schedule) if schedule else "default-minimal")
+    src = alpha_source(lad)
+    p, L = oracles.tower(2, schedule)
+    s2 = p[1] * L[2]  # stretch(2)
+    # below stretch(2) alpha repeats the level below, period 2p[1], from p[1] + 1
+    assert src.repeat(p[1] + 1) == (2 * p[1], s2)
+    assert src.repeat(s2) is None  # level 2's ramp
+    assert src.repeat(2 * s2)[0] == 1  # its plateau of ones
+    for i in (0, 2, 60, p[1], p[1] + 1, 1000, s2 - 600, s2 - 1, 2 * s2 + 7):
+        rep = src.repeat(i)
+        if rep is None:
+            continue
+        period, stop = rep
+        for j in {*range(i, min(i + 30, stop - period)), *range(max(i, stop - period - 30), stop - period)}:
+            assert oracles.limit_value(j, schedule) == oracles.limit_value(j + period, schedule)
+
+
+@pytest.mark.parametrize("schedule", [(), (10, 72901)])
+@pytest.mark.parametrize("near", ["p1", "s2"])
+def test_skip_on_alpha_matches_oracles(schedule, near, monkeypatch):
+    # across level 1's end into alpha's first repeat, and across that
+    # repeat's end, stretch(2), into level 2's ramp
+    lad = ladder_new(list(schedule) if schedule else "default-minimal")
+    p, L = oracles.tower(2, schedule)
+    shift, horizon, k = (0, 1200, 8) if near == "p1" else (p[1] * L[2] - 700, 1400, 8)
+    vals = [oracles.limit_value(shift + i, schedule) for i in range(horizon + k + 8)]
+    fx = vals.__getitem__
+    monkeypatch.setattr(sequence, "STREAM_BLOCK", 64)
+    a = OrbitView(alpha_source(lad), shift)
+    for other, fy in (
+        (OrbitView(constant_source(F(1, 3))), lambda i: F(1, 3)),
+        (OrbitView(alpha_source(lad), shift + 1), lambda i: vals[i + 1]),
+    ):
+        _assert_pair_oracles(a, other, fx, fy, 0, horizon, k)
+    # thmB with alpha as the orbit and ones as the fixed point
+    x, pairs = _shifted_source(alpha_source(lad), shift), [(0, 3), (2, 7)]
+    verdicts = thmB_witnesses(x, ones_source(), pairs, horizon, k, F(2))
+    for (m, n), verdict in zip(pairs, verdicts):
+        near_ones = [
+            max(oracles.naive_bracket_lo(lambda i: fx(t + m + i), lambda i: F(1), 0, k),
+                oracles.naive_bracket_lo(lambda i: fx(t + n + i), lambda i: F(1), 0, k))
+            for t in range(horizon + 1)
+        ]
+        best = min(near_ones)
+        assert verdict.prox_witness == (near_ones.index(best), best + F(2) ** (1 - k))
+        assert verdict.recur_witness == oracles.naive_recur_defect(
+            lambda i: fx(m + i), lambda i: fx(n + i), 1, horizon, k)
+    # thmC: alpha holds no 0, 1, 0 anywhere
+    pattern = [F(0), F(1), F(0)]
+    assert not any(vals[t:t + 3] == pattern for t in range(horizon - 1))
+    with pytest.raises(NotFoundInHorizonError):
+        thmC_witnesses(x, 1, F(1), horizon, 2, F(1, 64))
+
+
+def test_skip_on_ones_matches_oracles(monkeypatch):
+    monkeypatch.setattr(sequence, "STREAM_BLOCK", 64)
+    # every time ties, so the first one is reported
+    verdicts = thmB_witnesses(ones_source(), constant_source(F(1, 2)), [(0, 1), (3, 9)], 5000, 8, F(2))
+    half_away = oracles.naive_bracket_lo(lambda i: F(1), lambda i: F(1, 2), 0, 8)
+    for verdict in verdicts:
+        assert verdict.prox_witness == (0, half_away + F(2) ** -7)
+        assert verdict.recur_witness == (1, F(2) ** -7)
+    with pytest.raises(NotFoundInHorizonError):
+        thmC_witnesses(ones_source(), 1, F(1), 10**6, 8, F(1, 100))
+    ones = OrbitView(ones_source())
+    one, half = (lambda i: F(1)), (lambda i: F(1, 2))
+    _assert_pair_oracles(ones, OrbitView(constant_source(F(1, 2))), one, half, 0, 3000, 8)
+
+
+def test_skip_reads_a_few_blocks_where_the_orbit_repeats():
+    # at the default block size; a repeat that never skips would read all
+    # 25 blocks of the window and 2442 of alpha
+    lad = ladder_new("default-minimal")
+    periodic = SeqWindow(4860, tuple(alpha_block(lad, 4860, 10**5)))
+    rng = random.Random(2100)
+    long_period = SeqWindow(0, _periodic(rng, 0, 2100, 3 * 4096))
+    ones, k = OrbitView(ones_source()), 32
+    for src, horizon, every in (
+        (window_source(periodic), 10**5 - k, False),
+        (alpha_source(lad), 10**7, False),
+        (window_source(full_shift_transitive_point(12000)), 12000 - k, True),
+        (window_source(long_period), 3 * 4096 - k, True),
+    ):
+        reads = []
+        counted = OrbitSource(lambda a, b: reads.append((a, b)) or src.read(a, b), src.length, src.repeat)
+        # separation never meets its bound here, so only a skip ends the walk
+        classify_pair(OrbitView(counted), ones, F(1), 0, horizon, k, F(1, 100))
+        blocks = reads[1:]  # the first read is the recurrence search's home window
+        if every:
+            assert sum(b - a - (k - 1) for a, b in blocks) == horizon + 1
+        else:
+            assert len(blocks) <= 3
