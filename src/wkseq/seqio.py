@@ -92,67 +92,10 @@ def dumps_csv(window: SeqWindow, decimals: int = 0) -> str:
     return "".join(window_chunks([window], "csv", decimals))
 
 
-class _Values(dict):
-    """Window values by their text, a CSV row's (num, den) fields or a JSON
-    "num/den" entry: each text is parsed, checked for a positive denominator
-    and built into one Fraction on its first lookup; later rows share it."""
-
-    def __missing__(self, key) -> Fraction:
-        if isinstance(key, tuple):
-            num, den = key
-        else:
-            num, _, den = str(key).partition("/")
-            if not den:
-                raise ValueError(f"expected num/den, got {key!r}")
-        num, den = int(num), int(den)
-        if den <= 0:
-            raise ValueError("denominator must be positive")
-        value = self[key] = Fraction(num, den)
-        return value
-
-
 def loads_csv(text: str) -> SeqWindow:
-    return _csv_window(io.StringIO(text))
+    from .readers import csv_window  # only a window read compiles the readers
 
-
-def _csv_window(lines: Iterable[str]) -> SeqWindow:
-    """The window of a CSV file's lines, parsed one row at a time."""
-    import csv  # only a window read needs it
-
-    rows = csv.reader(lines)
-    header = next(rows, None)
-    if header is None:
-        raise WindowFormatError("empty file")
-    if tuple(header[:3]) != CSV_HEADER:
-        raise WindowFormatError(
-            f"expected header {','.join(CSV_HEADER)}", line=1
-        )
-    parsed = _Values()
-    offset = None
-    values = []
-    for lineno, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        if len(row) < 3:
-            raise WindowFormatError("need index,value_num,value_den", line=lineno)
-        try:
-            index, value = int(row[0]), parsed[row[1], row[2]]
-        except ValueError as exc:
-            raise WindowFormatError(str(exc), line=lineno) from None
-        if offset is None:
-            offset = index
-        elif index != offset + len(values):
-            raise WindowFormatError(
-                f"indices must be contiguous, expected {offset + len(values)}",
-                line=lineno,
-            )
-        values.append(value)
-    if offset is None:
-        raise WindowFormatError("no data rows")
-    try:
-        return SeqWindow(offset, tuple(values))
-    except ValueError as exc:
-        raise WindowFormatError(str(exc)) from None
+    return csv_window(io.StringIO(text))
 
 
 def dumps_json(window: SeqWindow) -> str:
@@ -160,29 +103,9 @@ def dumps_json(window: SeqWindow) -> str:
 
 
 def loads_json(text: str) -> SeqWindow:
-    import json  # only a window read needs it
+    from .readers import json_window
 
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise WindowFormatError(str(exc), line=exc.lineno) from None
-    if not isinstance(doc, dict) or doc.get("schema") != WINDOW_SCHEMA:
-        raise WindowFormatError(f"expected schema {WINDOW_SCHEMA}")
-    try:
-        entries, parsed = doc["values"], _Values()
-        if not isinstance(entries, list):
-            raise ValueError('"values" must be an array')
-        try:
-            values = tuple(map(parsed.__getitem__, entries))
-        except TypeError:  # unhashable: the first array or object entry
-            bad = next(e for e in entries if isinstance(e, (list, dict)))
-            raise ValueError(f"expected num/den, got {bad!r}") from None
-        offset = doc["offset"]
-        if type(offset) is not int:
-            raise ValueError(f"offset must be an integer, got {offset!r}")
-        return SeqWindow(offset, values)
-    except (KeyError, ValueError) as exc:
-        raise WindowFormatError(str(exc)) from None
+    return json_window(text)
 
 
 def load_window(path: str) -> SeqWindow:
@@ -196,4 +119,6 @@ def load_window(path: str) -> SeqWindow:
                 break
         if lead and lead[-1].lstrip().startswith("{"):
             return loads_json("".join(lead) + fh.read())
-        return _csv_window(chain(lead, fh))
+        from .readers import csv_window
+
+        return csv_window(chain(lead, fh))

@@ -102,10 +102,16 @@ def seq_value(i):
 # -- plain re-scan searches over pairs of index->value functions -----------
 
 def naive_bracket_lo(value_a, value_b, t, k):
-    total = F(0)
+    """sum over i < k of |a(t+i) - b(t+i)| / 2^i, exactly.
+
+    Term i is the integer weight 2^(k-1-i) over the common denominator
+    2^(k-1); numerator and denominator are plain integers, reduced once at
+    the end, so no term pays for a power of two or a gcd."""
+    num, den = 0, 1
     for i in range(k):
-        total += abs(value_a(t + i) - value_b(t + i)) / F(2) ** i
-    return total
+        d = abs(value_a(t + i) - value_b(t + i))
+        num, den = num * d.denominator + (d.numerator << (k - 1 - i)) * den, den * d.denominator
+    return F(num, den << (k - 1))
 
 
 def naive_min_hi(value_a, value_b, lo_t, hi_t, k):

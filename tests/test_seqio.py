@@ -1,3 +1,4 @@
+import csv
 import json
 import tracemalloc
 from fractions import Fraction as F
@@ -19,6 +20,7 @@ from wkseq import (
     loads_json,
     render_decimal,
 )
+from wkseq import readers
 from wkseq.seqio import CSV_HEADER, window_chunks
 from wkseq.sequence import alpha_windows
 
@@ -126,6 +128,26 @@ def test_csv_file_is_read_as_a_stream(tmp_path):
     assert peak < 3 * 8 * rows, peak
 
 
+def test_json_file_is_read_in_slices(tmp_path):
+    # The same 100 000 rows as JSON.  The text of the file is held whole,
+    # about 6 bytes per row, and the window's values 8 bytes per row in a
+    # list and again in its tuple; the entries' strings are alive only one
+    # slice of the array at a time.  Parsing the whole array at once made a
+    # str per entry, about 66 bytes per row.
+    rows = 100_000
+    path = tmp_path / "w.json"
+    with open(path, "w") as fh:
+        fh.writelines(window_chunks(alpha_windows(ladder_new(), 4860, rows), "json"))
+    tracemalloc.start()
+    try:
+        window = load_window(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(window) == rows and window.offset == 4860
+    assert peak < 32 * rows, peak
+
+
 windows = st.builds(
     SeqWindow,
     st.integers(min_value=0, max_value=1000),
@@ -161,7 +183,17 @@ def _outcome(load, text):
         w = load(text)
     except WindowFormatError as exc:
         return "error", str(exc), exc.line
+    except csv.Error as exc:  # the csv module's own field limit
+        return "csv.Error", str(exc), None
     return "window", w.offset, w.values
+
+
+def _at_block_size(load, text, **sizes):
+    """The outcome of `load(text)` with the readers' block sizes set."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name, size in sizes.items():
+            mp.setattr(readers, name, size)
+        return _outcome(load, text)
 
 
 @st.composite
@@ -179,9 +211,10 @@ def _rows(draw):
     bad=st.sampled_from(["x", "1.5", "", "0x1"]),
     decimals=st.booleans(),
     blanks=st.sets(st.integers(min_value=0, max_value=30), max_size=4),
+    block=st.integers(min_value=1, max_value=4),
 )
 @settings(deadline=None)
-def test_csv_reader_matches_per_row_reader(rows, fault, column, bad, decimals, blanks):
+def test_csv_reader_matches_per_row_reader(rows, fault, column, bad, decimals, blanks, block):
     offset, pairs, at = rows
     lines = [",".join(CSV_HEADER + ("value_decimal",) * decimals)]
     for i, (num, den) in enumerate(pairs):
@@ -207,6 +240,8 @@ def test_csv_reader_matches_per_row_reader(rows, fault, column, bad, decimals, b
     text = "\n".join(lines) + "\n"
     got = _outcome(loads_csv, text)
     assert got == _outcome(reference_readers.loads_csv, text)
+    # blocks of a few rows put block edges, and faults, past the first block
+    assert _at_block_size(loads_csv, text, CSV_BLOCK=block) == got
     # a one-row file has no index to break contiguity with
     assert (got[0] == "window") == (fault is None or (fault == "gap" and len(pairs) == 1))
 
@@ -216,9 +251,11 @@ def test_csv_reader_matches_per_row_reader(rows, fault, column, bad, decimals, b
     fault=st.sampled_from([None, *JSON_FAULTS, *JSON_FIXES]),
     bad=st.sampled_from(["x/2", "1/x", "1.5/2", "/2", "1/"]),
     entry=st.sampled_from([5, 0.5, None, True, [1, 2], {"a": 1}]),
+    compact=st.booleans(),
+    piece=st.integers(min_value=1, max_value=16),
 )
 @settings(deadline=None)
-def test_json_reader_matches_per_row_reader(rows, fault, bad, entry):
+def test_json_reader_matches_per_row_reader(rows, fault, bad, entry, compact, piece):
     offset, pairs, at = rows
     values = [f"{num}/{den}" for num, den in pairs]
     fault_value = {"bad_int": bad, "out_of_range": "3/2", "no_slash": "1",
@@ -231,8 +268,10 @@ def test_json_reader_matches_per_row_reader(rows, fault, bad, entry):
                      "bool_offset": True, "str_offset": str(offset)}.get(fault, offset)
     if fault == "values_not_array":
         doc["values"] = values[0]
-    text = json.dumps(doc)
+    text = json.dumps(doc, separators=(",", ":") if compact else None)
     got = _outcome(loads_json, text)
+    # slices of 1 to 16 characters hold one to a few entries each
+    assert _at_block_size(loads_json, text, JSON_SLICE=piece) == got
     if fault not in JSON_FIXES:
         assert got == _outcome(reference_readers.loads_json, text)
         assert (got[0] == "window") == (fault is None)
@@ -268,3 +307,127 @@ def test_readers_share_one_object_per_distinct_text():
     assert w.values[3] is not w.values[0]  # "2,4" is other text for the same value
     w = loads_json('{"schema": "wk-window/1", "offset": 0, "values": ["0/1", "1/3", "0/1"]}')
     assert w.values[0] is w.values[2]
+
+
+# -- the block paths against the exact path ---------------------------------
+
+HEADER = "index,value_num,value_den\n"
+ROWS = "".join(f"{i},{i % 3},3\n" for i in range(7, 13))
+#: (CSV text, whether every block of it takes the block path)
+CSV_SHAPES = {
+    "canonical": (HEADER + ROWS, True),
+    "decimals": (dumps_csv(SAMPLE, decimals=4), True),
+    "trailing_comma": (HEADER + ROWS.replace("\n", ",\n"), True),
+    "quoted": (HEADER + ROWS.replace("9,0,3", '9,"0",3'), False),
+    "crlf": (HEADER + ROWS.replace("\n", "\r\n"), False),
+    "spaces": (HEADER + ROWS.replace(",", ", "), False),
+    "underscore": (HEADER + ROWS.replace("10,1,3", "10,1_0,30"), False),
+    "arabic_indic": (HEADER + ROWS.replace("11,2,3", "11,2,\u0663"), False),
+    "leading_zero": (HEADER + ROWS.replace("12,0,3", "012,0,3"), False),
+    "no_final_newline": (HEADER + ROWS.rstrip("\n"), False),
+    "blank_lines": (HEADER + "\n" + ROWS.replace("9,0,3\n", "9,0,3\n\n\n") + "\n", False),
+    "ragged": (HEADER + ROWS.replace("9,0,3", "9,0,3,0.0,x"), False),
+    "sign": (HEADER + ROWS.replace("8,2,3", "8,+2,3"), False),
+    "empty_field": (HEADER + ROWS.replace("8,2,3", "8,,3"), False),
+    "decimal_point": (HEADER + ROWS.replace("8,2,3", "8,2.0,3"), False),
+    "den_zero": (HEADER + ROWS.replace("9,0,3", "9,0,0"), False),
+    "gap": (HEADER + ROWS.replace("10,1,3", "11,1,3"), False),
+    "out_of_range": (HEADER + ROWS.replace("11,2,3", "11,4,3"), True),
+    "huge_numerator": (HEADER + ROWS.replace("11,2,3", "11," + "1" * 5000 + ",3"), False),
+    "huge_index": (HEADER + "1" * 5000 + ",1,3\n" + ROWS, False),
+    "field_limit": (HEADER + ROWS.replace("11,2,3", "11,2,3,1." + "5" * csv.field_size_limit()), False),
+}
+
+
+def _block_paths(monkeypatch, name):
+    """Record each call's result of readers.`name`; None means the exact path."""
+    results = []
+    block = getattr(readers, name)
+
+    def spy(*args):
+        results.append(block(*args))
+        return results[-1]
+
+    monkeypatch.setattr(readers, name, spy)
+    return results
+
+
+@pytest.mark.parametrize("shape", CSV_SHAPES)
+def test_csv_block_path_matches_the_exact_path(shape, tmp_path, monkeypatch):
+    text, canonical = CSV_SHAPES[shape]
+    path = tmp_path / "w.csv"
+    path.write_bytes(text.encode())
+    blocks = _block_paths(monkeypatch, "_csv_block")
+    got = _outcome(loads_csv, text)
+    assert all(blocks) == canonical and len(blocks) > 0
+    for size in (1, 2, 3, 4):
+        assert _at_block_size(loads_csv, text, CSV_BLOCK=size) == got
+    # a file on disk is read with universal newlines: CRLF lines take the
+    # block path there, to the same window
+    del blocks[:]
+    assert _outcome(load_window, path) == got
+    assert all(blocks) == (canonical or shape == "crlf")
+    monkeypatch.setattr(readers, "_csv_block", lambda *args: None)
+    assert _outcome(loads_csv, text) == got
+    assert _outcome(reference_readers.loads_csv, text) == got
+    expected_window = {"canonical", "decimals", "trailing_comma", "quoted", "crlf", "spaces",
+                       "underscore", "arabic_indic", "leading_zero", "no_final_newline",
+                       "blank_lines", "ragged", "sign"}
+    assert (got[0] == "window") == (shape in expected_window), got
+
+
+def test_csv_errors_keep_their_line_past_the_first_blocks():
+    text = HEADER + "".join(f"{i},1,2\n" for i in range(40)) + "40,1,0\n"
+    for size in (1, 3, 1024):
+        assert _at_block_size(loads_csv, text, CSV_BLOCK=size) == (
+            "error", "line 42: denominator must be positive", 42)
+
+
+DOC = {"schema": "wk-window/1", "offset": 3, "values": ["1/2", "0/1", "1/2", "2/4", "1/1"]}
+#: (JSON text, whether it takes the block path)
+JSON_SHAPES = {
+    "gen": (dumps_json(SeqWindow(3, (F(1, 2), F(0), F(1, 2), F(2, 4), F(1)))), True),
+    "dumps": (json.dumps(DOC), True),
+    "compact": (json.dumps(DOC, separators=(",", ":")), True),
+    "key_order": (json.dumps(dict(reversed(DOC.items()))), True),
+    "mixed_separators": (json.dumps(DOC).replace('"0/1", "1/2"', '"0/1","1/2"'), False),
+    "indent": (json.dumps(DOC, indent=1), False),
+    "escape": (json.dumps(DOC).replace('"1/2"', '"\\u0031/2"', 1), False),
+    "values_twice": ('{"schema": "wk-window/1", "offset": 3, "values": 5, "values": ["1/2"]}', True),
+    "values_twice_last_not_array": (
+        '{"schema": "wk-window/1", "offset": 3, "values": ["1/2"], "values": 5}', False),
+    "bracket_in_string": (json.dumps({"note": "[", **DOC}), False),
+    "close_bracket_in_string": (json.dumps({"note": "]", **DOC}), True),
+    "open_bracket_after_array": (json.dumps({**DOC, "note": "["}), True),
+    "brackets_only_in_strings": ('{"schema": "wk-window/1", "offset": 3, "values": "[", "x": "]"}', False),
+    "extra_array": (json.dumps({**DOC, "extra": [1]}), False),
+    "empty_array": (json.dumps({**DOC, "values": []}), False),
+    "trailing_comma": (json.dumps(DOC).replace('"1/1"]', '"1/1",]'), False),
+    "missing_comma": (json.dumps(DOC).replace('"0/1", ', '"0/1" '), False),
+    "den_zero": (json.dumps({**DOC, "values": ["1/2", "1/0"]}), False),
+    "no_slash": (json.dumps({**DOC, "values": ["1/2", "12"]}), False),
+    "two_slashes": (json.dumps({**DOC, "values": ["1/2", "1/2/3"]}), False),
+    "out_of_range": (json.dumps({**DOC, "values": ["3/2"]}), False),
+    "huge_numerator": (json.dumps({**DOC, "values": ["1/2", "1" * 5000 + "/3"]}), False),
+    "bad_offset": (json.dumps({**DOC, "offset": 1.5}), False),
+    # the array's syntax error comes first, as json.loads reads the text
+    "huge_offset_after_bad_array": (
+        '{"schema": "wk-window/1", "values": ["1/2", x], "offset": 1' + "0" * 5000 + "}", False),
+    "no_schema": (json.dumps({"offset": 3, "values": ["1/2"]}), False),
+}
+
+
+@pytest.mark.parametrize("shape", JSON_SHAPES)
+def test_json_block_path_matches_the_exact_path(shape, monkeypatch):
+    text, canonical = JSON_SHAPES[shape]
+    blocks = _block_paths(monkeypatch, "_json_blocks")
+    got = _outcome(loads_json, text)
+    assert (blocks[0] is not None) == canonical
+    for size in (1, 4, 8, 12):
+        assert _at_block_size(loads_json, text, JSON_SLICE=size) == got
+    monkeypatch.setattr(readers, "_json_blocks", lambda text: None)
+    assert _outcome(loads_json, text) == got
+    expected_window = {"gen", "dumps", "compact", "key_order", "mixed_separators", "indent",
+                       "escape", "values_twice", "bracket_in_string", "close_bracket_in_string",
+                       "open_bracket_after_array", "extra_array"}
+    assert (got[0] == "window") == (shape in expected_window), got
