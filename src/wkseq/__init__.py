@@ -10,8 +10,8 @@ _EXPORTS = {
         "certify": "OnesRunReport ReturnReport RigidityReport WMReport check_ones_runs"
         " check_returns check_rigidity check_shift_defect check_wm_returns",
         "cli": "console_main",
-        "ladder": "DomainError Ladder LadderDepthError LadderError"
-        " ScheduleViolationError eval_ainf eval_b ladder_new",
+        "ladder": "DomainError Ladder LadderError ScheduleViolationError eval_ainf"
+        " eval_b ladder_new",
         "plfunc": "PLFunc make_plfunc pointwise_max splice",
         "orbits": "OrbitSource OrbitView alpha_source constant_source ones_source"
         " window_source zeros_source",

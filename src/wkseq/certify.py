@@ -178,15 +178,12 @@ class WMReport(NamedTuple):
 def check_shift_defect(
     ladder: Ladder, n: int, m: int, grid_step: Rational
 ) -> RigidityReport:
-    """Bound |b_m(t + 2p[n]) - b_m(t)| on a grid over one full period of b_m.
-
-    Requires the ladder to be populated to depth max(n, m) + 1.  The level-0
-    bound is vacuous (no certification threshold exists there); such reports
-    carry bound None and pass vacuously.
+    """Bound |b_m(t + 2p[n]) - b_m(t)| on a grid over one full period of b_m
+    against 1/n.  The level-0 bound is vacuous (no certification threshold
+    exists there); such reports carry bound None and pass vacuously.
     """
     if m < n:
         raise DomainError("the periodized level may not be below the shift level")
-    ladder.require(max(n, m) + 1)
     grid_step = Fraction(grid_step)
     if grid_step <= 0:
         raise ValueError("grid step must be positive")
@@ -199,7 +196,7 @@ def check_shift_defect(
         range(-span * den, span * den + 1, grid_step.numerator),
         (displacement * den,),
     )
-    bound = ladder.epsilon(n) if n >= 1 else None
+    bound = Fraction(1, n) if n >= 1 else None
     passed = True if bound is None else worst < bound
     return RigidityReport(
         n=n,
@@ -220,12 +217,11 @@ def check_rigidity(ladder: Ladder, n: int, count: int) -> RigidityReport:
         raise DomainError("no certification bound exists at level 0")
     if count < 1:
         raise ValueError("need at least one index to check")
-    ladder.ensure(n)
     displacement = 2 * ladder.p(n)
     worst, worst_j = _max_defect(
         partial(eval_block, ladder), range(count), (displacement,)
     )
-    bound = ladder.epsilon(n)
+    bound = Fraction(1, n)
     return RigidityReport(
         n=n,
         shift=displacement,
@@ -247,7 +243,6 @@ def check_returns(ladder: Ladder, n: int, grid: Iterable[int]) -> ReturnReport:
     points = sorted(set(int(t) for t in grid))
     if not points:
         raise ValueError("need at least one grid point")
-    ladder.ensure(n + 1)
     left = 2 * ladder.splice(n + 1)
     bound = ladder.p(n)
     if points[0] < -bound or points[-1] > bound:
@@ -276,9 +271,8 @@ def check_wm_returns(
     cylinder: the N-shifted sequence repeats coordinates 0..p[n] exactly,
     and the backward extension by N + 1 shifts onto the sequence exactly.
     """
-    ladder.ensure(n + 1)
-    p_n = ladder.p(n)
     big_n = 2 * ladder.splice(n + 1) - 1
+    p_n = ladder.p(n)
     if eps is not None:
         eps = Fraction(eps)
         if eps <= 0:
@@ -405,7 +399,6 @@ def check_ones_runs(
     """
     if n < 1:
         raise DomainError("run certificates start at level 1")
-    ladder.ensure(n)
     window = 2 * ladder.p(n)
     required = ladder.p(n) // 9  # exact: p[n] = 9 L[n] p[n-1]
     if window_end < window:

@@ -153,7 +153,6 @@ def _cmd_gen(args: argparse.Namespace, cfg: RunConfig) -> int:
 def _returns_grid(ladder: Ladder, n: int, samples: int | None) -> list[int]:
     from .certify import scan_points
 
-    ladder.ensure(n)
     p = ladder.p(n)
     step = 1 if samples is None else max(1, (2 * p) // samples)
     grid = list(scan_points(range(-p, p + 1, step)))
@@ -176,7 +175,6 @@ def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     elif args.lemma == "wm":
         report = certify.check_wm_returns(ladder, args.n, eps=args.eps)
     else:
-        ladder.ensure(max(args.n, args.m) + 1)
         report = certify.check_shift_defect(ladder, args.n, args.m, args.step)
     _emit_report(report.to_json_dict())
     return EXIT_PASS if report.passed else EXIT_FAIL

@@ -17,8 +17,8 @@ repeats of the periodized level below, and ramps over them; `spans` splits
 a range by the least level covering each point.  `eval_block` expands the
 pieces into values and `certify` reads runs of ones off them, so both cost
 what the levels and pieces of a range do, not its length.  Level sizes
-live in a `Ladder`, an append-only tower that can grow on demand and is
-safe to share between threads.
+live in a `Ladder`, an append-only tower that every accessor grows on
+demand, up to `MAX_LEVEL_BITS`, and that threads may share.
 """
 from __future__ import annotations
 
@@ -47,10 +47,6 @@ class ScheduleViolationError(LadderError):
     """A requested growth schedule entry is below the required minimum."""
 
 
-class LadderDepthError(LadderError):
-    """An evaluation needed a deeper ladder than the one supplied."""
-
-
 class DomainError(LadderError):
     """An argument fell outside the domain a level is defined on."""
 
@@ -61,17 +57,18 @@ class Ladder:
     p[0] = 3 and p[n] = 9 * L[n] * p[n-1], where each growth factor must
     satisfy L[n] >= p[n-1]**2.  The default policy always picks the minimal
     admissible factor; an explicit schedule supplies its own prefix of
-    factors and falls back to the minimal rule once exhausted.
+    factors and falls back to the minimal rule once exhausted.  Every
+    accessor grows the tower to the level it reads.
     """
 
-    def __init__(self, schedule: Sequence[int] | None = None, depth: int = 0):
-        self._explicit = tuple(int(x) for x in schedule) if schedule is not None else ()
+    def __init__(self, schedule: Sequence[int] | None = None):
+        self._explicit = tuple(_integer_entry(n, x) for n, x in enumerate(schedule or (), 1))
         self._p: list[int] = [BASE_HALF_PERIOD]
         self._L: list[int] = [0]  # index 0 unused; L[n] valid for n >= 1
         self._lock = threading.Lock()
         # level m -> one period of level m, shared by every `eval_block` read
         self._tiles: dict[int, list[Fraction]] = {}
-        self.ensure(max(depth, len(self._explicit)))
+        self.ensure(len(self._explicit))
 
     # -- growth ---------------------------------------------------------
 
@@ -118,40 +115,24 @@ class Ladder:
             self.ensure(len(self._p))
         return bisect_left(self._p, bound)
 
-    def require(self, depth: int) -> None:
-        if depth >= len(self._p):
-            raise LadderDepthError(
-                f"ladder populated to depth {self.depth}, need {depth}"
-            )
-
     # -- accessors ------------------------------------------------------
 
     @property
-    def depth(self) -> int:
-        return len(self._p) - 1
-
-    @property
     def sizes(self) -> Sequence[int]:
-        """The populated level sizes p[0] .. p[depth], as `eval_ratio` reads them."""
+        """The level sizes grown so far, p[0], p[1], ..., as `eval_ratio` reads them."""
         return self._p
 
     def p(self, n: int) -> int:
         if n < 0:
             raise DomainError("level must be nonnegative")
-        self.require(n)
+        self.ensure(n)
         return self._p[n]
 
     def L(self, n: int) -> int:
         if n < 1:
             raise DomainError("growth factors start at level 1")
-        self.require(n)
+        self.ensure(n)
         return self._L[n]
-
-    def epsilon(self, n: int) -> Fraction:
-        """Certification bound 1/n for level n >= 1."""
-        if n < 1:
-            raise DomainError("no certification bound at level 0")
-        return Fraction(1, n)
 
     def splice(self, n: int) -> int:
         """Splice point of level n; equals p[n] / 3."""
@@ -161,21 +142,28 @@ class Ladder:
         """Stretch factor p[n-1] * L[n] of level n's base copy; equals p[n] / 9."""
         if n < 1:
             raise DomainError("stretch factors start at level 1")
-        return self.p(n - 1) * self.L(n)
+        return self.L(n) * self.p(n - 1)  # L(n) first: a refused level grows nothing
 
 
-def ladder_new(policy: str | Sequence[int] = "default-minimal", depth: int = 0) -> Ladder:
-    """Create a ladder.
+def _integer_entry(n: int, entry) -> int:
+    """Schedule entry L[n] as an int; an entry that is not an integer is refused."""
+    if int(entry) != entry:
+        raise ValueError(f"schedule entry L[{n}]={entry!r} is not an integer")
+    return int(entry)
+
+
+def ladder_new(policy: str | Sequence[int] = "default-minimal") -> Ladder:
+    """Create a ladder, grown on demand by every accessor.
 
     `policy` is either the string "default-minimal" or an explicit sequence
-    of growth factors for levels 1, 2, ...; explicit entries are validated
-    against the minimum-growth rule as they are consumed.
+    of integer growth factors for levels 1, 2, ...; those levels are grown
+    and checked against the minimum-growth rule at once.
     """
     if isinstance(policy, str):
         if policy != "default-minimal":
             raise ValueError(f"unknown ladder policy {policy!r}")
-        return Ladder(None, depth)
-    return Ladder(policy, depth)
+        return Ladder()
+    return Ladder(policy)
 
 
 def _exact(t: Rational) -> tuple[int, int]:

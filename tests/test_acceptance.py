@@ -92,7 +92,7 @@ def test_2_rigidity_certificates(lad, announce):
 
 def test_3_shift_defect_on_own_period(announce):
     t0 = time.perf_counter()
-    lad = ladder_new("default-minimal", depth=3)
+    lad = ladder_new("default-minimal")
     reps = [
         check_shift_defect(lad, 0, 0, 1),
         check_shift_defect(lad, 1, 1, 1),
@@ -184,7 +184,7 @@ def test_7_breakpoint_oracle_equivalence(announce):
     left = pointwise_max(periodized, copy_layer, -243, 81)
     right = pointwise_max(periodized.shifted(-1), copy_layer, 81, 243)
     explicit = splice(left, right, 81)
-    lad = ladder_new("default-minimal", depth=1)
+    lad = ladder_new("default-minimal")
     mismatches = sum(
         1
         for j in range(-486, 487)

@@ -152,6 +152,22 @@ def test_ladder_too_deep_is_refused_at_once(capsys):
     assert "level 13 would take about" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # reads alpha at 2p[12], which lies in level 13
+        ("rigidity --n 12 --count 1", "level 13 would take about 5053885 bits, past the limit of 4194304"),
+        ("returns --n 12", "scan of more than 2000001 points refused"),
+        ("ones --n 12 --window 5", "window_end must cover at least one full window"),
+        # reads levels 1 and 12 only, so the scan limit refuses it first
+        ("shift-defect --n 1 --m 12 --step 1", "scan of more than 2000001 points refused"),
+    ],
+)
+def test_deep_level_refusals(capsys, argv, message):
+    code, out, err = run_cli(capsys, "verify", *argv.split())
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_verify_failed_certificate_exits_one(capsys):
     code, out, _ = run_cli(capsys, "verify", "wm", "--n", "0", "--eps", "1/8")
     assert code == 1

@@ -23,7 +23,7 @@ SCHEDULES = [(), EXPLICIT]
 
 
 def _ladder(schedule):
-    return ladder_new(schedule if schedule else "default-minimal", depth=4)
+    return ladder_new(schedule if schedule else "default-minimal")
 
 
 def _anchors(lad, n):
@@ -159,7 +159,7 @@ def test_reads_share_period_tiles():
     # Two reads longer than a period of b_1 (2p[1]) inside the periodic stretch
     # [p[1] + 1, stretch(2)) hand out the same objects at the same coordinates,
     # so comparing them never needs Fraction.__eq__.
-    lad = ladder_new("default-minimal", depth=2)
+    lad = ladder_new("default-minimal")
     period, start = 2 * lad.p(1), lad.p(1) + 1
     first = eval_block(lad, range(start, start + 2 * period + 5))
     second = eval_block(lad, range(start + period, start + 3 * period + 5))

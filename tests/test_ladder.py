@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -8,9 +9,9 @@ import oracles
 from fixtures import profile
 from wkseq import (
     DomainError,
-    LadderDepthError,
     LadderError,
     ScheduleViolationError,
+    check_shift_defect,
     eval_ainf,
     eval_b,
     ladder_new,
@@ -24,11 +25,11 @@ rationals = st.fractions(
 
 @pytest.fixture
 def lad():
-    return ladder_new("default-minimal", depth=2)
+    return ladder_new("default-minimal")
 
 
 def test_default_minimal_sizes():
-    lad = ladder_new("default-minimal", depth=4)
+    lad = ladder_new("default-minimal")
     assert [lad.L(n) for n in range(1, 5)] == [
         9,
         59049,
@@ -42,32 +43,41 @@ def test_default_minimal_sizes():
 
 
 def test_growth_rule_holds_at_every_level():
-    lad = ladder_new("default-minimal", depth=4)
+    lad = ladder_new("default-minimal")
     for n in range(1, 5):
         assert lad.L(n) >= lad.p(n - 1) ** 2
         assert lad.p(n) == 9 * lad.L(n) * lad.p(n - 1)
 
 
 def test_explicit_schedule_is_honored_then_extended():
-    lad = ladder_new([10, 100000], depth=3)
+    lad = ladder_new([10, 100000])
     assert lad.L(1) == 10
     assert lad.p(1) == 270
     assert lad.L(2) == 100000
     assert lad.L(3) == lad.p(2) ** 2
 
 
+@pytest.mark.parametrize("entry", [9.5, F(19, 2), "10"])
+def test_non_integer_schedule_entry_is_refused(entry):
+    with pytest.raises(ValueError, match=re.escape(f"schedule entry L[1]={entry!r} is not an integer")):
+        ladder_new([entry])
+    with pytest.raises(ValueError, match=re.escape(f"L[2]={entry!r}")):
+        ladder_new([10, entry])
+    assert ladder_new([F(20, 2)]).L(1) == 10
+
+
 def test_undersized_schedule_entry_is_rejected():
     with pytest.raises(ScheduleViolationError):
-        ladder_new([8], depth=1)
+        ladder_new([8])
     with pytest.raises(ScheduleViolationError):
-        ladder_new([9, 243**2 - 1], depth=2)
+        ladder_new([9, 243**2 - 1])
 
 
 def test_oversized_levels_are_refused_before_growing():
-    lad = ladder_new("default-minimal", depth=2)
+    lad = ladder_new("default-minimal")
     with pytest.raises(LadderError, match="level 13 would take about"):
         lad.ensure(30)
-    assert lad.depth == 2
+    assert lad.sizes == [3]
     lad.ensure(12)
     assert lad.p(12).bit_length() == 1684627 <= MAX_LEVEL_BITS
     with pytest.raises(LadderError, match="level 13"):
@@ -77,19 +87,47 @@ def test_oversized_levels_are_refused_before_growing():
         ladder_new([9, 1 << MAX_LEVEL_BITS])
 
 
-def test_depth_is_lazy_and_require_raises(lad):
-    assert lad.depth == 2
-    with pytest.raises(LadderDepthError):
-        lad.require(3)
-    lad.ensure(3)
-    lad.require(3)
+#: Larger than p[10] on both ladders below, so a shift-defect grid of this
+#: step over level n <= 10 is the one point -p[n].
+ONE_POINT_STEP = 3 ** 3 ** 11
+
+#: Each accessor that grows a ladder, as a read of level n >= 1.
+LEVEL_READS = {
+    "p": lambda lad, n: lad.p(n),
+    "L": lambda lad, n: lad.L(n),
+    "splice": lambda lad, n: lad.splice(n),
+    "stretch": lambda lad, n: lad.stretch(n),
+    "eval_b": lambda lad, n: eval_b(lad, n, F(1, 3)),
+    "check_shift_defect": lambda lad, n: check_shift_defect(lad, n // 2, n, ONE_POINT_STEP),
+}
+POLICIES = st.sampled_from(["default-minimal", (10, 72901)])
 
 
-def test_epsilon_and_splice(lad):
-    assert lad.epsilon(1) == 1
-    assert lad.epsilon(2) == F(1, 2)
-    with pytest.raises(DomainError):
-        lad.epsilon(0)
+@pytest.mark.parametrize("read", LEVEL_READS.values(), ids=list(LEVEL_READS))
+@given(policy=POLICIES, n=st.integers(min_value=1, max_value=10))
+@settings(max_examples=25, deadline=None)
+def test_every_accessor_grows_on_demand(read, policy, n):
+    fresh, eager = ladder_new(policy), ladder_new(policy)
+    eager.ensure(n)
+    grown = list(eager.sizes)
+    assert read(fresh, n) == read(eager, n)
+    assert fresh.sizes == eager.sizes == grown
+
+
+@pytest.mark.parametrize("read", LEVEL_READS.values(), ids=list(LEVEL_READS))
+@given(policy=POLICIES, grown=st.integers(min_value=0, max_value=8), n=st.integers(min_value=13, max_value=64))
+@settings(max_examples=25, deadline=None)
+def test_every_accessor_refuses_a_level_past_the_size_bound(read, policy, grown, n):
+    # level 13 is the first past MAX_LEVEL_BITS on both ladders
+    lad = ladder_new(policy)
+    lad.ensure(grown)
+    before = list(lad.sizes)
+    with pytest.raises(LadderError, match="level 13 would take about"):
+        read(lad, n)
+    assert lad.sizes == before
+
+
+def test_splice_and_stretch(lad):
     assert lad.splice(1) == 81
     assert lad.splice(2) == 43046721
     assert lad.stretch(1) == 27
@@ -147,12 +185,11 @@ def test_limit_matches_oracle_on_a_window():
 def test_limit_auto_deepens_for_huge_arguments():
     lad = ladder_new("default-minimal")
     assert eval_ainf(lad, 10**30) == 1
-    assert lad.depth == 4
+    assert len(lad.sizes) == 5
     assert eval_ainf(lad, 10**30) == oracles.limit_value(10**30)
 
 
 def test_localization_across_levels(lad):
-    lad.ensure(3)
     for t in range(-243, 244):
         v = profile(lad, 1, t)
         assert profile(lad, 2, t) == v
@@ -184,7 +221,7 @@ def test_periodized_base_has_period_six(t):
 @given(t=rationals, n=st.integers(min_value=0, max_value=1))
 @settings(max_examples=60)
 def test_period_identity_per_level(t, n):
-    lad = ladder_new("default-minimal", depth=2)
+    lad = ladder_new("default-minimal")
     assert eval_b(lad, n, t + 2 * lad.p(n)) == eval_b(lad, n, t)
     assert 0 <= eval_b(lad, n, t) <= 1
 
