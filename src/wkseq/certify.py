@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from itertools import chain, groupby
+from itertools import chain, groupby, islice
 from operator import is_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -238,9 +238,20 @@ def check_rigidity(ladder: Ladder, n: int, count: int) -> RigidityReport:
 def check_returns(ladder: Ladder, n: int, grid: Iterable[int]) -> ReturnReport:
     """Check alpha(t) = ainf(t - S) = ainf(t + S - 1) with S = 2*splice(n+1).
 
-    Grid points must be integers in [-p[n], p[n]].
+    The grid holds at most SCAN_LIMIT integers in [-p[n], p[n]]; a range
+    is used as it is, and any other grid is sorted once it is checked.
     """
-    points = sorted(set(int(t) for t in grid))
+    if isinstance(grid, range):
+        points = scan_points(grid[::-1] if grid.step < 0 else grid)
+    else:
+        points = scan_points(list(islice(grid, SCAN_LIMIT + 1)))
+        for t in points:
+            if not isinstance(t, int):
+                raise ValueError(f"grid point {t!r} is not an integer")
+        points = sorted(set(points))
+        if points and points[-1] - points[0] + 1 == len(points):
+            # a contiguous grid is read by its structure, not point by point
+            points = range(points[0], points[-1] + 1)
     if not points:
         raise ValueError("need at least one grid point")
     left = 2 * ladder.splice(n + 1)
@@ -248,9 +259,6 @@ def check_returns(ladder: Ladder, n: int, grid: Iterable[int]) -> ReturnReport:
     if points[0] < -bound or points[-1] > bound:
         bad = points[0] if points[0] < -bound else points[-1]
         raise DomainError(f"grid point {bad} outside [-p[{n}], p[{n}]]")
-    if points[-1] - points[0] + 1 == len(points):
-        # a contiguous grid is read by its structure, not point by point
-        points = range(points[0], points[-1] + 1)
     defect, at = _max_defect(
         partial(eval_block, ladder), points, (-left, left - 1), first=True
     )

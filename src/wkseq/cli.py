@@ -74,62 +74,27 @@ def load_schedule_file(path: str) -> tuple[int, ...]:
     return tuple(entries)
 
 
-class RunConfig:
-    """Resolved run settings: defaults, then config file, then flags."""
+def _run_section(path: str) -> dict[str, str]:
+    """The [run] section's settings, once its ladder policy is checked, as
+    defaults for the flags of the same names, which check them in turn."""
+    import configparser  # only here: importing it costs every other run about 2 ms
 
-    schedule: tuple[int, ...] | None = None
-    format: str = "csv"
-    decimals: int = 0
-
-    def make_ladder(self) -> Ladder:
-        return Ladder(self.schedule)
-
-
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    # parallelism is accepted and validated for compatibility; searches
-    # always run as one pass, so it changes nothing.
-    parallelism = 1
-    if args.config:
-        import configparser  # only here: importing it costs every other run about 2 ms
-
-        parser = configparser.ConfigParser()
-        if not parser.read(args.config):
-            raise ValueError(f"config file not found: {args.config}")
-        if not parser.has_section("run"):
-            raise ValueError(f"{args.config}: missing [run] section")
-        section = parser["run"]
-        policy = section.get("ladder_policy", "default-minimal")
-        if policy == "explicit":
-            path = section.get("ladder_schedule")
-            if not path:
-                raise ValueError(
-                    f"{args.config}: explicit ladder policy needs ladder_schedule"
-                )
-            cfg.schedule = load_schedule_file(path)
-        elif policy != "default-minimal":
-            raise ValueError(f"{args.config}: unknown ladder_policy {policy!r}")
-        elif "ladder_schedule" in section:
-            raise ValueError(f"{args.config}: ladder_schedule needs ladder_policy = explicit")
-        if "format" in section:
-            cfg.format = section.get("format")
-        if "decimals" in section:
-            cfg.decimals = section.getint("decimals")
-        if "parallelism" in section:
-            parallelism = section.getint("parallelism")
-    if args.ladder_schedule:
-        cfg.schedule = load_schedule_file(args.ladder_schedule)
-    if args.format:
-        cfg.format = args.format
-    if args.decimals is not None:
-        cfg.decimals = args.decimals
-    if args.parallelism is not None:
-        parallelism = args.parallelism
-    if cfg.format not in ("csv", "json"):
-        raise ValueError(f"unknown output format {cfg.format!r}")
-    if cfg.decimals < 0 or parallelism < 1:
-        raise ValueError("decimals must be >= 0 and parallelism >= 1")
-    return cfg
+    parser = configparser.ConfigParser()
+    if not parser.read(path):
+        raise ValueError(f"config file not found: {path}")
+    if not parser.has_section("run"):
+        raise ValueError(f"{path}: missing [run] section")
+    section = parser["run"]
+    policy = section.get("ladder_policy", "default-minimal")
+    if policy == "explicit":
+        if not section.get("ladder_schedule"):
+            raise ValueError(f"{path}: explicit ladder policy needs ladder_schedule")
+    elif policy != "default-minimal":
+        raise ValueError(f"{path}: unknown ladder_policy {policy!r}")
+    elif "ladder_schedule" in section:
+        raise ValueError(f"{path}: ladder_schedule needs ladder_policy = explicit")
+    keys = ("ladder_schedule", "format", "decimals", "parallelism")
+    return {key: section[key] for key in keys if key in section}
 
 
 def _emit_report(doc: dict) -> None:
@@ -138,10 +103,10 @@ def _emit_report(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _cmd_gen(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_gen(args: argparse.Namespace, ladder: Ladder) -> int:
     """Stream the window in pieces, in memory that does not grow with its length."""
-    windows = alpha_windows(cfg.make_ladder(), args.start, args.count)
-    chunks = window_chunks(windows, cfg.format, cfg.decimals)
+    windows = alpha_windows(ladder, args.start, args.count)
+    chunks = window_chunks(windows, args.format, args.decimals)
     if args.out:
         with open(args.out, "w") as fh:
             fh.writelines(chunks)
@@ -150,26 +115,16 @@ def _cmd_gen(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_PASS
 
 
-def _returns_grid(ladder: Ladder, n: int, samples: int | None) -> list[int]:
-    from .certify import scan_points
-
-    p = ladder.p(n)
-    step = 1 if samples is None else max(1, (2 * p) // samples)
-    grid = list(scan_points(range(-p, p + 1, step)))
-    if grid[-1] != p:
-        grid.append(p)
-    return grid
-
-
-def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_verify(args: argparse.Namespace, ladder: Ladder) -> int:
     from . import certify
 
-    ladder = cfg.make_ladder()
     if args.lemma == "rigidity":
         report = certify.check_rigidity(ladder, args.n, args.count)
     elif args.lemma == "returns":
-        grid = _returns_grid(ladder, args.n, args.samples)
-        report = certify.check_returns(ladder, args.n, grid)
+        p = ladder.p(args.n)
+        step = 1 if args.samples is None else max(1, (2 * p) // args.samples)
+        grid = certify.scan_points(range(-p, p + 1, step))
+        report = certify.check_returns(ladder, args.n, grid if grid[-1] == p else [*grid, p])
     elif args.lemma == "ones":
         report = certify.check_ones_runs(ladder, args.n, args.window, mode=args.mode)
     elif args.lemma == "wm":
@@ -180,11 +135,11 @@ def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
-def _orbit_source(token: str, cfg: RunConfig) -> OrbitSource:
+def _orbit_source(token: str, ladder: Ladder) -> OrbitSource:
     from . import relations
 
     if token == "alpha":
-        return relations.alpha_source(cfg.make_ladder())
+        return relations.alpha_source(ladder)
     if token == "ones":
         return relations.ones_source()
     if token == "zeros":
@@ -192,10 +147,10 @@ def _orbit_source(token: str, cfg: RunConfig) -> OrbitSource:
     return relations.window_source(load_window(token))
 
 
-def _orbit_sources(tokens: Sequence[str], cfg: RunConfig) -> list[OrbitSource]:
+def _orbit_sources(tokens: Sequence[str], ladder: Ladder) -> list[OrbitSource]:
     """One source per token; a token named twice, such as one window file on
     both sides of a pair, is read once."""
-    built = {token: _orbit_source(token, cfg) for token in dict.fromkeys(tokens)}
+    built = {token: _orbit_source(token, ladder) for token in dict.fromkeys(tokens)}
     return [built[token] for token in tokens]
 
 
@@ -225,17 +180,15 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
             pairs.append((int(left), int(right)))
         except ValueError:
             raise ValueError(f"pair must use integers, got {part!r}") from None
-    if not pairs:
-        raise ValueError("--pairs must name at least one pair")
     return pairs
 
 
-def _cmd_relations(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_relations(args: argparse.Namespace, ladder: Ladder) -> int:
     from . import relations
 
     if args.subcommand == "classify":
         required = _parse_required_labels(args.require)
-        a, b = _orbit_sources([args.a, args.b], cfg)
+        a, b = _orbit_sources([args.a, args.b], ladder)
         a, b = relations.OrbitView(a, args.shift_a), relations.OrbitView(b, args.shift_b)
         verdict = relations.classify_pair(
             a, b, args.delta, args.start, args.horizon, args.k, args.tau
@@ -248,7 +201,7 @@ def _cmd_relations(args: argparse.Namespace, cfg: RunConfig) -> int:
         return EXIT_PASS if ok else EXIT_FAIL
     if args.subcommand == "thmB":
         pairs = _parse_pairs(args.pairs)
-        orbit, fixed_point = _orbit_sources([args.orbit, args.fixed_point], cfg)
+        orbit, fixed_point = _orbit_sources([args.orbit, args.fixed_point], ladder)
         verdicts = relations.thmB_witnesses(
             orbit, fixed_point, pairs, args.horizon, args.k, args.tau
         )
@@ -260,7 +213,7 @@ def _cmd_relations(args: argparse.Namespace, cfg: RunConfig) -> int:
         )
         ok = all(relations.INCONCLUSIVE not in v.labels for v in verdicts)
         return EXIT_PASS if ok else EXIT_FAIL
-    orbit = _orbit_source(args.orbit, cfg)
+    orbit = _orbit_source(args.orbit, ladder)
     try:
         verdict = relations.thmC_witnesses(
             orbit, args.q, args.delta, args.horizon, args.k, args.tau
@@ -300,8 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", metavar="PATH", help="INI config with a [run] section")
     parser.add_argument("--ladder-schedule", metavar="PATH", help="explicit growth schedule, one integer per line")
-    parser.add_argument("--format", choices=("csv", "json"))
-    parser.add_argument("--decimals", type=_nonneg_int, help="extra decimal column width for CSV output")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument("--decimals", type=_nonneg_int, default=0, help="extra decimal column width for CSV output")
     parser.add_argument("--parallelism", type=_positive_int, help="accepted for compatibility and ignored: searches run as one pass")
     sub = parser.add_subparsers(dest="command", required=True, prog="wkseq")
 
@@ -360,15 +313,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
+    """Flags over the config file's values; returning frees the parser before a command runs."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        parser.set_defaults(**_run_section(args.config))
+        args = parser.parse_args(argv)
+    return args
+
+
 def console_main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        cfg = _resolve_config(args)
+        args = _parse_args(argv)
+        if args.format not in ("csv", "json"):  # choices are not checked on a default
+            raise ValueError(f"unknown output format {args.format!r}")
+        ladder = Ladder(load_schedule_file(args.ladder_schedule) if args.ladder_schedule else None)
         if args.command == "gen":
-            return _cmd_gen(args, cfg)
+            return _cmd_gen(args, ladder)
         if args.command == "verify":
-            return _cmd_verify(args, cfg)
-        return _cmd_relations(args, cfg)
+            return _cmd_verify(args, ladder)
+        return _cmd_relations(args, ladder)
     except (LadderError, WindowFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -87,14 +87,16 @@ class Ladder:
     def ensure(self, depth: int) -> None:
         """Extend the tower so levels 0..depth are populated.
 
-        First bound each new level's bit length by bits(L[n]) + bits(p[n-1])
-        + 4, with 2 * bits(p[n-1]) for a default factor, and refuse a depth
-        past MAX_LEVEL_BITS before growing any level.
+        First bound each new level's bit length, counting from p[len(schedule)]
+        (from p[0] while the constructor grows the schedule's levels), by
+        bits(L[n]) + bits(p[n-1]) + 4, with 2 * bits(p[n-1]) for a default
+        factor, and refuse a depth past MAX_LEVEL_BITS before growing any level.
         """
         if depth < len(self._p):
             return
-        bits = self._p[-1].bit_length()
-        for n in range(len(self._p), depth + 1):
+        base = min(len(self._explicit), len(self._p) - 1)
+        bits = self._p[base].bit_length()
+        for n in range(base + 1, depth + 1):
             entry = self._explicit[n - 1].bit_length() if n - 1 < len(self._explicit) else 2 * bits
             bits += entry + 4
             if bits > MAX_LEVEL_BITS:
@@ -167,9 +169,9 @@ def ladder_new(policy: str | Sequence[int] = "default-minimal") -> Ladder:
 
 
 def _exact(t: Rational) -> tuple[int, int]:
-    """t as an integer numerator over a positive integer denominator."""
+    """An int or a Fraction t as (numerator, positive denominator)."""
     if not isinstance(t, (int, Fraction)):
-        t = Fraction(t)
+        raise TypeError(f"expected an int or a Fraction, got {t!r}")
     return t.numerator, t.denominator
 
 

@@ -78,7 +78,7 @@ def tail_period(values: Sequence[Fraction]) -> tuple[int, int] | None:
     the tail has no such period.
 
     The tail is coded one character per distinct value, equal values alike
-    whatever their objects, so `str.find` proposes the periods at C speed;
+    whatever their objects, so `str.find` proposes the period at C speed;
     the tail's own period is then followed back through the values in
     slices."""
     tail = values[len(values) - min(TAIL, len(values) // 2):]
@@ -89,10 +89,10 @@ def tail_period(values: Sequence[Fraction]) -> tuple[int, int] | None:
     text = "".join(map(chr, map(by_id.__getitem__, map(id, tail))))
     m = len(text)
     head = text[:m // 2]
+    # By Fine and Wilf, when the first candidate is not a period no later
+    # one at most half the tail is.
     p = text.find(head, 1, 2 * (m // 2))
-    while p > 0 and text[p:] != text[:m - p]:
-        p = text.find(head, p + 1, 2 * (m // 2))
-    if p < 1:
+    if p < 1 or text[p:] != text[:m - p]:
         return None
     first = len(values) - m  # values[j] == values[j + p] for first <= j < len - p
     while first:

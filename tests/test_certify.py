@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 from fractions import Fraction as F
 from functools import partial
@@ -131,6 +132,25 @@ def test_returns_grid_out_of_range(lad):
         check_returns(lad, 0, [4])
     with pytest.raises(ValueError, match="at least one grid point"):
         check_returns(lad, 1, [])
+
+
+@pytest.mark.parametrize("grid", [[F(1, 2), 0.9, 1], [0, 1.0], ["1"], [F(2, 1)]])
+def test_returns_refuses_a_point_that_is_not_an_integer(lad, grid):
+    with pytest.raises(ValueError, match=r"grid point .* is not an integer"):
+        check_returns(lad, 0, grid)
+
+
+def test_returns_refuses_an_oversized_grid_before_sorting_it(lad):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=str(certify.SCAN_LIMIT)):
+        check_returns(lad, 2, range(-5 * 10**6, 5 * 10**6))
+    with pytest.raises(ValueError, match=str(certify.SCAN_LIMIT)):
+        check_returns(lad, 2, range(-lad.p(2), lad.p(2) + 1))
+    with pytest.raises(ValueError, match=str(certify.SCAN_LIMIT)):
+        check_returns(lad, 2, iter(range(10**7)))
+    assert time.perf_counter() - start < 0.5
+    # a descending range is the same grid as the ascending one
+    assert check_returns(lad, 1, range(243, -244, -1)) == check_returns(lad, 1, range(-243, 244))
 
 
 def test_wm_level_zero(lad):

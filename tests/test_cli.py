@@ -156,7 +156,8 @@ def test_ladder_too_deep_is_refused_at_once(capsys):
     "argv, message",
     [
         # reads alpha at 2p[12], which lies in level 13
-        ("rigidity --n 12 --count 1", "level 13 would take about 5053885 bits, past the limit of 4194304"),
+        ("rigidity --n 12 --count 1", "level 13 would take about 6377290 bits, past the limit of 4194304"),
+        ("wm --n 12", "level 13 would take about 6377290 bits, past the limit of 4194304"),
         ("returns --n 12", "scan of more than 2000001 points refused"),
         ("ones --n 12 --window 5", "window_end must cover at least one full window"),
         # reads levels 1 and 12 only, so the scan limit refuses it first
@@ -172,6 +173,12 @@ def test_verify_failed_certificate_exits_one(capsys):
     code, out, _ = run_cli(capsys, "verify", "wm", "--n", "0", "--eps", "1/8")
     assert code == 1
     assert json.loads(out)["pass"] is False
+
+
+@pytest.mark.parametrize("eps", ["0", "-1/2"])
+def test_verify_wm_refuses_a_tolerance_that_is_not_positive(capsys, eps):
+    code, out, err = run_cli(capsys, "verify", "wm", "--n", "0", f"--eps={eps}")
+    assert (code, out, err) == (2, "", "error: tolerance must be positive\n")
 
 
 def test_verify_ones(capsys):
@@ -206,6 +213,16 @@ def test_undersized_schedule_is_rejected(capsys, tmp_path):
         capsys, "--ladder-schedule", str(sched), "gen", "--len", "5"
     )
     assert code == 2 and "error" in err
+    # the call's one ladder is built before any command runs, also one
+    # that never reads alpha
+    path = tmp_path / "w.csv"
+    path.write_text(dumps_csv(full_shift_transitive_point(400)))
+    code, out, err = run_cli(
+        capsys, "--ladder-schedule", str(sched), "relations", "classify", "--a", str(path),
+        "--b", "ones", "--delta", "1", "--horizon", "300", "--k", "8", "--tau", "1/100",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: schedule entry L[1]=8 is below the minimum p[0]^2=9\n"
 
 
 def test_config_file_settings(capsys, tmp_path):
@@ -228,6 +245,31 @@ def test_config_file_settings(capsys, tmp_path):
     cfg.write_text(f"[run]\nladder_schedule = {sched}\n")
     code, out, err = run_cli(capsys, "--config", str(cfg), "gen", "--len", "1")
     assert (code, out) == (2, "") and "ladder_policy = explicit" in err
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("decimals = -1", "argument --decimals: must be nonnegative"),
+        ("decimals = abc", "argument --decimals: invalid _nonneg_int value: 'abc'"),
+        ("parallelism = 0", "argument --parallelism: must be at least 1"),
+    ],
+)
+def test_config_values_pass_the_flags_checks(capsys, tmp_path, setting, message):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[run]\n{setting}\n")
+    with pytest.raises(SystemExit) as exc:
+        console_main(["--config", str(cfg), "gen", "--len", "1"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.endswith(f"wkseq: error: {message}\n")
+
+
+def test_config_format_is_checked(capsys, tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nformat = xml\n")
+    code, out, err = run_cli(capsys, "--config", str(cfg), "gen", "--len", "1")
+    assert (code, out, err) == (2, "", "error: unknown output format 'xml'\n")
 
 
 def test_flags_override_config(capsys, tmp_path):

@@ -87,6 +87,29 @@ def test_oversized_levels_are_refused_before_growing():
         ladder_new([9, 1 << MAX_LEVEL_BITS])
 
 
+@pytest.mark.parametrize("policy", ["default-minimal", (10, 72901)])
+def test_a_refusal_reads_the_same_whatever_was_grown(policy):
+    # the estimate starts from the deepest level the schedule fixes, so it
+    # does not depend on how far the ladder has grown
+    texts = []
+    for grown in (0, 12):
+        lad = ladder_new(policy)
+        lad.ensure(grown)
+        with pytest.raises(LadderError) as exc:
+            lad.p(13)
+        texts.append(str(exc.value))
+    assert texts[0] == texts[1]
+    assert texts[0].startswith("level 13 would take about ")
+
+
+@pytest.mark.parametrize("t", [0.1, 0.5, "5/2", 2.0, None])
+def test_evaluators_take_only_ints_and_fractions(lad, t):
+    for read in (lambda: eval_ainf(lad, t), lambda: eval_b(lad, 1, t)):
+        with pytest.raises(TypeError, match="int or a Fraction"):
+            read()
+    assert eval_ainf(lad, F(3, 2)) == eval_b(lad, 0, F(3, 2)) == F(1, 2)
+
+
 #: Larger than p[10] on both ladders below, so a shift-defect grid of this
 #: step over level n <= 10 is the one point -p[n].
 ONE_POINT_STEP = 3 ** 3 ** 11

@@ -32,7 +32,7 @@ from wkseq import (
     window_source,
     zeros_source,
 )
-from wkseq import relations, sequence
+from wkseq import orbits, relations, sequence
 from wkseq.sequence import alpha_block
 
 
@@ -517,6 +517,39 @@ def _assert_pair_oracles(a, b, fa, fb, start, horizon, k):
     assert (prox[0], *prox[1]) == oracles.naive_min_hi(fa, fb, start, horizon, k)
     assert (sep[0], *sep[1]) == oracles.naive_max_lo(fa, fb, start, horizon, k)
     assert (recur[0], recur[1].hi) == oracles.naive_recur_defect(fa, fb, max(start, 1), horizon, k)
+
+
+def _least_tail_period(values):
+    """tail_period by brute force: the least period at most half the tail,
+    and the first index from which the values keep it."""
+    tail = values[len(values) - min(orbits.TAIL, len(values) // 2):]
+    for p in range(1, len(tail) // 2 + 1):
+        if all(tail[j] == tail[j + p] for j in range(len(tail) - p)):
+            first = len(values) - p
+            while first and values[first - 1] == values[first - 1 + p]:
+                first -= 1
+            return p, first
+    return None
+
+
+def test_tail_period_matches_brute_force():
+    symbols = [F(0), F(1, 2), F(1)]
+    cases = [[symbols[int(c)] for c in format(code, f"0{n}b")]
+             for n in range(1, 13) for code in range(2**n)]
+    rng = random.Random(1717)
+    for _ in range(300):
+        n, q = rng.randrange(2, 400), rng.randrange(1, 12)
+        word = [rng.choice(symbols) for _ in range(q)]
+        values = [word[i % q] for i in range(n)]
+        for _ in range(rng.randrange(3)):  # a few changed values, anywhere
+            values[rng.randrange(n)] = rng.choice(symbols)
+        cases.append(values)
+    # the shape aaab: the first candidate fails and no later one is a period
+    cases += [[F(0)] * a + [F(1)] * b for a in range(1, 40) for b in range(1, 4)]
+    # equal values as distinct objects are alike
+    cases.append([F(n % 3, 2) for n in range(60)])
+    for values in cases:
+        assert orbits.tail_period(values) == _least_tail_period(values), values
 
 
 def _window_cases():
