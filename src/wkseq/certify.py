@@ -32,6 +32,7 @@ from .ladder import (
     eval_ainf,
     eval_b,
     eval_block,
+    exact_fraction,
     pieces,
     spans,
 )
@@ -184,7 +185,7 @@ def check_shift_defect(
     """
     if m < n:
         raise DomainError("the periodized level may not be below the shift level")
-    grid_step = Fraction(grid_step)
+    grid_step = exact_fraction(grid_step)
     if grid_step <= 0:
         raise ValueError("grid step must be positive")
     span = ladder.p(m)
@@ -282,7 +283,7 @@ def check_wm_returns(
     big_n = 2 * ladder.splice(n + 1) - 1
     p_n = ladder.p(n)
     if eps is not None:
-        eps = Fraction(eps)
+        eps = exact_fraction(eps)
         if eps <= 0:
             raise ValueError("tolerance must be positive")
     agree = range(p_n + 1)

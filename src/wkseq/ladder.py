@@ -175,6 +175,13 @@ def _exact(t: Rational) -> tuple[int, int]:
     return t.numerator, t.denominator
 
 
+def exact_fraction(t: Rational) -> Fraction:
+    """An int or a Fraction t as a Fraction; anything else is refused, as
+    `_exact` refuses it, so no float or string reaches the core."""
+    _exact(t)
+    return Fraction(t)
+
+
 def _value(num: int, den: int) -> Fraction:
     return ZERO if num == 0 else ONE if num == den else Fraction(num, den)
 

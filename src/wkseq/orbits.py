@@ -4,9 +4,11 @@ An `OrbitSource` gives lazy access to the coordinates of a one-sided orbit
 point: alpha, a constant, or a window file.  It may also state where its
 coordinates repeat, and they repeat exactly: a constant with period 1,
 alpha with the period of the level below over each of its repeats (486 on
-[244, 3^15)), and a window of alpha with the same.  An `OrbitView` reads a
-source from a fixed shift onward.  `jump_over` combines the repeats of the
-views one relation search reads into the stretch of times it may skip.
+[244, 3^15)), and a window of alpha with the same.  Where a source does not
+repeat, it states where that stretch ends.  An `OrbitView` reads a source
+from a fixed shift onward.  `jump_over` combines the stretches of the views
+one relation search reads into the times it may skip, or the time at which
+to ask again.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, NamedTuple, Sequence
 
-from .ladder import Ladder, Rational, pieces
+from .ladder import Ladder, Rational, exact_fraction, pieces
 from .sequence import SeqWindow, alpha_block
 
 
@@ -24,16 +26,17 @@ class OrbitSource:
     length is None for sources that can produce arbitrarily many
     coordinates.  The `read` callback returns coordinates start .. stop-1;
     `read` checks them against the bounds before calling it.  The optional
-    `repeat` callback is one structural fact: `repeat(i)` is (period, stop)
-    when x[j] == x[j + period] for every i <= j < stop - period (stop None:
-    no end), or None where the source knows no such stretch from i.
+    `repeat` callback states the stretch from coordinate i: `repeat(i)` is
+    (period, stop), with stop > i where the next stretch begins (None: no
+    end), and x[j] == x[j + period] for every i <= j < stop - period, or
+    period None where the source does not repeat from i.
     """
 
     def __init__(
         self,
         read: Callable[[int, int], Sequence[Fraction]],
         length: int | None = None,
-        repeat: Callable[[int], tuple[int, int | None] | None] = lambda i: None,
+        repeat: Callable[[int], tuple[int | None, int | None]] = lambda i: (None, None),
     ):
         self.length = length
         self._read = read
@@ -51,16 +54,16 @@ class OrbitSource:
 
 
 def alpha_source(ladder: Ladder) -> OrbitSource:
-    """alpha.  Its repeat from coordinate i is the piece of the level n
+    """alpha.  Its stretch from coordinate i is the piece of the level n
     covering i that starts there: a plateau of ones has period 1, the level
     below read as it is has its period 2p[n-1], and a ramp has none."""
     p = ladder.sizes
 
-    def repeat(i: int) -> tuple[int, int] | None:
+    def repeat(i: int) -> tuple[int | None, int]:
         n = ladder.ensure_cover(i)
         _, stop, below, copies, _ = next(pieces(ladder, n, i, p[n] + 1))
         if copies is not None:
-            return None
+            return None, stop
         return 1 if below is None or not n else 2 * p[n - 1], stop
 
     return OrbitSource(lambda a, b: alpha_block(ladder, a, b - a), repeat=repeat)
@@ -107,23 +110,22 @@ def tail_period(values: Sequence[Fraction]) -> tuple[int, int] | None:
 
 def window_source(window: SeqWindow) -> OrbitSource:
     """A window file's values.  They repeat with the least period of the
-    file's tail from where the file starts keeping it; `tail_period` finds
-    both the first time a search asks, so a search that ends in its first
-    block never pays for it."""
+    file's tail from where the file starts keeping it, and not before;
+    `tail_period` finds both the first time a search asks."""
     values = window.values
     found = []
 
-    def repeat(i: int) -> tuple[int, int] | None:
+    def repeat(i: int) -> tuple[int | None, int]:
         if not found:
-            found.append(tail_period(values))
-        tail = found[0]
-        return (tail[0], len(values)) if tail and i >= tail[1] else None
+            found.append(tail_period(values) or (None, len(values)))
+        period, first = found[0]
+        return (period, len(values)) if i >= first else (None, first)
 
     return OrbitSource(lambda a, b: values[a:b], len(values), repeat)
 
 
 def constant_source(value: Rational) -> OrbitSource:
-    v = Fraction(value)
+    v = exact_fraction(value)
     return OrbitSource(lambda a, b: [v] * (b - a), repeat=lambda i: (1, None))
 
 
@@ -157,18 +159,20 @@ class OrbitView(NamedTuple("OrbitView", [("source", OrbitSource), ("shift", int)
         return self.source.length - self.shift - k
 
 
-def jump_over(views: Sequence[OrbitView], width: int, t: int, horizon: int) -> tuple[int, int] | None:
-    """(ready, leave) when every view repeats from time t.  With P the lcm
-    of their periods, the sums of the times t .. leave-1, whose windows of
-    `width` values stay in every stretch, repeat with period P; so once the
-    times t .. ready-1 = t+P-1 are scanned, the rest can be skipped.  None
-    when some view does not repeat or nothing would be skipped."""
+def jump_over(views: Sequence[OrbitView], width: int, t: int, horizon: int) -> tuple[int, int]:
+    """(ready, leave): scan the times t .. ready-1, skip ready .. leave-1,
+    and ask again at leave.  When every view repeats from time t, with P the
+    lcm of their periods, the sums of the times t .. leave-1, whose windows
+    of `width` values stay in every stretch, repeat with period P; so once
+    the times t .. ready-1 = t+P-1 are scanned, the rest can be skipped.
+    Otherwise, or when nothing would be skipped, ready = leave is where the
+    first view's stretch ends, or horizon + 1 when none ends before."""
     period, end = 1, horizon + width
     for source, shift in views:
-        rep = source.repeat(shift + t)
-        if rep is None:
-            return None
-        period = lcm(period, rep[0])
-        end = end if rep[1] is None else min(end, rep[1] - shift)
-    ready, leave = t + period, end - width + 1
-    return (ready, leave) if ready < leave else None
+        rep, stop = source.repeat(shift + t)
+        period = lcm(period, rep) if period and rep else None
+        end = end if stop is None else min(end, stop - shift)
+    leave = end - width + 1
+    if period and t + period < leave:
+        return t + period, leave
+    return (min(end, horizon + 1),) * 2

@@ -99,7 +99,7 @@ def csv_window(lines: Iterable[str]) -> SeqWindow:
     if offset is None:
         raise WindowFormatError("no data rows")
     try:
-        return SeqWindow(offset, tuple(values))
+        return SeqWindow._from_distinct(offset, tuple(values), parsed.values())
     except ValueError as exc:
         raise WindowFormatError(str(exc)) from None
 
@@ -154,7 +154,7 @@ def json_window(text: str) -> SeqWindow:
         offset = doc["offset"]
         if type(offset) is not int:
             raise ValueError(f"offset must be an integer, got {offset!r}")
-        return SeqWindow(offset, values)
+        return SeqWindow._from_distinct(offset, values, parsed.values())
     except (KeyError, ValueError) as exc:
         raise WindowFormatError(str(exc)) from None
 
@@ -199,6 +199,6 @@ def _json_blocks(text: str) -> SeqWindow | None:
             break
         pos = cut + 1 + text.startswith(" ", cut + 1)
     try:
-        return SeqWindow(doc["offset"], tuple(values))
+        return SeqWindow._from_distinct(doc["offset"], tuple(values), parsed.values())
     except ValueError:
         return None

@@ -11,9 +11,10 @@ All searches of one call share one block loop, `_scan`.  It walks the time
 range in blocks of `sequence.STREAM_BLOCK` times, reads each view once per
 block and hands that read to `sequence.bracket_scan`, the one place a
 bracket sum is computed.  So a search holds at most one block of each orbit
-at any horizon.  Ties always prefer the smallest time.  Where the orbits
-it reads repeat (see `orbits`), a search scans one period of the stretch
-and jumps to where its windows leave it.
+at any horizon.  Ties always prefer the smallest time.  Each orbit states
+where its stretches begin and which of them repeat (see `orbits`); where
+every orbit a search reads repeats, the search scans one period of the
+stretch and jumps to where its windows leave it.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from . import sequence
 # eval_ainf stays bound here: bench/tracing.py counts evaluator calls
 # through this module's name for it.
-from .ladder import Rational, eval_ainf
+from .ladder import Rational, eval_ainf, exact_fraction
 # alpha_source, ones_source, window_source and zeros_source stay bound here:
 # the CLI calls them, and bench/tracing.py times them, through this module.
 from .orbits import (OrbitSource, OrbitView, alpha_source, jump_over, ones_source,
@@ -83,23 +84,22 @@ def _scan(
     bracket replaces a search's best, a search that has met its bound scans
     no further, and the walk ends once every search has.
 
-    From the second block on, the walk asks at each block start whether
-    every view repeats (`orbits.jump_over`).  If so, it scans one common
-    period of the stretch, then jumps to the first time whose windows leave
-    it.  Every search starts at `start` or one time later, so each has
-    scanned that period; the sums skipped repeat ones already scanned, and
-    none can be strictly better.
+    From the first time every open search covers, the largest first, the
+    walk asks `orbits.jump_over` where to skip, and asks again where it
+    says; blocks end at those times.  Where every view repeats, the walk
+    scans one common period of the stretch, then jumps to the first time
+    whose windows leave it.  Every open search has scanned that period, so
+    the sums skipped repeat ones already scanned, and none can be strictly
+    better.
     """
     best: list[tuple[int, DistBracket] | None] = [None] * len(searches)
     done = [s.first > horizon for s in searches]
-    t0, jump = start, None
+    t0 = start
+    ready = leave = max((s.first for s, d in zip(searches, done) if not d), default=start)
     while t0 <= horizon and not all(done):
-        if jump is None and t0 > start:
-            jump = jump_over(views, width, t0, horizon)
-        if jump and t0 == jump[0]:
-            t0, jump = jump[1], None
-            continue
-        t1 = min(horizon + 1, t0 + sequence.STREAM_BLOCK, jump[0] if jump else horizon + 1)
+        if t0 == leave:
+            ready, leave = jump_over(views, width, t0, horizon)
+        t1 = min(horizon + 1, t0 + sequence.STREAM_BLOCK, ready)
         reads = [view.read(t0, t1 + width - 1) for view in views]
         for i, s in enumerate(searches):
             if done[i] or s.first >= t1:
@@ -110,7 +110,7 @@ def _scan(
             if best[i] is None or (br.lo > best[i][1].lo if s.want_max else br.lo < best[i][1].lo):
                 best[i] = t0 + skip + t, br
             done[i] = br.hi == 2 if s.want_max else br.lo == 0
-        t0 = t1
+        t0 = leave if t1 == ready else t1
     return best
 
 
@@ -223,7 +223,7 @@ def classify_pair(
     Recurrence is searched from time max(start, 1); when that leaves no
     time in the horizon, its clause is inconclusive.
     """
-    delta, tau = Fraction(delta), Fraction(tau)
+    delta, tau = exact_fraction(delta), exact_fraction(tau)
     if delta <= 0 or tau <= 0:
         raise ValueError("delta and tau must be positive")
     prox, sep, recur = _pair_scan(a, b, start, horizon, k)
@@ -246,7 +246,7 @@ def thmB_witnesses(
     Recurrence is searched from time 1; at horizon 0 its clause is
     inconclusive, as in `classify_pair`.
     """
-    tau = Fraction(tau)
+    tau = exact_fraction(tau)
     if tau <= 0:
         raise ValueError("tau must be positive")
     pairs = list(pairs)
@@ -288,7 +288,7 @@ def thmC_witnesses(
     all lie in [0, horizon], so a finite orbit needs horizon < its length.
     Raises NotFoundInHorizonError when no such occurrence exists.
     """
-    delta, tau = Fraction(delta), Fraction(tau)
+    delta, tau = exact_fraction(delta), exact_fraction(tau)
     if q < 1:
         raise ValueError("block length must be at least 1")
     if k < 1:

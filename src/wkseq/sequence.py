@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import islice
 from math import lcm
 from operator import mul, sub
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .ladder import DomainError, Ladder, Rational, eval_ainf, eval_block
 
@@ -24,22 +24,40 @@ from .ladder import DomainError, Ladder, Rational, eval_ainf, eval_block
 class SeqWindow:
     """Contiguous slice values[i] = x(offset + i) of a one-sided sequence.
 
-    Immutable, equal by value, and as long as its values.
+    Immutable, equal by value, and as long as its values.  It also keeps
+    its distinct value objects once each, in the order of their first
+    appearance, for `seqio.window_chunks` to format once each.
     """
 
-    __slots__ = ("offset", "values")
+    __slots__ = ("offset", "values", "_distinct")
 
     def __init__(self, offset: int, values: tuple[Fraction, ...]):
+        # once per object: alpha_block shares one object per value
+        self._fill(offset, values, dict(zip(map(id, values), values)).values())
+
+    @classmethod
+    def _from_distinct(
+        cls, offset: int, values: tuple[Fraction, ...], distinct: Iterable[Fraction]
+    ) -> SeqWindow:
+        """The window of `values`, each one of the objects `distinct`, which
+        come in the order of their first appearance in values: a reader's
+        memo of the values it parsed, so each is checked once."""
+        window = cls.__new__(cls)
+        window._fill(offset, values, distinct)
+        return window
+
+    def _fill(self, offset: int, values: tuple[Fraction, ...], distinct: Iterable[Fraction]) -> None:
         if offset < 0:
             raise ValueError("window offset must be nonnegative")
         if not values:
             raise ValueError("window must hold at least one value")
-        # once per object: the readers and alpha_block share one object per value
-        for v in dict(zip(map(id, values), values)).values():
+        distinct = tuple(distinct)
+        for v in distinct:
             if not 0 <= v.numerator <= v.denominator:
                 raise ValueError(f"window value {v} outside [0, 1]")
         object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_distinct", distinct)
 
     def __setattr__(self, name: str, value=None) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

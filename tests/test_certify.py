@@ -27,6 +27,18 @@ def lad():
     return ladder_new("default-minimal")
 
 
+@pytest.mark.parametrize("t", [0.1, 0.3, "1/8", 2.0])
+def test_certificates_take_only_ints_and_fractions(lad, t):
+    # a float or a string would reach the grid or the tolerance at its
+    # binary or parsed value
+    with pytest.raises(TypeError, match="int or a Fraction"):
+        check_shift_defect(lad, 0, 0, t)
+    with pytest.raises(TypeError, match="int or a Fraction"):
+        check_wm_returns(lad, 0, eps=t)
+    assert check_shift_defect(lad, 0, 0, 1).grid_step == 1
+    assert check_wm_returns(lad, 0, eps=F(1, 8)).eps == F(1, 8)
+
+
 def test_shift_defect_vanishes_on_own_period(lad):
     for n in (0, 1):
         rep = check_shift_defect(lad, n, n, 1)

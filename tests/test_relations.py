@@ -480,6 +480,24 @@ def test_thmC_pattern_absent_raises(fixture):
         thmC_witnesses(constant_source(1), 1, F(2), 10**4, 8, F(1, 64))
 
 
+@pytest.mark.parametrize("t", [0.1, 0.5, "1/2", 1.0])
+def test_searches_take_only_ints_and_fractions(t):
+    ones = OrbitView(ones_source())
+    half = F(1, 2)
+    for call in (
+        lambda: constant_source(t),
+        lambda: classify_pair(ones, ones, t, 0, 5, 4, half),
+        lambda: classify_pair(ones, ones, 1, 0, 5, 4, t),
+        lambda: thmB_witnesses(ones_source(), ones_source(), [(0, 1)], 5, 4, t),
+        lambda: thmC_witnesses(ones_source(), 1, t, 5, 4, half),
+        lambda: thmC_witnesses(ones_source(), 1, 1, 5, 4, t),
+    ):
+        with pytest.raises(TypeError, match="int or a Fraction"):
+            call()
+    assert constant_source(1).read(0, 1) == [1]
+    assert classify_pair(ones, ones, 1, 0, 5, 4, half).labels[0] == PROXIMAL_WITNESSED
+
+
 def test_verdict_json_shape(alpha_view):
     ones = OrbitView(ones_source(), 0)
     doc = classify_pair(alpha_view, ones, F(1), 0, 60, 8, F(1, 100)).to_json_dict()
@@ -506,9 +524,10 @@ def _periodic(rng, head, period, length, tail=0, pool=POOL):
 
 
 def _stretch_source(values, period, first, stop):
-    """values as a source stating the one repeat they have by construction."""
+    """values as a source stating the one repeat they have by construction:
+    aperiodic before `first` and from `stop` on."""
     return OrbitSource(lambda a, b: values[a:b], len(values),
-                       lambda i: (period, stop) if first <= i < stop else None)
+                       lambda i: (period, stop) if first <= i < stop else (None, first if i < first else None))
 
 
 def _assert_pair_oracles(a, b, fa, fb, start, horizon, k):
@@ -604,7 +623,7 @@ def test_skip_treats_equal_values_alike_whatever_their_text(monkeypatch):
         counted = OrbitSource(lambda a, b: reads.append(b - a) or src.read(a, b), src.length, src.repeat)
         _assert_pair_oracles(OrbitView(counted), OrbitView(constant_source(F(1, 4))),
                              values.__getitem__, lambda i: F(1, 4), 0, horizon, k)
-        assert len(reads) <= 4  # one period of 3 after the first block, then done
+        assert len(reads) <= 3  # the home window, time 0, one period of 3 from time 1, then done
 
 
 @pytest.mark.parametrize("first, leave", [(127, 385), (128, 384), (129, 383)])
@@ -677,8 +696,8 @@ def _shifted_source(src, shift):
     """src read from coordinate `shift` on, with its repeats."""
 
     def repeat(i):
-        rep = src.repeat(shift + i)
-        return rep and (rep[0], rep[1] - shift)
+        period, stop = src.repeat(shift + i)
+        return period, stop - shift
 
     return OrbitSource(OrbitView(src, shift).read, repeat=repeat)
 
@@ -691,13 +710,18 @@ def test_alpha_repeats_hold_against_the_oracle(schedule):
     s2 = p[1] * L[2]  # stretch(2)
     # below stretch(2) alpha repeats the level below, period 2p[1], from p[1] + 1
     assert src.repeat(p[1] + 1) == (2 * p[1], s2)
-    assert src.repeat(s2) is None  # level 2's ramp
+    assert src.repeat(s2) == (None, 2 * s2)  # level 2's ramp, up to its plateau
     assert src.repeat(2 * s2)[0] == 1  # its plateau of ones
+    # the short pieces of levels 0 and 1 lead, stretch by stretch, to that repeat
+    i, stretches = 0, 0
+    while i <= p[1]:
+        i, stretches = src.repeat(i)[1], stretches + 1
+    assert i == p[1] + 1 and stretches <= 16
     for i in (0, 2, 60, p[1], p[1] + 1, 1000, s2 - 600, s2 - 1, 2 * s2 + 7):
-        rep = src.repeat(i)
-        if rep is None:
+        period, stop = src.repeat(i)
+        assert stop > i
+        if period is None:
             continue
-        period, stop = rep
         for j in {*range(i, min(i + 30, stop - period)), *range(max(i, stop - period - 30), stop - period)}:
             assert oracles.limit_value(j, schedule) == oracles.limit_value(j + period, schedule)
 
@@ -754,9 +778,87 @@ def test_skip_on_ones_matches_oracles(monkeypatch):
     _assert_pair_oracles(ones, OrbitView(constant_source(F(1, 2))), one, half, 0, 3000, 8)
 
 
+# -- the walk asks from the first time every search covers ------------------
+
+def _walk_cases():
+    """(a, fa, b, fb, start, horizon, k): pairs of views, each with its
+    values by index, over alpha from 0 and over window files."""
+    rng = random.Random(1818)
+    lad = ladder_new("default-minimal")
+    alpha = [oracles.limit_value(i) for i in range(1300)]
+    from0 = _periodic(rng, 0, 7, 1400)  # periodic from index 0
+    later = _periodic(rng, 150, 9, 1400)  # periodic from index 150
+    third, one = (lambda i: F(1, 3)), (lambda i: F(1))
+
+    def view(values, shift=0):
+        return OrbitView(window_source(SeqWindow(0, values)), shift), lambda i: values[i + shift]
+
+    return [
+        # alpha from 0 across p[1] + 1 = 244, where its 486-period begins
+        (OrbitView(alpha_source(lad)), alpha.__getitem__, OrbitView(constant_source(F(1, 3))), third, 0, 1200, 8),
+        (OrbitView(alpha_source(lad)), alpha.__getitem__,
+         OrbitView(alpha_source(lad), 5), lambda i: alpha[i + 5], 0, 1200, 8),
+        (OrbitView(alpha_source(lad), 3), lambda i: alpha[i + 3], OrbitView(ones_source()), one, 100, 1200, 8),
+        (*view(from0), OrbitView(ones_source()), one, 0, 1380, 8),
+        (*view(from0, 3), OrbitView(constant_source(F(1, 3))), third, 40, 1380, 8),
+        (*view(later), *view(later, 4), 0, 1380, 8),
+        (*view(later, 2), OrbitView(constant_source(F(1, 3))), third, 200, 1380, 8),
+    ]
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_walk_matches_oracles_at_any_block_size(case, monkeypatch):
+    a, fa, b, fb, start, horizon, k = _walk_cases()[case]
+    expected = (oracles.naive_min_hi(fa, fb, start, horizon, k), oracles.naive_max_lo(fa, fb, start, horizon, k),
+                oracles.naive_recur_defect(fa, fb, max(start, 1), horizon, k))
+    for block in (64, sequence.STREAM_BLOCK):
+        monkeypatch.setattr(sequence, "STREAM_BLOCK", block)
+        prox, sep, recur = relations._pair_scan(a, b, start, horizon, k)
+        assert ((prox[0], *prox[1]), (sep[0], *sep[1]), (recur[0], recur[1].hi)) == expected
+
+
+@pytest.mark.parametrize("period", [37, 63, 64, 65])
+def test_recurrence_best_at_the_period_itself(period, monkeypatch):
+    # periodic from index 0, so the first exact return is at time P, the
+    # last time of the period the walk scans from time 1 before it jumps
+    rng = random.Random(period)
+    values = _periodic(rng, 0, period, 700)
+    fx, one, k = values.__getitem__, (lambda i: F(1)), 8
+    horizon = len(values) - k
+    expected = oracles.naive_recur_defect(fx, one, 1, horizon, k)
+    assert expected == (period, F(2) ** (1 - k))
+    for block in (64, sequence.STREAM_BLOCK):
+        monkeypatch.setattr(sequence, "STREAM_BLOCK", block)
+        for start in (0, 1):
+            recur = relations._pair_scan(OrbitView(window_source(SeqWindow(0, values))),
+                                         OrbitView(ones_source()), start, horizon, k, [2])[0]
+            assert (recur[0], recur[1].hi) == expected
+
+
+def test_thmB_walk_matches_oracles_at_any_block_size(monkeypatch):
+    # one view of a file periodic from index 150, read as wide as its
+    # farthest shift plus k
+    values = _periodic(random.Random(1919), 150, 9, 900)
+    fx, pairs, horizon, k = values.__getitem__, [(0, 3), (5, 2)], 800, 8
+    expected = []
+    for m, n in pairs:
+        near = [max(oracles.naive_bracket_lo(lambda i: fx(t + m + i), lambda i: F(1, 2), 0, k),
+                    oracles.naive_bracket_lo(lambda i: fx(t + n + i), lambda i: F(1, 2), 0, k))
+                for t in range(horizon + 1)]
+        expected.append(((near.index(min(near)), min(near) + F(2) ** (1 - k)),
+                         oracles.naive_recur_defect(lambda i: fx(m + i), lambda i: fx(n + i), 1, horizon, k)))
+    for block in (64, sequence.STREAM_BLOCK):
+        monkeypatch.setattr(sequence, "STREAM_BLOCK", block)
+        verdicts = thmB_witnesses(window_source(SeqWindow(0, values)), constant_source(F(1, 2)),
+                                  pairs, horizon, k, F(2))
+        assert [(v.prox_witness, v.recur_witness) for v in verdicts] == expected
+
+
 def test_skip_reads_a_few_blocks_where_the_orbit_repeats():
     # at the default block size; a repeat that never skips would read all
-    # 25 blocks of the window and 2442 of alpha
+    # 25 blocks of the window and 2442 of alpha.  Where the orbit repeats,
+    # the walk reads the times before its period starts, at most p[1] + 1 =
+    # 244 on alpha, and one period of 486.
     lad = ladder_new("default-minimal")
     periodic = SeqWindow(4860, tuple(alpha_block(lad, 4860, 10**5)))
     rng = random.Random(2100)
@@ -773,7 +875,5 @@ def test_skip_reads_a_few_blocks_where_the_orbit_repeats():
         # separation never meets its bound here, so only a skip ends the walk
         classify_pair(OrbitView(counted), ones, F(1), 0, horizon, k, F(1, 100))
         blocks = reads[1:]  # the first read is the recurrence search's home window
-        if every:
-            assert sum(b - a - (k - 1) for a, b in blocks) == horizon + 1
-        else:
-            assert len(blocks) <= 3
+        times = sum(b - a - (k - 1) for a, b in blocks)
+        assert times == horizon + 1 if every else times <= 244 + 486

@@ -45,6 +45,84 @@ def test_window_chunks_stream():
     assert next(chunks) == "index,value_num,value_den\n7,1,1\n8,1,2\n"
 
 
+def _plain_text(offset, values, fmt, decimals=0):
+    """A window file's text written one row or entry at a time, as the
+    README documents the formats."""
+    if fmt == "json":
+        entries = ",".join(f'"{v.numerator}/{v.denominator}"' for v in values)
+        return f'{{"offset":{offset},"schema":"wk-window/1","values":[{entries}]}}\n'
+    rows = ["index,value_num,value_den" + (",value_decimal" if decimals else "")]
+    for i, v in enumerate(values, offset):
+        row = f"{i},{v.numerator},{v.denominator}"
+        if decimals:
+            digits = v.numerator * 10**decimals // v.denominator
+            row += f",{digits // 10**decimals}.{digits % 10**decimals:0{decimals}d}"
+        rows.append(row)
+    return "\n".join(rows) + "\n"
+
+
+def _assert_same_text(got, expected):
+    """got == expected, reported at the first character that differs: a
+    diff of two long texts would take minutes."""
+    at = next((i for i, (a, b) in enumerate(zip(got, expected)) if a != b), min(len(got), len(expected)))
+    same = got == expected
+    assert same, f"at {at}: {got[at - 30:at + 30]!r} against {expected[at - 30:at + 30]!r}"
+
+
+FORMATS = [("csv", 0), ("csv", 6), ("json", 0)]
+
+
+@pytest.mark.parametrize("fmt, decimals", FORMATS)
+@pytest.mark.parametrize("start, length, block", [
+    (5000, 3000, None),  # alpha's 486-period: 80 value objects a window
+    (25_000_000, 4096 + 700, None),  # level 2's ramp, mostly distinct, across a block edge
+    (200, 1000, 64),  # many blocks, and the step from level 1 to level 2 at 244
+])
+def test_gen_writes_the_plain_per_row_text(fmt, decimals, start, length, block, capsys, monkeypatch):
+    from wkseq import console_main, sequence
+
+    if block:
+        monkeypatch.setattr(sequence, "STREAM_BLOCK", block)
+    flags = ["--format", fmt, "--decimals", str(decimals)]
+    assert console_main([*flags, "gen", "--from", str(start), "--len", str(length)]) == 0
+    values = sequence.alpha_window(ladder_new("default-minimal"), start, length).values
+    _assert_same_text(capsys.readouterr().out, _plain_text(start, values, fmt, decimals))
+
+
+@pytest.mark.parametrize("fmt, decimals", FORMATS)
+def test_window_chunks_write_distinct_and_repeated_objects_alike(fmt, decimals):
+    distinct = [F(i, 1009) for i in range(1000)]
+    repeated = [distinct[i % 5] for i in range(1000)]
+    equal_copies = [F(i % 5, 1009) for i in range(1000)]  # equal values, distinct objects
+    for values in (distinct, repeated, equal_copies, distinct[:300] + repeated, repeated[:300] + distinct):
+        window = SeqWindow(7, tuple(values))
+        _assert_same_text("".join(window_chunks([window], fmt, decimals)), _plain_text(7, values, fmt, decimals))
+
+
+@pytest.mark.parametrize("decimals", [0, 6])
+def test_csv_chunks_hold_at_most_write_rows_rows(decimals):
+    from wkseq.seqio import WRITE_ROWS
+
+    distinct = tuple(F(i, 3 * WRITE_ROWS) for i in range(2 * WRITE_ROWS + 5))
+    repeated = tuple(distinct[i % 5] for i in range(WRITE_ROWS + 1))
+    chunks = list(window_chunks([SeqWindow(7, distinct), SeqWindow(2 * WRITE_ROWS + 12, repeated)], "csv", decimals))
+    assert [c.count("\n") for c in chunks] == [WRITE_ROWS + 1, WRITE_ROWS, 5, WRITE_ROWS, 1]
+    _assert_same_text("".join(chunks), _plain_text(7, distinct + repeated, "csv", decimals))
+
+
+@pytest.mark.parametrize("fmt, decimals", FORMATS)
+def test_window_chunks_memo_lives_one_window(fmt, decimals):
+    # each window's objects are freed once it is written, so a later window's
+    # objects may take their ids; its text must still be its own
+    def windows():
+        for w in range(40):
+            unit = [F((w * 7 + j) % 1009, 1009) for j in range(3)]
+            yield SeqWindow(100 * w, tuple(unit[i % 3] for i in range(100)))
+
+    expected = [v for w in windows() for v in w.values]
+    _assert_same_text("".join(window_chunks(windows(), fmt, decimals)), _plain_text(0, expected, fmt, decimals))
+
+
 def test_csv_round_trip():
     assert loads_csv(dumps_csv(SAMPLE)) == SAMPLE
 
@@ -300,13 +378,32 @@ def test_json_reader_matches_per_row_reader(rows, fault, bad, entry, compact, pi
         assert _outcome(reference_readers.loads_json, text)[0] == "window"
 
 
+@pytest.mark.parametrize("block", [None, 2])
+def test_readers_report_the_first_value_outside_the_range(block, monkeypatch):
+    # each distinct value is checked once, in the order of its first row
+    if block:
+        monkeypatch.setattr(readers, "CSV_BLOCK", block)
+        monkeypatch.setattr(readers, "JSON_SLICE", block)
+    texts = ["1/2", "1/3", "5/4", "1/2", "3/2", "5/4", "1/3"]
+    rows = "".join(f"{i},{t.replace('/', ',')}\n" for i, t in enumerate(texts))
+    doc = {"schema": "wk-window/1", "offset": 0, "values": texts}
+    for load, text in ((loads_csv, "index,value_num,value_den\n" + rows), (loads_json, json.dumps(doc)),
+                       # the exact paths
+                       (loads_csv, "index,value_num,value_den\n\n" + rows), (loads_json, json.dumps(doc, indent=1))):
+        with pytest.raises(WindowFormatError, match=r"^window value 5/4 outside \[0, 1\]$"):
+            load(text)
+
+
 def test_readers_share_one_object_per_distinct_text():
     w = loads_csv("index,value_num,value_den\n0,1,2\n1,0,1\n2,1,2\n3,2,4\n4,0,1\n")
     assert w.values == (F(1, 2), 0, F(1, 2), F(1, 2), 0)
     assert w.values[0] is w.values[2] and w.values[1] is w.values[4]
     assert w.values[3] is not w.values[0]  # "2,4" is other text for the same value
+    # the writer formats the shared objects once each and writes every row
+    assert dumps_csv(w) == "index,value_num,value_den\n0,1,2\n1,0,1\n2,1,2\n3,1,2\n4,0,1\n"
     w = loads_json('{"schema": "wk-window/1", "offset": 0, "values": ["0/1", "1/3", "0/1"]}')
     assert w.values[0] is w.values[2]
+    assert dumps_json(w) == '{"offset":0,"schema":"wk-window/1","values":["0/1","1/3","0/1"]}\n'
 
 
 # -- the block paths against the exact path ---------------------------------
