@@ -5,9 +5,10 @@ Text in the shape `gen` writes is read a block at a time at C speed: one
 and what is left must be the format's separator skeleton.  A block that
 matches is split with `str.split`, and its values are kept only once the
 whole block has passed.  Any other text takes the exact path, which alone
-raises errors: `csv.reader` row by row, or `json.loads` of the whole text.
-Both paths parse each distinct value text once, through `_Values`, so they
-give the same window, the same error and the same line number.
+raises errors: `csv.reader` over the rows of the CSV block that failed, or
+`json.loads` of the whole text.  Both paths parse each distinct value text
+once, through `_Values`, so they give the same window, the same error and
+the same line number.
 
 Only a window read imports this module, so no other command compiles it,
 and a read imports `csv` or `json` only for its own format.
@@ -16,16 +17,17 @@ from __future__ import annotations
 
 import io
 from fractions import Fraction
-from itertools import chain, islice
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, Iterator, TextIO
 
 from .seqio import CSV_HEADER, WINDOW_SCHEMA, WindowFormatError
 from .sequence import SeqWindow
 
-#: Lines per CSV block, and characters per slice of a JSON values array.
-#: Each bounds the strings a read holds at once to a few hundred KB, which
-#: a search's peak RSS shows; larger blocks read no faster.
-CSV_BLOCK = 1024
+#: Characters per CSV block (each completed to the end of its line), and
+#: per slice of a JSON values array.  Each bounds the strings a read holds
+#: at once to a few hundred KB, which a search's peak RSS shows; larger
+#: blocks read no faster.
+CSV_BLOCK = 1 << 14
 JSON_SLICE = 1 << 12
 
 _CSV_DROP = str.maketrans("", "", "0123456789.")
@@ -51,14 +53,16 @@ class _Values(dict):
         return value
 
 
-def csv_window(lines: Iterable[str]) -> SeqWindow:
-    """The window of a CSV file's lines, read a block of lines at a time, so
-    the file is never held whole.  From the first block that is not in
-    canonical shape on, the rest is parsed one row at a time."""
+def csv_window(stream: TextIO, lead: Iterable[str] = ()) -> SeqWindow:
+    """The window of a CSV file, its lines `lead` (if any) and then the text
+    of `stream`, so the file is never held whole.  After the header, the
+    text is read in blocks of CSV_BLOCK characters, each completed to the
+    end of its line.  A block not in canonical shape is parsed one record at
+    a time, with the lines that a quoted field carries past its end; the
+    next block is tried in canonical shape again."""
     import csv
 
-    lines = iter(lines)
-    header = next(csv.reader(lines), None)  # reads the header's lines and no more
+    header = next(csv.reader(chain(lead, stream)), None)  # reads the header's lines and no more
     if header is None:
         raise WindowFormatError("empty file")
     if tuple(header[:3]) != CSV_HEADER:
@@ -68,40 +72,64 @@ def csv_window(lines: Iterable[str]) -> SeqWindow:
     parsed = _Values()
     offset = None
     values = []
+    records = 1  # read so far, the header's included; a block that passed holds one per line
     limit = csv.field_size_limit()
-    for text in iter(lambda: "".join(islice(lines, CSV_BLOCK)), ""):
+    while text := stream.read(CSV_BLOCK):
+        if not text.endswith("\n"):
+            text += stream.readline()
         passed = _csv_block(text, parsed, None if offset is None else offset + len(values), limit)
-        if passed is None:
-            lines = chain(io.StringIO(text), lines)
-            break
-        if offset is None:
-            offset = passed[0]
-        values += passed[1]
-    # each line of a block that passed is one row, so the rows before the
-    # exact path starts are the header's and one per value
-    for lineno, row in enumerate(csv.reader(lines), start=2 + len(values)):
-        if not row:
+        if passed is not None:
+            if offset is None:
+                offset = passed[0]
+            values += passed[1]
+            records += len(passed[1])
             continue
-        if len(row) < 3:
-            raise WindowFormatError("need index,value_num,value_den", line=lineno)
-        try:
-            index, value = int(row[0]), parsed[row[1], row[2]]
-        except ValueError as exc:
-            raise WindowFormatError(str(exc), line=lineno) from None
-        if offset is None:
-            offset = index
-        elif index != offset + len(values):
-            raise WindowFormatError(
-                f"indices must be contiguous, expected {offset + len(values)}",
-                line=lineno,
-            )
-        values.append(value)
+        for row in _records(text, stream):
+            records += 1
+            if not row:
+                continue
+            if len(row) < 3:
+                raise WindowFormatError("need index,value_num,value_den", line=records)
+            try:
+                index, value = int(row[0]), parsed[row[1], row[2]]
+            except ValueError as exc:
+                raise WindowFormatError(str(exc), line=records) from None
+            if offset is None:
+                offset = index
+            elif index != offset + len(values):
+                raise WindowFormatError(
+                    f"indices must be contiguous, expected {offset + len(values)}",
+                    line=records,
+                )
+            values.append(value)
     if offset is None:
         raise WindowFormatError("no data rows")
     try:
         return SeqWindow._from_distinct(offset, tuple(values), parsed.values())
     except ValueError as exc:
         raise WindowFormatError(str(exc)) from None
+
+
+def _records(text: str, stream: TextIO) -> Iterator[list[str]]:
+    """The records of `text`, whole lines, as `csv.reader` reads them; a
+    record whose quoted field is still open at the end of the text takes
+    the lines of `stream` it spans."""
+    import csv
+
+    def lines():
+        yield from io.StringIO(text)
+        # the reader asks past the text for a new record only once the last
+        # one is out, at its line count; for more of an open one, past it
+        while reader.line_num > ended:
+            line = stream.readline()
+            if not line:
+                return
+            yield line
+
+    reader, ended = csv.reader(lines()), 0
+    for row in reader:
+        ended = reader.line_num
+        yield row
 
 
 def _csv_block(text: str, parsed: _Values, first: int | None, limit: int):
@@ -122,7 +150,7 @@ def _csv_block(text: str, parsed: _Values, first: int | None, limit: int):
     try:
         if first is None:
             first = int(fields[0])
-        if fields[0:-1:step] != list(map(str, range(first, first + rows))):
+        if ",".join(fields[0:-1:step]) != ",".join(["%d"] * rows) % tuple(range(first, first + rows)):
             return None
         return first, list(map(parsed.__getitem__, zip(fields[1::step], fields[2::step])))
     except ValueError:

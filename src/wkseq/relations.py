@@ -9,16 +9,18 @@ labeled inconclusive rather than refuted.
 
 All searches of one call share one block loop, `_scan`.  It walks the time
 range in blocks of `sequence.STREAM_BLOCK` times, reads each view once per
-block and hands that read to `sequence.bracket_scan`, the one place a
-bracket sum is computed.  So a search holds at most one block of each orbit
-at any horizon.  Ties always prefer the smallest time.  Each orbit states
-where its stretches begin and which of them repeat (see `orbits`); where
+block and hands that read to each search's kernel: `sequence.bracket_scan`,
+the one place a bracket sum is computed, or `sequence.occurrence_scan` for
+thmC's pattern.  So a search holds at most one block of each orbit at any
+horizon.  Ties always prefer the smallest time.  Each orbit states where
+its stretches begin and which of them repeat (see `orbits`); where
 every orbit a search reads repeats, the search scans one period of the
 stretch and jumps to where its windows leave it.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import sequence
@@ -30,12 +32,15 @@ from .ladder import Rational, eval_ainf, exact_fraction
 from .orbits import (OrbitSource, OrbitView, alpha_source, jump_over, ones_source,
                      window_source, zeros_source)
 from .seqio import report_dict
-from .sequence import DistBracket, bracket_scan
+from .sequence import DistBracket, bracket_scan, occurrence_scan
 
 PROXIMAL_WITNESSED = "proximal-witnessed"
 DELTA_SEPARATED_WITNESSED = "delta-separated-witnessed"
 PAIR_RECURRENT_WITNESSED = "pair-recurrent-witnessed"
 INCONCLUSIVE = "inconclusive"
+#: The kinds of `bracket_scan` the searches use.
+_PROX, _SEP, _FIXED = (partial(bracket_scan, sliding=s, want_max=m)
+                       for s, m in ((True, False), (True, True), (False, False)))
 
 
 class NotFoundInHorizonError(Exception):
@@ -50,20 +55,17 @@ def _check_span(views: Sequence[OrbitView], start: int, horizon: int, k: int) ->
     for view in views:
         limit = view.max_time(k)
         if limit is not None and horizon > limit:
-            raise ValueError(
-                f"horizon {horizon} exceeds available data (max {limit})"
-            )
+            raise ValueError(f"horizon {horizon} exceeds available data (max {limit})")
 
 
 class _Search(NamedTuple):
-    """One bracket search of a `_scan`: its first time, its window length,
-    its kind (see `bracket_scan`) and its sides, built from one block's
-    reads with the search's own first time at index 0."""
+    """One search of a `_scan`: its first time, its window length, its
+    kernel, `occurrence_scan` or a kind of `bracket_scan`, and its sides,
+    built from one block's reads with its own first time at index 0."""
 
     first: int
     k: int
-    sliding: bool
-    want_max: bool
+    scan: Callable
     sides: Callable[[list[Sequence[Fraction]]], list[tuple[Sequence, Sequence]]]
 
 
@@ -80,9 +82,9 @@ def _scan(
     The times start .. horizon are walked in blocks of
     `sequence.STREAM_BLOCK`.  Each view is read once per block, with the
     `width` values each time needs from its own coordinate on, and every
-    search that covers the block scans that read.  Only a strictly better
-    bracket replaces a search's best, a search that has met its bound scans
-    no further, and the walk ends once every search has.
+    search that covers the block scans that read for a bracket strictly
+    better than its best so far.  A search that has met its bound (lo 0, or
+    hi 2 for `_SEP`) scans no further, and the walk ends once all have.
 
     From the first time every open search covers, the largest first, the
     walk asks `orbits.jump_over` where to skip, and asks again where it
@@ -106,10 +108,9 @@ def _scan(
                 continue
             skip = max(0, s.first - t0)
             sides = s.sides([r[skip:] for r in reads] if skip else reads)
-            t, br = bracket_scan(sides, t1 - t0 - skip, s.k, s.sliding, s.want_max)
-            if best[i] is None or (br.lo > best[i][1].lo if s.want_max else br.lo < best[i][1].lo):
-                best[i] = t0 + skip + t, br
-            done[i] = br.hi == 2 if s.want_max else br.lo == 0
+            if found := s.scan(sides, t1 - t0 - skip, s.k, best=best[i] and best[i][1].lo):
+                best[i] = t0 + skip + found[0], found[1]
+                done[i] = found[1].hi == 2 if s.scan is _SEP else found[1].lo == 0
         t0 = leave if t1 == ready else t1
     return best
 
@@ -122,9 +123,9 @@ def _pair_scan(
     _check_span([a, b], start, horizon, k)
     homes = a.read(0, k), b.read(0, k)
     searches = [
-        _Search(start, k, True, False, lambda reads: [tuple(reads)]),
-        _Search(start, k, True, True, lambda reads: [tuple(reads)]),
-        _Search(max(start, 1), k, False, False, lambda reads: list(zip(reads, homes))),
+        _Search(start, k, _PROX, lambda reads: [tuple(reads)]),
+        _Search(start, k, _SEP, lambda reads: [tuple(reads)]),
+        _Search(max(start, 1), k, _FIXED, lambda reads: list(zip(reads, homes))),
     ]
     return _scan([a, b], k, start, horizon, [searches[i] for i in pick])
 
@@ -253,9 +254,7 @@ def thmB_witnesses(
     if not pairs:
         return []
     if fixed_point.length is not None and fixed_point.length < k:
-        raise ValueError(
-            f"fixed point has {fixed_point.length} values, fewer than k = {k}"
-        )
+        raise ValueError(f"fixed point has {fixed_point.length} values, fewer than k = {k}")
     for m, n in pairs:
         if m == n:
             raise ValueError("pairs must use two distinct shifts")
@@ -267,8 +266,8 @@ def thmB_witnesses(
     searches = []
     for m, n in pairs:
         searches += [
-            _Search(0, k, False, False, _shifted(m, n, target, target)),
-            _Search(1, k, False, False, _shifted(m, n, x.read(m, m + k), x.read(n, n + k))),
+            _Search(0, k, _FIXED, _shifted(m, n, target, target)),
+            _Search(1, k, _FIXED, _shifted(m, n, x.read(m, m + k), x.read(n, n + k))),
         ]
     found = _scan([OrbitView(x)], top + k, 0, horizon, searches)
     return [
@@ -299,14 +298,13 @@ def thmC_witnesses(
         raise ValueError(f"horizon {horizon} exceeds available data (max {x.length - 1})")
     need = q + k
     top = horizon - need + 1
-    pattern = [(i // q) % 2 for i in range(need)]
-    # the first exact occurrence is the first time whose bracket sum is 0;
-    # the shifted pair reads coordinates up to top + q + k - 1, as the pattern does
+    word = "".join(str(i // q % 2) for i in range(need))
+    # the shifted pair reads coordinates up to top + q + k - 1, as the word does
     match, prox = _scan([OrbitView(x)], need, 0, top, [
-        _Search(0, need, False, False, lambda reads: [(reads[0], pattern)]),
-        _Search(0, k, True, False, lambda reads: [(reads[0], reads[0][q:])]),
+        _Search(0, need, occurrence_scan, lambda reads: [(reads[0], word)]),
+        _Search(0, k, _PROX, lambda reads: [(reads[0], reads[0][q:])]),
     ])
-    if match is None or match[1].lo != 0:
+    if match is None:
         raise NotFoundInHorizonError(
             f"no block-alternating occurrence of length {need} within horizon {horizon}"
         )

@@ -143,4 +143,4 @@ def load_window(path: str) -> SeqWindow:
             return loads_json("".join(lead) + fh.read())
         from .readers import csv_window
 
-        return csv_window(chain(lead, fh))
+        return csv_window(fh, lead)

@@ -13,7 +13,7 @@ every such bracket; the relation searches hand it one block of at most
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
+from itertools import compress, islice
 from math import lcm
 from operator import mul, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -138,27 +138,41 @@ def bracket_scan(
     k: int,
     sliding: bool,
     want_max: bool = False,
-) -> tuple[int, DistBracket]:
+    best: Fraction | None = None,
+) -> tuple[int, DistBracket] | None:
     """The first of the times 0 .. count-1 (count >= 1) with the smallest
-    (with `want_max`, the largest) bracket, and that bracket.
+    (with `want_max`, the largest) bracket, and that bracket.  Given `best`,
+    the lower end of the best bracket of earlier times, only a strictly
+    better bracket counts, and None means that no time has one.
 
     The lower sum at time j is the largest over the sides (xs, ys) of
     sum_{i<k} |xs[j+i] - ys[i + (j if sliding else 0)]| / 2^i: a sliding
     side compares two points that both move with j, any other side compares
-    the moving point with the fixed target ys[:k].  The scan stops at the
-    first time that reaches the bound (0, or 2 - 2^(1-k) with `want_max`),
-    since no later time can beat it.
+    the moving point with the fixed target ys[:k], and is searched for a
+    minimum only.  The scan stops at the first time that reaches the bound
+    (0, or 2 - 2^(1-k) with `want_max`), since no later time can beat it.
+
+    A fixed-target minimum drops a time once it cannot win.  The weights
+    halve, so the first HEAD terms carry all but 2^-HEAD of the weight:
+    they are summed for every time at C speed, and the rest is added only
+    where that partial sum, merged over the sides by max, is below the best
+    so far.  Only a strictly smaller sum replaces the best, so ties keep
+    the smallest time.
 
     Sums are exact integers over one common denominator per block of
     times.  A block holds at least one full k-window and ends once that
-    denominator passes BLOCK_DEN_BITS bits.  The memory taken grows with
-    count; the relation searches pass at most STREAM_BLOCK times.
+    denominator passes BLOCK_DEN_BITS bits; a best from an earlier block
+    enters a later one as the least integer sum that does not beat it.
+    The memory taken grows with count; the relation searches pass at most
+    STREAM_BLOCK times.
     """
+    if want_max and not sliding:
+        raise ValueError("a fixed-target search looks for a minimum")
     high = k - 1
     weights = [1 << (high - i) for i in range(k)]
     width = Fraction(2) ** (1 - k)
     pick = max if want_max else min
-    best_t, best = 0, None
+    best_t = None
     j0 = 0
     while j0 < count:
         den = lcm(*(
@@ -186,14 +200,21 @@ def bracket_scan(
         def scaled(vs: Sequence[Rational]) -> list[int]:
             return [v.numerator * (den // v.denominator) for v in vs]
 
+        unit = den << high
+        if not sliding:
+            ceiling = (1 << k) * den if best is None else -(-best.numerator * unit // best.denominator)
+            j, n = _fixed_min([(scaled(xs[j0:j1 + high]), scaled(ys[:k])) for xs, ys in sides],
+                              weights, ceiling)
+            if j is not None:
+                best_t, best = j0 + j, Fraction(n, unit)
+                if not n:
+                    break
+            j0 = j1
+            continue
         sums = []
         for xs, ys in sides:
-            xi = scaled(xs[j0:j1 + high])
-            if sliding:
-                diffs = list(map(abs, map(sub, xi, scaled(ys[j0:j1 + high]))))
-                sums.append(_sliding_sums(diffs, weights))
-            else:
-                sums.append(_fixed_sums(xi, scaled(ys[:k]), weights))
+            diffs = map(abs, map(sub, scaled(xs[j0:j1 + high]), scaled(ys[j0:j1 + high])))
+            sums.append(_sliding_sums(list(diffs), weights))
         bound = ((1 << k) - 1) * den if want_max else 0
         merged = sums[0] if len(sums) == 1 else map(max, *sums)
         # Chunks of doubling size, up to 4096 times: the scan stops within
@@ -201,7 +222,7 @@ def bracket_scan(
         j, size = j0, 1
         while chunk := list(islice(merged, size)):
             n = pick(chunk)
-            lo = Fraction(n, den << high)
+            lo = Fraction(n, unit)
             if best is None or (lo > best if want_max else lo < best):
                 best_t, best = j + chunk.index(n), lo
                 if n == bound:
@@ -209,7 +230,7 @@ def bracket_scan(
             j += len(chunk)
             size = min(2 * size, 4096)
         j0 = j1
-    return best_t, DistBracket(best, best + width)
+    return None if best_t is None else (best_t, DistBracket(best, best + width))
 
 
 def _sliding_sums(diffs: list[int], weights: list[int]) -> Iterator[int]:
@@ -222,8 +243,61 @@ def _sliding_sums(diffs: list[int], weights: list[int]) -> Iterator[int]:
         yield n
 
 
-def _fixed_sums(xi: list[int], yi: list[int], weights: list[int]) -> Iterator[int]:
-    """Weighted distance of each k-window of xi from the fixed window yi."""
+#: Terms of each time that a fixed-target minimum sums before it drops the
+#: time or adds the rest.  In process on a 2-CPU x86-64 host (Python
+#: 3.11), against ones at k = 32, classify and thmB on 2*10^5 random values
+#: num/1000 ran fastest at 2 (of 1, 2, 3, 4 and 6), and classify on alpha's
+#: ramps as fast at 2 as at 4.
+HEAD = 2
+
+
+def _fixed_min(
+    sides: list[tuple[list[int], list[int]]], weights: list[int], ceiling: int
+) -> tuple[int | None, int]:
+    """(j, n): the first time j of the smallest merged sum n below
+    `ceiling`, or (None, ceiling).  The sum of time j on a side (xi, yi) is
+    sum_i |xi[j+i] - yi[i]| * weights[i], and the sides merge by max.
+
+    Each side's first HEAD terms are summed at C speed, in units of the
+    last of their weights.  A time whose partial sum, merged by max, reaches
+    the best so far is dropped; `compress` finds the next one that does not,
+    and only that time adds its other terms."""
     k = len(weights)
-    for j in range(len(xi) - k + 1):
-        yield sum(map(mul, map(abs, map(sub, xi[j:j + k], yi)), weights))
+    count = len(sides[0][0]) - k + 1
+    head = min(HEAD, k)
+    shift = k - head  # weights[i] == 1 << (head - 1 - i) + shift for i < head
+    heads = [
+        map(sum, zip(*(map((1 << (head - 1 - i)).__mul__, map(abs, map(y.__sub__, islice(xi, i, i + count))))
+                       for i, y in enumerate(yi[:head]))))
+        for xi, yi in sides
+    ]
+    merged = heads[0] if len(heads) == 1 else map(max, *heads)
+    times, best = iter(range(count)), None
+    while True:
+        # a partial sum p cannot win once p << shift >= ceiling
+        for j in compress(times, map((-(-ceiling >> shift)).__gt__, merged)):
+            n = max(sum(map(mul, map(abs, map(sub, xi[j:j + k], yi)), weights)) for xi, yi in sides)
+            if n < ceiling:
+                best, ceiling = j, n
+                break
+        else:
+            return best, ceiling
+
+
+def occurrence_scan(
+    sides: Sequence[tuple[Sequence[Rational], str]], count: int, k: int, best: Fraction | None = None
+) -> tuple[int, DistBracket] | None:
+    """The first of the times 0 .. count-1 at which xs[j:j+k] is exactly
+    the 0/1 word of the one side (xs, word), and its bracket [0, 2^(1-k)],
+    which no time beats; or None where the word does not occur, whatever
+    `best`.
+
+    Each distinct value object of xs is coded once, by value, as "0", "1"
+    or "x" for any other value, and `str.find` searches the code for the
+    word in linear time."""
+    (xs, word), = sides
+    code = dict(zip(map(id, xs), xs))
+    for i, v in code.items():
+        code[i] = "0" if v == 0 else "1" if v == 1 else "x"
+    j = "".join(map(code.__getitem__, map(id, xs))).find(word, 0, count + k - 1)
+    return None if j < 0 else (j, DistBracket(Fraction(0), Fraction(2) ** (1 - k)))

@@ -528,3 +528,56 @@ def test_json_block_path_matches_the_exact_path(shape, monkeypatch):
                        "escape", "values_twice", "bracket_in_string", "close_bracket_in_string",
                        "open_bracket_after_array", "extra_array"}
     assert (got[0] == "window") == (shape in expected_window), got
+
+
+# -- a CSV block that fails, then blocks again ------------------------------
+
+LONG_ROWS = "".join(f"{i},{i % 3},3\n" for i in range(400))
+#: CSV texts in canonical shape but for one or two lines
+CSV_DETOURS = {
+    "blank_after_header": HEADER + "\n" + LONG_ROWS,
+    "quoted": HEADER + LONG_ROWS.replace("\n30,0,3\n", '\n30,"0",3\n'),
+    # the quoted field spans two lines, so a block may end inside it
+    "quoted_newline": HEADER + LONG_ROWS.replace("\n30,0,3\n", '\n30,"0\n",3\n'),
+    "crlf_row": HEADER + LONG_ROWS.replace("\n30,0,3\n", "\n30,0,3\r\n"),
+    "unterminated_quote": HEADER + LONG_ROWS + '400,"1,3\n401,1,3\n',
+    "bad_row_after_detour": HEADER + "\n" + LONG_ROWS.replace("\n300,0,3\n", "\n300,0,x\n"),
+    "gap_after_detour": HEADER + "\n" + LONG_ROWS.replace("\n300,0,3\n", "\n301,0,3\n"),
+    "blank_and_ragged_later": HEADER + LONG_ROWS.replace("\n200,2,3\n", "\n\n200,2,3,x\n\n"),
+}
+
+
+@pytest.mark.parametrize("shape", CSV_DETOURS)
+def test_csv_blocks_resume_after_a_detour(shape, tmp_path, monkeypatch):
+    # the rows of a block that is not in canonical shape go to the exact
+    # path; the next block tries the block path again, to the same window,
+    # error and line number as the exact path over the whole file
+    text = CSV_DETOURS[shape]
+    expected = _outcome(reference_readers.loads_csv, text)
+    path = tmp_path / "w.csv"
+    path.write_bytes(text.encode())
+    blocks = _block_paths(monkeypatch, "_csv_block")
+    for size in (*range(1, 40), 64, 100, 256, 1 << 14):
+        assert _at_block_size(loads_csv, text, CSV_BLOCK=size) == expected, size
+        assert _at_block_size(load_window, path, CSV_BLOCK=size) == expected, size
+    if expected[0] != "window":
+        return
+    # some 30 rows a block: only the block that holds the detour fails (or
+    # two, where it spans a block end), and the blocks after it pass
+    del blocks[:]
+    assert _at_block_size(loads_csv, text, CSV_BLOCK=256) == expected
+    failed = [i for i, b in enumerate(blocks) if b is None]
+    assert len(blocks) > 10 and 1 <= len(failed) <= 2 and failed[-1] - failed[0] == len(failed) - 1
+
+
+def test_csv_detour_at_the_top_costs_one_block():
+    # a blank line after the header sends one block to the exact path
+    text = HEADER + "\n" + "".join(f"{i},{i % 7},7\n" for i in range(5000))
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        block = readers._csv_block
+        mp.setattr(readers, "_csv_block", lambda *a: calls.append(block(*a)) or calls[-1])
+        mp.setattr(readers, "CSV_BLOCK", 1024)
+        got = _outcome(loads_csv, text)
+    assert got == _outcome(reference_readers.loads_csv, text)
+    assert calls[0] is None and all(calls[1:]) and len(calls) > 40
