@@ -20,7 +20,8 @@ _EXPORTS = {
         " pair_recur_defect prox_defect sep_sup thmB_witnesses thmC_witnesses",
         "seqio": "REPORT_SCHEMA WINDOW_SCHEMA WindowFormatError dumps_csv dumps_json"
         " load_window loads_csv loads_json render_decimal",
-        "sequence": "DistBracket SeqWindow alpha alpha_window",
+        "brackets": "DistBracket",
+        "sequence": "SeqWindow alpha alpha_window",
     }.items()
     for name in names.split()
 }

@@ -10,7 +10,7 @@ Every comparison of a profile with its own shift runs through one kernel,
 visit more than SCAN_LIMIT points.
 
 The ones-run certificate scans every coordinate at small levels; at large
-ones it reads the runs off `ladder.pieces`, the walker `eval_block` expands.
+ones it reads the runs off `walker.pieces`, which `eval_block` expands.
 Either way the runs stream into one pass that decides the report, so its
 memory does not grow with the window.
 """
@@ -18,11 +18,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from itertools import chain, groupby, islice
-from operator import is_
+from itertools import chain, compress, count, islice
+from operator import is_, ne
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from . import sequence
+from . import walker
 from .ladder import (
     ONE,
     ZERO,
@@ -31,20 +31,19 @@ from .ladder import (
     Rational,
     eval_ainf,
     eval_b,
-    eval_block,
     exact_fraction,
-    pieces,
-    spans,
 )
 from .seqio import report_dict
+from .walker import eval_block, pieces, spans
 
 #: Every coordinate scan visits at most this many points; a larger scan is
-#: refused before it evaluates anything.  A contiguous scan of alpha reads
-#: it a block at a time by its structure, at about 0.05 us per point
-#: (`rigidity --n 2` over all of them: 0.1 s in process on a 2-CPU host).  A sampled
-#: `returns` grid or a rational `shift-defect` grid costs one `eval_ratio`
-#: call per point and shift, 2-4 us each, so the costliest of those (about
-#: 2 * 10^6 points at two or three evaluations each) takes 13-14 s.
+#: refused before it evaluates anything.  A scan of alpha whose points form
+#: an arithmetic progression reads it a block at a time by its structure:
+#: contiguous at about 0.05 us per point (`rigidity --n 2` over all of them:
+#: 0.1 s in process on a 2-CPU host), sampled at about 0.25 us per point
+#: and shift (`returns --n 2 --samples 1000000`: 0.8 s).  The rational
+#: `shift-defect` grid costs one `eval_ratio` call per point and shift, 2-4
+#: us each, so at the limit it takes 13-17 s.
 SCAN_LIMIT = 2_000_001
 
 
@@ -71,13 +70,14 @@ def _max_defect(
 ) -> tuple[Fraction, int]:
     """Largest |f(t + s) - f(t)| over t in points and s in shifts, and the
     index of the first point that reaches it.  `read` gives f at a block of
-    points, and is handed at most `sequence.STREAM_BLOCK` of them at a time.
+    points, and is handed at most `walker.STREAM_BLOCK` of them at a time.
     With `first`, the scan stops at the first nonzero defect, taking points
     in order and each point's shifts in order."""
     worst, worst_i = ZERO, 0
     points = scan_points(points)
-    for b0 in range(0, len(points), sequence.STREAM_BLOCK):
-        block = points[b0:b0 + sequence.STREAM_BLOCK]
+    size = walker.STREAM_BLOCK
+    for b0 in range(0, len(points), size):
+        block = points[b0:b0 + size]
         here = read(block)
         moved = [read(_moved(block, s)) for s in shifts]
         # list equality tries identity before ==, so blocks built from the
@@ -240,7 +240,9 @@ def check_returns(ladder: Ladder, n: int, grid: Iterable[int]) -> ReturnReport:
     """Check alpha(t) = ainf(t - S) = ainf(t + S - 1) with S = 2*splice(n+1).
 
     The grid holds at most SCAN_LIMIT integers in [-p[n], p[n]]; a range
-    is used as it is, and any other grid is sorted once it is checked.
+    is used as it is, and any other grid is sorted once it is checked.  The
+    longest arithmetic prefix of the sorted grid is read as a range, by the
+    structure of alpha, and the rest point by point.
     """
     if isinstance(grid, range):
         points = scan_points(grid[::-1] if grid.step < 0 else grid)
@@ -250,9 +252,6 @@ def check_returns(ladder: Ladder, n: int, grid: Iterable[int]) -> ReturnReport:
             if not isinstance(t, int):
                 raise ValueError(f"grid point {t!r} is not an integer")
         points = sorted(set(points))
-        if points and points[-1] - points[0] + 1 == len(points):
-            # a contiguous grid is read by its structure, not point by point
-            points = range(points[0], points[-1] + 1)
     if not points:
         raise ValueError("need at least one grid point")
     left = 2 * ladder.splice(n + 1)
@@ -260,16 +259,23 @@ def check_returns(ladder: Ladder, n: int, grid: Iterable[int]) -> ReturnReport:
     if points[0] < -bound or points[-1] > bound:
         bad = points[0] if points[0] < -bound else points[-1]
         raise DomainError(f"grid point {bad} outside [-p[{n}], p[{n}]]")
-    defect, at = _max_defect(
-        partial(eval_block, ladder), points, (-left, left - 1), first=True
-    )
+    head = points  # the longest arithmetic prefix, as a range
+    if not isinstance(points, range):
+        head = range(points[0], points[-1] + 1, points[1] - points[0] if len(points) > 1 else 1)
+        head = head[:next(compress(count(), map(ne, points, head)), len(head))]
+    for part in (head, points[len(head):]):
+        defect, at = _max_defect(
+            partial(eval_block, ladder), part, (-left, left - 1), first=True
+        )
+        if defect:
+            break
     return ReturnReport(
         n=n,
         left_shift=left,
         right_shift=left - 1,
         checked=len(points),
         all_equal=defect == 0,
-        first_mismatch=points[at] if defect else None,
+        first_mismatch=part[at] if defect else None,
     )
 
 
@@ -355,18 +361,24 @@ def _ones_runs(ladder: Ladder, lo: int, hi: int, prune: int) -> Iterator[tuple[i
             start = u
         stop = max(stop, v)
 
-def _scanned_runs(ladder: Ladder, points: range) -> Iterator[tuple[int, int]]:
-    """The runs of ones of alpha on points, a range from 0, read a block of
-    STREAM_BLOCK at a time; the block reader hands out the one shared ONE
-    for every 1."""
-    block = sequence.STREAM_BLOCK
-    values = (eval_block(ladder, points[b:b + block]) for b in range(0, len(points), block))
-    i = 0
-    for one, run in groupby(chain.from_iterable(values), partial(is_, ONE)):
-        size = sum(1 for _ in run)
-        if one:
-            yield i, i + size - 1
-        i += size
+def _scanned_runs(ladder: Ladder, points: range, required: int) -> Iterator[tuple[int, int]]:
+    """The runs of ones of alpha at least `required` long on points, a range
+    from 0, read a block of STREAM_BLOCK at a time.  The block reader hands
+    out the one shared ONE for every 1, so each block is coded as bytes, 1
+    for ONE, and its runs found by `bytes.find`.  A run open at a block's
+    end is carried into the next as at most `required` ones."""
+    ones, size, start = b"\x01" * required, walker.STREAM_BLOCK, 0
+    for b in range(0, len(points), size):
+        carry = min(b - start, required)  # the open run began at start
+        code = ones[:carry] + bytes(map(partial(is_, ONE), eval_block(ladder, points[b:b + size])))
+        j = 0
+        while (j := code.find(ones, j)) >= 0 and (end := code.find(0, j)) >= 0:
+            yield start if j == 0 else b - carry + j, b - carry + end - 1
+            j = end
+        if (last := code.rfind(0)) >= 0:
+            start = b - carry + last + 1
+    if len(points) - start >= required:
+        yield start, len(points) - 1
 
 
 def _summary(
@@ -415,7 +427,7 @@ def check_ones_runs(
     if mode == "auto":
         mode = "scan" if n == 1 else "plateau"
     if mode == "scan":
-        runs = _scanned_runs(ladder, scan_points(range(window_end + 1)))
+        runs = _scanned_runs(ladder, scan_points(range(window_end + 1)), required)
     elif mode == "plateau":
         runs = _ones_runs(ladder, 0, window_end + 1, max(1, required // 8))
     else:

@@ -10,8 +10,9 @@ bad parameters or unreadable input, and 3 means an unexpected crash.
 Decimal rendering is presentation only; exact num/den strings are always
 emitted and are the values of record.
 
-Each command imports the layer it runs when it runs it, so `gen` loads
-neither the certificates, the relation searches nor `json`.
+Each command imports the layers it runs when it runs them, so `gen` loads
+neither the certificates, the relation searches nor `json`, and `verify`
+neither the window types nor the search kernels.
 """
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ from typing import TYPE_CHECKING, Sequence
 
 from .ladder import Ladder, LadderError
 from .seqio import WindowFormatError, load_window, report_dict, window_chunks
-from .sequence import alpha_windows
 
 if TYPE_CHECKING:
     from .orbits import OrbitSource
@@ -105,6 +105,8 @@ def _emit_report(doc: dict) -> None:
 
 def _cmd_gen(args: argparse.Namespace, ladder: Ladder) -> int:
     """Stream the window in pieces, in memory that does not grow with its length."""
+    from .sequence import alpha_windows
+
     windows = alpha_windows(ladder, args.start, args.count)
     chunks = window_chunks(windows, args.format, args.decimals)
     if args.out:

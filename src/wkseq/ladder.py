@@ -11,21 +11,17 @@ package studies.
 All arithmetic is exact and no floats are used.  The one per-point
 evaluator, `eval_ratio`, works on integer numerators and denominators.
 Around it, `eval_b` reads a periodized level and `eval_ainf` the limit
-profile, and both return `fractions.Fraction`.  The one walker of a range
-of integers, `pieces`, gives a level by its structure: plateaus of ones,
-repeats of the periodized level below, and ramps over them; `spans` splits
-a range by the least level covering each point.  `eval_block` expands the
-pieces into values and `certify` reads runs of ones off them, so both cost
-what the levels and pieces of a range do, not its length.  Level sizes
-live in a `Ladder`, an append-only tower that every accessor grows on
-demand, up to `MAX_LEVEL_BITS`, and that threads may share.
+profile, and both return `fractions.Fraction`; `walker` reads a range of
+integers by the structure of its levels.  Level sizes live in a `Ladder`,
+an append-only tower that every accessor grows on demand, up to
+`MAX_LEVEL_BITS`, and that threads may share.
 """
 from __future__ import annotations
 
 import threading
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -66,7 +62,7 @@ class Ladder:
         self._p: list[int] = [BASE_HALF_PERIOD]
         self._L: list[int] = [0]  # index 0 unused; L[n] valid for n >= 1
         self._lock = threading.Lock()
-        # level m -> one period of level m, shared by every `eval_block` read
+        # level m -> one period of level m, shared by every `walker.eval_block` read
         self._tiles: dict[int, list[Fraction]] = {}
         self.ensure(len(self._explicit))
 
@@ -230,103 +226,6 @@ def eval_ratio(p: Sequence[int], n: int, x: int, den: int) -> tuple[int, int]:
     if base > 0 and base * best_den > best * den:
         return base, den
     return best, best_den
-
-
-#: Multiples of stretch(n) where level n's stretched copy changes form
-#: inside [-p[n], p[n]]: it is 0 on [-s, s] and [5s, 7s], 1 on [2s, 4s]
-#: and [8s, 9s] (and their mirror images), and a ramp in between.  The
-#: splice 3s lies inside the plateau [2s, 4s], so each piece that reads the
-#: level below lies on one side of it.
-_COPY_EDGES = (-8, -7, -5, -4, -2, -1, 1, 2, 4, 5, 7, 8)
-
-
-def pieces(ladder: Ladder, n: int, lo: int, hi: int) -> Iterator[tuple]:
-    """Level n on lo .. hi-1, inside [-p[n], p[n]], as pieces (a, b, i,
-    copies, s) in order, cut where the stretched copy (stretch s) changes
-    form.  A piece is all ones where i is None; otherwise it reads the
-    periodized level below at i .. i+b-a-1, one step ahead past the splice,
-    and on a ramp `copies` holds the copy's c/s at each point, which takes
-    the larger of the two.  Level 0 is the copy of stretch 1 over a level
-    -1 that is 0 everywhere, read at i = a."""
-    s = ladder.stretch(n) if n else 1
-    cuts = sorted({lo, hi, *(k * s for k in _COPY_EDGES if lo < k * s < hi)})
-    for a, b in zip(cuts, cuts[1:]):
-        first, last = _copy(a, s), _copy(b - 1, s)
-        if min(first, last) >= s:
-            yield a, b, None, None, s
-        else:
-            step = 1 if last >= first else -1
-            copies = range(first, last + step, step) if max(first, last) > 0 else None
-            yield a, b, _below(ladder.sizes, n, a, 1) if n else a, copies, s
-
-
-def spans(ladder: Ladder, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
-    """The integers lo .. hi-1 of either sign as runs (n, a, b), each at the
-    least level n whose domain covers it, as `eval_ainf` reads them."""
-    p = ladder.sizes
-    while lo < hi:
-        n = ladder.ensure_cover(lo)
-        # level n covers [-p[n], -p[n-1]) and (p[n-1], p[n]]; level 0 [-3, 3]
-        end = min(hi, -p[n - 1] if n and lo < 0 else p[n] + 1)
-        yield n, lo, end
-        lo = end
-
-
-def eval_block(ladder: Ladder, points: Iterable[int]) -> list[Fraction]:
-    """The limit profile at integer points of either sign, each read at the
-    least level whose domain covers it, as `eval_ainf` does; the shared
-    ZERO and ONE stand for every 0 and 1.  A range of step 1 is the
-    expansion of its `pieces`, where the periodized level over more than its
-    period is one period, expanded once per ladder and tiled, so all reads
-    share its values.  Other points go through `eval_ratio` one by one.
-    """
-    p = ladder.sizes
-    if not isinstance(points, range) or points.step != 1:
-        return [_value(*eval_ratio(p, ladder.ensure_cover(x), x, 1)) for x in points]
-    tiles = ladder._tiles
-
-    def level(n: int, lo: int, hi: int) -> list[Fraction]:
-        """Level n at lo .. hi-1, inside [-p[n], p[n]]."""
-        out: list[Fraction] = []
-        for a, b, i, copies, s in pieces(ladder, n, lo, hi):
-            if i is None:
-                out += [ONE] * (b - a)
-                continue
-            below = periodized(n - 1, i, b - a)
-            if copies is None:
-                out += below
-                continue
-            out += [
-                ONE if c >= s
-                else v if c <= 0 or c * v.denominator <= v.numerator * s
-                else Fraction(c, s)
-                for c, v in zip(copies, below)
-            ]
-        return out
-
-    def periodized(m: int, i: int, length: int) -> list[Fraction]:
-        """Level m periodized with period 2p[m], at i .. i+length-1, for i
-        in [-p[m], p[m])."""
-        if m < 0:
-            return [ZERO] * length
-        half = p[m]
-        if length > 2 * half:
-            if m not in tiles:
-                tiles[m] = level(m, -half, half)
-            tile = tiles[m]
-            out = tile[i + half:]
-            reps, rest = divmod(length - len(out), 2 * half)
-            out += tile * reps
-            out += tile[:rest]
-            return out
-        if i + length <= half:
-            return level(m, i, i + length)
-        return level(m, i, half) + level(m, -half, i + length - 2 * half)
-
-    out: list[Fraction] = []
-    for n, lo, hi in spans(ladder, points.start, points.stop):
-        out += level(n, lo, hi)
-    return out
 
 
 def eval_b(ladder: Ladder, n: int, t: Rational) -> Fraction:

@@ -16,8 +16,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, NamedTuple, Sequence
 
-from .ladder import Ladder, Rational, exact_fraction, pieces
+from .ladder import Ladder, Rational, exact_fraction
 from .sequence import SeqWindow, alpha_block
+from .walker import pieces
 
 
 class OrbitSource:

@@ -8,9 +8,9 @@ distance bracket; anything not witnessed within the search horizon is
 labeled inconclusive rather than refuted.
 
 All searches of one call share one block loop, `_scan`.  It walks the time
-range in blocks of `sequence.STREAM_BLOCK` times, reads each view once per
-block and hands that read to each search's kernel: `sequence.bracket_scan`,
-the one place a bracket sum is computed, or `sequence.occurrence_scan` for
+range in blocks of `walker.STREAM_BLOCK` times, reads each view once per
+block and hands that read to each search's kernel: `brackets.bracket_scan`,
+the one place a bracket sum is computed, or `brackets.occurrence_scan` for
 thmC's pattern.  So a search holds at most one block of each orbit at any
 horizon.  Ties always prefer the smallest time.  Each orbit states where
 its stretches begin and which of them repeat (see `orbits`); where
@@ -23,7 +23,8 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from . import sequence
+from . import walker
+from .brackets import DistBracket, bracket_scan, occurrence_scan
 # eval_ainf stays bound here: bench/tracing.py counts evaluator calls
 # through this module's name for it.
 from .ladder import Rational, eval_ainf, exact_fraction
@@ -32,7 +33,6 @@ from .ladder import Rational, eval_ainf, exact_fraction
 from .orbits import (OrbitSource, OrbitView, alpha_source, jump_over, ones_source,
                      window_source, zeros_source)
 from .seqio import report_dict
-from .sequence import DistBracket, bracket_scan, occurrence_scan
 
 PROXIMAL_WITNESSED = "proximal-witnessed"
 DELTA_SEPARATED_WITNESSED = "delta-separated-witnessed"
@@ -80,7 +80,7 @@ def _scan(
     .. horizon, or None where it covers no time.
 
     The times start .. horizon are walked in blocks of
-    `sequence.STREAM_BLOCK`.  Each view is read once per block, with the
+    `walker.STREAM_BLOCK`.  Each view is read once per block, with the
     `width` values each time needs from its own coordinate on, and every
     search that covers the block scans that read for a bracket strictly
     better than its best so far.  A search that has met its bound (lo 0, or
@@ -101,7 +101,7 @@ def _scan(
     while t0 <= horizon and not all(done):
         if t0 == leave:
             ready, leave = jump_over(views, width, t0, horizon)
-        t1 = min(horizon + 1, t0 + sequence.STREAM_BLOCK, ready)
+        t1 = min(horizon + 1, t0 + walker.STREAM_BLOCK, ready)
         reads = [view.read(t0, t1 + width - 1) for view in views]
         for i, s in enumerate(searches):
             if done[i] or s.first >= t1:

@@ -13,9 +13,10 @@ from __future__ import annotations
 import io
 from fractions import Fraction
 from itertools import chain, islice
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .sequence import SeqWindow
+if TYPE_CHECKING:
+    from .sequence import SeqWindow
 
 WINDOW_SCHEMA = "wk-window/1"
 REPORT_SCHEMA = "wk-report/1"

@@ -1,3 +1,4 @@
+import random
 import time
 import tracemalloc
 from fractions import Fraction as F
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from wkseq import certify, sequence
+from wkseq import certify, walker
 from wkseq import (
     DomainError,
     check_ones_runs,
@@ -19,7 +20,8 @@ from wkseq import (
     eval_ainf,
     ladder_new,
 )
-from wkseq.ladder import eval_block
+from wkseq.ladder import ONE, ZERO
+from wkseq.walker import eval_block
 
 
 @pytest.fixture(scope="module")
@@ -341,7 +343,7 @@ def test_scan_kernel_ties_and_early_return(monkeypatch):
         return [F(values[t]) for t in seen[-1]]  # equal values, never one object
 
     for block in (1, 2, 4096):
-        monkeypatch.setattr(sequence, "STREAM_BLOCK", block)
+        monkeypatch.setattr(walker, "STREAM_BLOCK", block)
         # |f(t+1) - f(t)| over t = 0..6 is 2, 2, 5, 2, 3, 5, 4: the first 5 wins
         assert certify._max_defect(read, range(7), (1,)) == (5, 2)
         assert certify._max_defect(read, [3, 5, 6], (-2, 1)) == (5, 1)
@@ -361,13 +363,14 @@ def test_scan_kernel_ties_and_early_return(monkeypatch):
         assert certify._max_defect(read, [], (1,)) == (0, 0)
 
 
-def _reference_defect(lad, points, shifts, first=False):
-    """The scan point by point through eval_ainf, as it ran before block reads."""
+def _reference_defect(lad, points, shifts, first=False, value=eval_ainf):
+    """The scan point by point through eval_ainf (or `value`), as it ran
+    before block reads."""
     worst, worst_i = F(0), 0
     for i, t in enumerate(points):
-        here = eval_ainf(lad, t)
+        here = value(lad, t)
         for s in shifts:
-            defect = abs(eval_ainf(lad, t + s) - here)
+            defect = abs(value(lad, t + s) - here)
             if defect > worst:
                 worst, worst_i = defect, i
                 if first:
@@ -406,6 +409,79 @@ def test_block_scans_match_point_by_point_scan(lad, count):
     got = certify._max_defect(read, points, (1,), first=True)
     assert got == _reference_defect(lad, points, (1,), first=True)
     assert got[1] == count - 1 and got[0] > 0
+
+
+def _return_grids(lad, n):
+    """Grids in [-p[n], p[n]]: scattered, contiguous, arithmetic, and the
+    CLI's sampled grid, an arithmetic one plus its end point p[n]."""
+    p, rng = lad.p(n), random.Random(n)
+    step = next(s for s in range(2 * p // 97, 2 * p) if 2 * p % s)  # p is not on the progression
+    return {
+        "scattered": rng.sample(range(-p, p + 1), 300),
+        "contiguous": list(range(lad.p(n - 1) - 200, lad.p(n - 1) + 200))[::-1],
+        "arithmetic": list(range(-p, p + 1, 2 * p // 98)),
+        "arithmetic-plus-end": [*range(-p, p + 1, step), p],
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("kind", ["scattered", "contiguous", "arithmetic", "arithmetic-plus-end"])
+def test_returns_grids_match_point_by_point_scan(lad, n, kind, monkeypatch):
+    grid = _return_grids(lad, n)[kind]
+    points = sorted(set(grid))
+    rep = check_returns(lad, n, grid)
+    shifts = (-rep.left_shift, rep.right_shift)
+    assert rep.checked == len(points)
+    assert rep.all_equal and _reference_defect(lad, points, shifts, first=True)[0] == 0
+    # A value planted at grid points is a mismatch there: the report names
+    # the first one in grid order, in the arithmetic prefix or after it.
+    for planted in ({points[-1]}, {points[len(points) // 3], points[-1]}, {points[1], points[2]}):
+        def read(ladder, ts):
+            ts = ts if isinstance(ts, range) else list(ts)
+            return [F(1, 2) if t in planted else v for t, v in zip(ts, eval_block(ladder, ts))]
+
+        def value(ladder, t):
+            return F(1, 2) if t in planted else eval_ainf(ladder, t)
+
+        monkeypatch.setattr(certify, "eval_block", read)
+        rep = check_returns(lad, n, grid)
+        defect, at = _reference_defect(lad, points, shifts, first=True, value=value)
+        assert defect > 0 and not rep.all_equal
+        assert rep.first_mismatch == points[at] == min(planted)
+
+
+@pytest.mark.parametrize("block", [7, 64, 4096])
+def test_scanned_runs_match_oracle_across_block_edges(block, monkeypatch):
+    # Runs of ones as 0/1 bits, read as ONE and ZERO: runs of required - 1,
+    # required and longer, many across block edges, one planted over the
+    # edge at 4096, and windows that end inside a run, at its last one and
+    # after it.
+    monkeypatch.setattr(walker, "STREAM_BLOCK", block)
+    required, rng = 27, random.Random(block)
+    bits = []
+    while len(bits) < 9000:
+        bits += [1] * rng.choice([1, required - 1, required, required + 1, 100]) + [0] * rng.choice([1, 2, 5])
+    bits[4080:4130] = [1] * 50
+    monkeypatch.setattr(certify, "eval_block", lambda ladder, ts: [ONE if bits[t] else ZERO for t in ts])
+    for end in (4100, 4129, 4130, len(bits) - 1):
+        expected = [r for r in oracles.ones_runs_by_scan(bits[:end + 1]) if r[1] - r[0] + 1 >= required]
+        assert list(certify._scanned_runs(None, range(end + 1), required)) == expected, end
+        runs = list(certify._scanned_runs(None, range(end + 1), required - 1))
+        assert runs == [r for r in oracles.ones_runs_by_scan(bits[:end + 1]) if r[1] - r[0] + 2 >= required]
+
+
+@pytest.mark.parametrize("block", [7, 64, 4096])
+def test_ones_scan_of_alpha_matches_oracle(lad, block, monkeypatch):
+    # The runs of alpha 486k + 54 .. 486k + 111, with windows that end inside
+    # one, at its last one and after it.
+    monkeypatch.setattr(walker, "STREAM_BLOCK", block)
+    bits = [1 if oracles.seq_value(i) == 1 else 0 for i in range(4501)]
+    for end in (486, 566, 597, 598, 4500):
+        rep = check_ones_runs(lad, 1, end, mode="scan")
+        expected = [r for r in oracles.ones_runs_by_scan(bits[:end + 1]) if r[1] - r[0] + 1 >= 27]
+        assert list(certify._scanned_runs(lad, range(end + 1), 27)) == expected
+        assert (rep.passed, rep.worst_gap, rep.first_run, rep.runs_found) == \
+            certify._summary(expected, 27, 486, end)
 
 
 def test_scan_limit_refuses_before_evaluating(lad):

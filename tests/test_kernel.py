@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 import oracles
 from fixtures import profile
 from wkseq import DomainError, eval_ainf, eval_b, ladder_new
-from wkseq.ladder import ONE, _below, _copy, eval_block, pieces
+from wkseq.ladder import ONE, ZERO, _below, _copy
+from wkseq.walker import eval_block, pieces
 from wkseq.sequence import alpha_block
 
 #: Growth factors 10 and 100000: p = 3, 270, 243000000, ... and stretches
@@ -147,6 +148,52 @@ def test_explicit_schedule_window_matches_oracle():
         values = eval_block(lad, grid)
         assert values == [eval_ainf(lad, t) for t in grid]
         assert values == [oracles.limit_value(t, schedule) for t in grid]
+
+
+def _steps(lad):
+    """Steps of a sampled read: 2, steps around the period 2p[1] = 486 of
+    b_1 on the default ladder and twice it (on (10, 72901) the period is
+    540), and one past 2p[2], so that consecutive points meet different
+    periods of b_2 and the levels above."""
+    return (2, 485, 486, 487, 972, 2 * lad.p(2) + 7)
+
+
+@pytest.mark.parametrize("schedule", [(), (10, 72901)], ids=["default", "10-72901"])
+@pytest.mark.parametrize("warm", [False, True], ids=["fresh", "tiled"])
+def test_stepped_ranges_match_pointwise_evaluation_and_oracle(schedule, warm):
+    # Ranges of 0 to 40 points around 0, +-p[1] and +-p[2], on a fresh
+    # ladder (a read tiles only a period no longer than its points) and on
+    # one whose periods of b_0 and b_1 are already tiled, so that a stepped
+    # read indexes the tile.
+    lad = _ladder(schedule)
+    p1, p2 = lad.p(1), lad.p(2)
+    for d in _steps(lad):
+        for edge in (0, p1, -p1, p2, -p2):
+            for count in (0, 1, 2, 3, 40):
+                ladder = _ladder(schedule)
+                if warm:
+                    eval_block(ladder, range(-3 * p1, 3 * p1))
+                    assert {0, 1} <= set(ladder._tiles)
+                start = edge - (count // 2) * d - 1
+                r = range(start, start + count * d, d)
+                block = eval_block(ladder, r)
+                assert block == [eval_ainf(ladder, t) for t in r], (d, start, count)
+                assert all(v is ONE for v in block if v == 1)
+                assert all(v is ZERO for v in block if v == 0)
+                for i in {0, count // 2, count - 1} & set(range(count)):
+                    assert block[i] == oracles.limit_value(r[i], schedule), (d, r[i])
+
+
+def test_stepped_reads_of_a_tile_repeat_with_its_cycle():
+    # A read of step d over b_1's period 2p[1] repeats after 2p[1] / gcd(2p[1], d)
+    # points; long reads over many cycles, cut at every offset, equal the
+    # per-point values.
+    lad = ladder_new("default-minimal")
+    period = 2 * lad.p(1)
+    for d in (2, 3, 162, 243, 485, 487, 973):
+        start = lad.p(1) + 1
+        r = range(start, start + (3 * period + 5) * d, d)
+        assert eval_block(lad, r) == [eval_ainf(lad, t) for t in r], d
 
 
 def test_block_rejects_negative_coordinates():

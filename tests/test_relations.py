@@ -32,7 +32,7 @@ from wkseq import (
     window_source,
     zeros_source,
 )
-from wkseq import orbits, relations, sequence
+from wkseq import brackets, orbits, relations, walker
 from wkseq.sequence import alpha_block
 
 
@@ -197,7 +197,7 @@ def test_block_length_limit_does_not_change_results(block, monkeypatch):
     values = tuple(oracles.seq_value(i) for i in range(300))
     x = OrbitView(window_source(SeqWindow(0, values)), 0)
     fx = values.__getitem__
-    monkeypatch.setattr(sequence, "STREAM_BLOCK", block)
+    monkeypatch.setattr(walker, "STREAM_BLOCK", block)
     for other, fy in (
         (OrbitView(ones_source(), 0), lambda i: F(1)),
         (OrbitView(alpha_source(lad), 3), lambda i: values[i + 3]),
@@ -240,7 +240,7 @@ def _all_verdicts(fixture):
 @pytest.mark.parametrize("block", [1, 3, 7, 64])
 def test_block_size_does_not_change_verdicts(block, fixture, monkeypatch):
     expected = _all_verdicts(fixture)
-    monkeypatch.setattr(sequence, "STREAM_BLOCK", block)
+    monkeypatch.setattr(walker, "STREAM_BLOCK", block)
     assert _all_verdicts(fixture) == expected
 
 
@@ -253,7 +253,7 @@ def test_reads_hold_at_most_one_block(monkeypatch):
         return alpha_block(lad, a, b - a)
 
     src, block, tau = OrbitSource(read), 64, F(1, 100)
-    monkeypatch.setattr(sequence, "STREAM_BLOCK", block)
+    monkeypatch.setattr(walker, "STREAM_BLOCK", block)
     for run, overlap in (
         (lambda: classify_pair(OrbitView(src), OrbitView(src, 3), F(1), 2, 1000, 8, tau), 8 - 1),
         (lambda: thmB_witnesses(src, ones_source(), [(0, 5), (9, 2)], 1000, 8, tau), 9 + 8 - 1),
@@ -309,19 +309,19 @@ def test_scan_is_the_same_on_shared_and_distinct_objects(monkeypatch):
     }
     near_pattern = _naive_fixed_target(fx, pattern, horizon + 1, 16)
     for den_bits in (8, 16, 64):
-        monkeypatch.setattr(sequence, "BLOCK_DEN_BITS", den_bits)
+        monkeypatch.setattr(brackets, "BLOCK_DEN_BITS", den_bits)
         for xs in (shared, fresh, mixed):
             for (n, k), (prox, sep, recur) in expected.items():
                 ys = others[n][0](xs)
-                t, br = sequence.bracket_scan([(xs, ys)], horizon + 1, k, True)
+                t, br = brackets.bracket_scan([(xs, ys)], horizon + 1, k, True)
                 assert (t, br.lo, br.hi) == prox
-                t, br = sequence.bracket_scan([(xs, ys)], horizon + 1, k, True, want_max=True)
+                t, br = brackets.bracket_scan([(xs, ys)], horizon + 1, k, True, want_max=True)
                 assert (t, br.lo, br.hi) == sep
-                t, br = sequence.bracket_scan(
+                t, br = brackets.bracket_scan(
                     [(xs[1:], xs[:k]), (ys[1:], ys[:k])], horizon, k, False
                 )
                 assert (1 + t, br.hi) == recur
-            t, br = sequence.bracket_scan([(xs, pattern)], horizon + 1, 16, False)
+            t, br = brackets.bracket_scan([(xs, pattern)], horizon + 1, 16, False)
             assert (t, br.lo) == near_pattern
 
 
@@ -589,7 +589,7 @@ def _window_cases():
 @pytest.mark.parametrize("case", range(5))
 def test_skip_on_window_files_matches_oracles(case, monkeypatch):
     values, horizon, skips = _window_cases()[case]
-    monkeypatch.setattr(sequence, "STREAM_BLOCK", 64)
+    monkeypatch.setattr(walker, "STREAM_BLOCK", 64)
     window, fx, k = window_source(SeqWindow(0, values)), values.__getitem__, 8
     reads = []
     src = OrbitSource(lambda a, b: reads.append(b - a - (k - 1)) or window.read(a, b),
@@ -614,7 +614,7 @@ def test_skip_treats_equal_values_alike_whatever_their_text(monkeypatch):
     values = tuple(F(t) for t in texts)
     doc = json.dumps({"schema": "wk-window/1", "offset": 0, "values": texts})
     rows = "".join(f"{i},{t.replace('/', ',')}\n" for i, t in enumerate(texts))
-    monkeypatch.setattr(sequence, "STREAM_BLOCK", 64)
+    monkeypatch.setattr(walker, "STREAM_BLOCK", 64)
     horizon, k = len(values) - 9, 8
     for window in (loads_json(doc), loads_csv("index,value_num,value_den\n" + rows)):
         assert window.values == values and len(set(map(id, window.values))) == 5
@@ -639,7 +639,7 @@ def test_skip_at_stretch_edges_matches_oracles(first, leave, monkeypatch):
     values = values[:stop + 3] + pattern + values[stop + 3 + len(pattern):]
     src = _stretch_source(values, 5, first, stop)
     fx = values.__getitem__
-    monkeypatch.setattr(sequence, "STREAM_BLOCK", 64)
+    monkeypatch.setattr(walker, "STREAM_BLOCK", 64)
     horizon = len(values) - k - 1
     for other, fy in (
         (OrbitView(constant_source(F(1, 3))), lambda i: F(1, 3)),
@@ -664,7 +664,7 @@ def test_skip_keeps_a_best_on_either_edge_of_a_period(leave, shift, monkeypatch)
     # time of the first period the walk scans, and every fifth time on.  In
     # a stretch of halves that ends in a 0, each time from `leave` on ties
     # with the next, and the first, `leave`, is the best.
-    monkeypatch.setattr(sequence, "STREAM_BLOCK", 64)
+    monkeypatch.setattr(walker, "STREAM_BLOCK", 64)
     k = 8
     stop = leave + k - 1
     for stretch, last, best in (
@@ -682,7 +682,7 @@ def test_skip_keeps_a_best_on_either_edge_of_a_period(leave, shift, monkeypatch)
 def test_skip_from_a_window_period_one_past_a_block_edge(monkeypatch):
     # The file is 5-periodic from 129, one past a block edge, and the first
     # window against zeros that starts on a 0 is at 133 = 129 + 5 - 1.
-    monkeypatch.setattr(sequence, "STREAM_BLOCK", 64)
+    monkeypatch.setattr(walker, "STREAM_BLOCK", 64)
     values = tuple(F(1) if j < 128 else F(1, 4) if j == 128 else F(0) if j % 5 == 3 else F(3, 4)
                    for j in range(440))
     fx, zero, k = values.__getitem__, (lambda i: F(0)), 8
@@ -736,7 +736,7 @@ def test_skip_on_alpha_matches_oracles(schedule, near, monkeypatch):
     shift, horizon, k = (0, 1200, 8) if near == "p1" else (p[1] * L[2] - 700, 1400, 8)
     vals = [oracles.limit_value(shift + i, schedule) for i in range(horizon + k + 8)]
     fx = vals.__getitem__
-    monkeypatch.setattr(sequence, "STREAM_BLOCK", 64)
+    monkeypatch.setattr(walker, "STREAM_BLOCK", 64)
     a = OrbitView(alpha_source(lad), shift)
     for other, fy in (
         (OrbitView(constant_source(F(1, 3))), lambda i: F(1, 3)),
@@ -764,7 +764,7 @@ def test_skip_on_alpha_matches_oracles(schedule, near, monkeypatch):
 
 
 def test_skip_on_ones_matches_oracles(monkeypatch):
-    monkeypatch.setattr(sequence, "STREAM_BLOCK", 64)
+    monkeypatch.setattr(walker, "STREAM_BLOCK", 64)
     # every time ties, so the first one is reported
     verdicts = thmB_witnesses(ones_source(), constant_source(F(1, 2)), [(0, 1), (3, 9)], 5000, 8, F(2))
     half_away = oracles.naive_bracket_lo(lambda i: F(1), lambda i: F(1, 2), 0, 8)
@@ -811,8 +811,8 @@ def test_walk_matches_oracles_at_any_block_size(case, monkeypatch):
     a, fa, b, fb, start, horizon, k = _walk_cases()[case]
     expected = (oracles.naive_min_hi(fa, fb, start, horizon, k), oracles.naive_max_lo(fa, fb, start, horizon, k),
                 oracles.naive_recur_defect(fa, fb, max(start, 1), horizon, k))
-    for block in (64, sequence.STREAM_BLOCK):
-        monkeypatch.setattr(sequence, "STREAM_BLOCK", block)
+    for block in (64, walker.STREAM_BLOCK):
+        monkeypatch.setattr(walker, "STREAM_BLOCK", block)
         prox, sep, recur = relations._pair_scan(a, b, start, horizon, k)
         assert ((prox[0], *prox[1]), (sep[0], *sep[1]), (recur[0], recur[1].hi)) == expected
 
@@ -827,8 +827,8 @@ def test_recurrence_best_at_the_period_itself(period, monkeypatch):
     horizon = len(values) - k
     expected = oracles.naive_recur_defect(fx, one, 1, horizon, k)
     assert expected == (period, F(2) ** (1 - k))
-    for block in (64, sequence.STREAM_BLOCK):
-        monkeypatch.setattr(sequence, "STREAM_BLOCK", block)
+    for block in (64, walker.STREAM_BLOCK):
+        monkeypatch.setattr(walker, "STREAM_BLOCK", block)
         for start in (0, 1):
             recur = relations._pair_scan(OrbitView(window_source(SeqWindow(0, values))),
                                          OrbitView(ones_source()), start, horizon, k, [2])[0]
@@ -847,8 +847,8 @@ def test_thmB_walk_matches_oracles_at_any_block_size(monkeypatch):
                 for t in range(horizon + 1)]
         expected.append(((near.index(min(near)), min(near) + F(2) ** (1 - k)),
                          oracles.naive_recur_defect(lambda i: fx(m + i), lambda i: fx(n + i), 1, horizon, k)))
-    for block in (64, sequence.STREAM_BLOCK):
-        monkeypatch.setattr(sequence, "STREAM_BLOCK", block)
+    for block in (64, walker.STREAM_BLOCK):
+        monkeypatch.setattr(walker, "STREAM_BLOCK", block)
         verdicts = thmB_witnesses(window_source(SeqWindow(0, values)), constant_source(F(1, 2)),
                                   pairs, horizon, k, F(2))
         assert [(v.prox_witness, v.recur_witness) for v in verdicts] == expected

@@ -16,7 +16,7 @@ import pytest
 
 import oracles
 from wkseq import SeqWindow, loads_csv
-from wkseq import relations, sequence
+from wkseq import brackets, relations, walker
 from wkseq.relations import NotFoundInHorizonError, thmB_witnesses, thmC_witnesses
 from wkseq.orbits import OrbitSource, OrbitView, alpha_source, constant_source, ones_source, window_source
 from wkseq.ladder import ladder_new
@@ -48,7 +48,7 @@ def naive_fixed(fx, shifts, target, horizon, k):
 def _recurrence(values, horizon, block, monkeypatch):
     """classify's recurrence search on a window file against ones, and the
     oracle's answer."""
-    monkeypatch.setattr(sequence, "STREAM_BLOCK", block)
+    monkeypatch.setattr(walker, "STREAM_BLOCK", block)
     a = OrbitView(window_source(SeqWindow(0, tuple(values))))
     recur = relations._pair_scan(a, OrbitView(ones_source()), 0, horizon, K, [2])[0]
     return (recur[0], recur[1].hi), oracles.naive_recur_defect(values.__getitem__, lambda i: F(1), 1, horizon, K)
@@ -111,7 +111,7 @@ def test_best_carried_across_a_denominator_split(block, den_bits, monkeypatch):
     # one off by 1/4: at 3 bits their blocks have denominators 6 and 4, and
     # the first best, 1/3 of the last weight, is 4/3 units of the second
     # block, so only its ceiling 2 lets the sum 1 there win.
-    monkeypatch.setattr(sequence, "BLOCK_DEN_BITS", den_bits)
+    monkeypatch.setattr(brackets, "BLOCK_DEN_BITS", den_bits)
     horizon = 200
     values = [F(1, 2)] * (horizon + K)
     values[:K] = HOME
@@ -127,7 +127,7 @@ def test_best_carried_across_a_denominator_split(block, den_bits, monkeypatch):
 def test_recurrence_on_many_denominators_matches_the_oracle(block, seed, monkeypatch):
     # Reciprocals of primes among near copies of the home: at 16 bits a
     # block of times ends every few values, so the best crosses many splits
-    monkeypatch.setattr(sequence, "BLOCK_DEN_BITS", 16)
+    monkeypatch.setattr(brackets, "BLOCK_DEN_BITS", 16)
     rng = random.Random(seed)
     primes = (2, 3, 5, 7, 11, 13)
     horizon = 260
@@ -146,7 +146,7 @@ def test_thmB_drops_a_time_where_one_side_is_hopeless(block, hopeless, monkeypat
     # At time 30 one shifted view is exactly the fixed point and the other
     # is far from it; at time 170 both are off by 1/7 on their last term.
     # The pair's bracket is the worse of the two, so 170 wins.
-    monkeypatch.setattr(sequence, "STREAM_BLOCK", block)
+    monkeypatch.setattr(walker, "STREAM_BLOCK", block)
     m, n, horizon = 0, 12, 240
     rng = random.Random(7)
     values = [rng.choice(FILL) for _ in range(horizon + n + K)]
@@ -169,7 +169,7 @@ def _thmC(values, q, horizon, k, block, monkeypatch, source=None):
     """thmC's outcome on values, and what plain loops give: the first
     occurrence of the pattern and the best proximity of the q-shifted pair,
     or the error text where it does not occur."""
-    monkeypatch.setattr(sequence, "STREAM_BLOCK", block)
+    monkeypatch.setattr(walker, "STREAM_BLOCK", block)
     need = q + k
     top = horizon - need + 1
     word = [F(i // q % 2) for i in range(need)]
@@ -244,7 +244,7 @@ def test_fixed_kernel_reports_only_a_strictly_better_time(seed, head, monkeypatc
     # below it with the least sum, or None; bests are drawn from the sums
     # the times have, so ties with them are common.  Any number of head
     # terms gives the same answers.
-    monkeypatch.setattr(sequence, "HEAD", head)
+    monkeypatch.setattr(brackets, "HEAD", head)
     rng = random.Random(seed)
     k, count = rng.choice((1, 3, 4, 5, 9)), 60
     pool = [F(i, 4) for i in range(5)]
@@ -257,10 +257,10 @@ def test_fixed_kernel_reports_only_a_strictly_better_time(seed, head, monkeypatc
     for best in [None, *rng.sample(los, 5), min(los), F(0)]:
         below = [lo for lo in los if best is None or lo < best]
         expected = None if not below else (los.index(min(below)), min(below))
-        found = sequence.bracket_scan([(xs, target), (other, target)], count, k, False, best=best)
+        found = brackets.bracket_scan([(xs, target), (other, target)], count, k, False, best=best)
         assert (found and (found[0], found[1].lo)) == expected
     with pytest.raises(ValueError):
-        sequence.bracket_scan([(xs, target)], count, k, False, want_max=True)
+        brackets.bracket_scan([(xs, target)], count, k, False, want_max=True)
 
 
 def test_constant_fixed_point_ties_everywhere():

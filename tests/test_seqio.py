@@ -79,10 +79,10 @@ FORMATS = [("csv", 0), ("csv", 6), ("json", 0)]
     (200, 1000, 64),  # many blocks, and the step from level 1 to level 2 at 244
 ])
 def test_gen_writes_the_plain_per_row_text(fmt, decimals, start, length, block, capsys, monkeypatch):
-    from wkseq import console_main, sequence
+    from wkseq import console_main, sequence, walker
 
     if block:
-        monkeypatch.setattr(sequence, "STREAM_BLOCK", block)
+        monkeypatch.setattr(walker, "STREAM_BLOCK", block)
     flags = ["--format", fmt, "--decimals", str(decimals)]
     assert console_main([*flags, "gen", "--from", str(start), "--len", str(length)]) == 0
     values = sequence.alpha_window(ladder_new("default-minimal"), start, length).values

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import oracles
 from fixtures import full_shift_rigidity_witness, full_shift_transitive_point
 from wkseq import DistBracket, SeqWindow, alpha, alpha_window, ladder_new
-from wkseq.sequence import bracket_scan
+from wkseq.brackets import bracket_scan
 
 
 @pytest.fixture(scope="module")

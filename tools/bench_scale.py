@@ -1,16 +1,20 @@
-"""Write BENCH_scale.json: end-to-end rows for the regimes ROADMAP.md targets.
+"""Write BENCH_scale.json: end-to-end and layer rows for the regimes ROADMAP.md targets.
 
     python3 tools/bench_scale.py
 
-Run it from any directory; it times the checkout it sits in.  Each row is
-one `python -m wkseq` command with this checkout's `src` first on the
-path, run as a child process three times, one after another.  A row holds
-the argv, its timeout (at most 120 s), the exit code and stdout sha256 of
-the runs, `wall_s` as the median of the three wall times, and `peak_rss_mb`
-as the largest of their peak RSS.  A run past its timeout is killed, and
-the row records "timeout" for its time.  The file also records the git
-sha, a hash of `src/`, the Python version and the CPU count.  The jobs are
-started and measured by `bench/spawn.py`, as the gated benchmark's are.
+Run it from any directory; it times the checkout it sits in.  Each
+end-to-end row is one `python -m wkseq` command with this checkout's `src`
+first on the path, run as a child process three times, one after another.
+A row holds the argv, its timeout (at most 120 s), the exit code and stdout
+sha256 of the runs, `wall_s` as the median of the three wall times, and
+`peak_rss_mb` as the largest of their peak RSS.  A run past its timeout is
+killed, and the row records "timeout" for its time.  Each layer row is one
+certificate checker called in process, in one child with the same path, at
+the certify workload's sizes: `wall_s` is the median of LAYER_REPEATS calls,
+each on a fresh ladder, and `report_sha256` hashes the report's JSON.  The
+file also records the git sha, a hash of `src/`, the Python version and the
+CPU count.  The jobs are started and measured by `bench/spawn.py`, as the
+gated benchmark's are.
 
 The gated benchmark (`bench/run.py`) runs only small jobs; these rows are
 the long ones: searches on 10^6 random values, which repeat nowhere, α far
@@ -86,8 +90,59 @@ def rows(files: dict[str, Path]) -> list[tuple[str, list[str], float]]:
         ("returns_n2_refused", ["verify", "returns", "--n", "2"], 60),
         ("rigidity_n2_refused", ["verify", "rigidity", "--n", "2", "--count", str(10**9)], 60),
         ("returns_n2_samples1e5", ["verify", "returns", "--n", "2", "--samples", "100000"], 60),
+        ("returns_n2_samples1e6", ["verify", "returns", "--n", "2", "--samples", "1000000"], 60),
+        ("ones_scan_n1_2e6", ["verify", "ones", "--n", "1", "--window", "2000000", "--mode", "scan"], 60),
         ("ones_plateau_n2_1e13", ["verify", "ones", "--n", "2", "--window", str(10**13), "--mode", "plateau"], 60),
     ]
+
+
+#: Calls per layer row, each on a fresh ladder.
+LAYER_REPEATS = 5
+#: The layer rows' child: argv[1] names a certificate checker's call, made
+#: as the CLI makes it at about the certify workload's sizes (bench/inputs.py
+#: draws them near these); stdout is one JSON object.
+LAYER_SCRIPT = """
+import hashlib, json, sys, time
+from wkseq import certify, ladder_new
+
+
+def grid(lad, n, samples):
+    p = lad.p(n)
+    g = range(-p, p + 1, 1 if samples is None else max(1, 2 * p // samples))
+    return g if g[-1] == p else [*g, p]
+
+
+CALLS = {
+    "ones_scan": lambda lad: certify.check_ones_runs(lad, 1, 50000, mode="scan"),
+    "rigidity_n1": lambda lad: certify.check_rigidity(lad, 1, 10000),
+    "rigidity_n2": lambda lad: certify.check_rigidity(lad, 2, 10000),
+    "returns_n2": lambda lad: certify.check_returns(lad, 2, grid(lad, 2, 4000)),
+    "ones_plateau": lambda lad: certify.check_ones_runs(lad, 2, 300000000, mode="plateau"),
+    "returns_n1": lambda lad: certify.check_returns(lad, 1, grid(lad, 1, None)),
+    "wm_n1": lambda lad: certify.check_wm_returns(lad, 1),
+    "shift_defect": lambda lad: certify.check_shift_defect(lad, 1, 2, 143489313),
+}
+times = []
+for _ in range(int(sys.argv[2])):
+    lad = ladder_new()
+    start = time.perf_counter()
+    report = CALLS[sys.argv[1]](lad)
+    times.append(time.perf_counter() - start)
+doc = json.dumps(report.to_json_dict(), sort_keys=True).encode()
+print(json.dumps({"wall_s_runs": times, "report_sha256": hashlib.sha256(doc).hexdigest()}))
+"""
+LAYER_ROWS = ("ones_scan", "rigidity_n1", "rigidity_n2", "returns_n2", "ones_plateau",
+              "returns_n1", "wm_n1", "shift_defect")
+
+
+def measure_layer(spawner, name: str) -> dict:
+    run = spawner.run(["-c", LAYER_SCRIPT, name, str(LAYER_REPEATS)], 120)
+    if run.exit_code != 0:
+        raise RuntimeError(f"layer row {name} failed: {run.stderr}")
+    out = json.loads(run.stdout)
+    times = [round(t, 5) for t in out["wall_s_runs"]]
+    return {"name": f"certify.{name}", "wall_s": statistics.median(times), "wall_s_runs": times,
+            "report_sha256": out["report_sha256"]}
 
 
 def measure(spawner, name: str, argv: list[str], timeout: float) -> dict:
@@ -138,6 +193,11 @@ def main() -> int:
             result["rows"].append(row)
             print(f"{name:<28} exit {row['exit_code']!s:<6} wall {row['wall_s']!s:>9} s  "
                   f"peak {row['peak_rss_mb']:6.2f} MB", flush=True)
+        result["layer_rows"] = []
+        for name in LAYER_ROWS:
+            row = measure_layer(spawner, name)
+            result["layer_rows"].append(row)
+            print(f"{row['name']:<28} in process   wall {row['wall_s']:>9} s", flush=True)
     finally:
         spawner.close()
     (ROOT / "BENCH_scale.json").write_text(json.dumps(result, indent=1) + "\n")
