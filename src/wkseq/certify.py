@@ -236,14 +236,16 @@ def check_rigidity(ladder: Ladder, n: int, count: int) -> RigidityReport:
 
 # -- certified returns -----------------------------------------------------
 
-def check_returns(ladder: Ladder, n: int, grid: Iterable[int]) -> ReturnReport:
+def check_returns(ladder: Ladder, n: int, grid: Iterable[int], end: int | None = None) -> ReturnReport:
     """Check alpha(t) = ainf(t - S) = ainf(t + S - 1) with S = 2*splice(n+1).
 
-    The grid holds at most SCAN_LIMIT integers in [-p[n], p[n]]; a range
-    is used as it is, and any other grid is sorted once it is checked.  The
-    longest arithmetic prefix of the sorted grid is read as a range, by the
-    structure of alpha, and the rest point by point.
+    The grid and `end`, if given, hold at most SCAN_LIMIT integers in
+    [-p[n], p[n]]; a range is used as it is, and `end` last if past it; any
+    other grid is sorted once checked.  The sorted grid's longest arithmetic
+    prefix is read as a range, by the structure of alpha, the rest one by one.
     """
+    if end is not None and not (isinstance(grid, range) and grid and isinstance(end, int) and end > grid[-1] >= grid[0]):
+        grid, end = chain(grid, [end]), None
     if isinstance(grid, range):
         points = scan_points(grid[::-1] if grid.step < 0 else grid)
     else:
@@ -254,16 +256,18 @@ def check_returns(ladder: Ladder, n: int, grid: Iterable[int]) -> ReturnReport:
         points = sorted(set(points))
     if not points:
         raise ValueError("need at least one grid point")
+    tail = [] if end is None else [end]
+    scan_points(range(len(points) + len(tail)))
     left = 2 * ladder.splice(n + 1)
     bound = ladder.p(n)
-    if points[0] < -bound or points[-1] > bound:
-        bad = points[0] if points[0] < -bound else points[-1]
+    if points[0] < -bound or (tail or points)[-1] > bound:
+        bad = points[0] if points[0] < -bound else (tail or points)[-1]
         raise DomainError(f"grid point {bad} outside [-p[{n}], p[{n}]]")
     head = points  # the longest arithmetic prefix, as a range
     if not isinstance(points, range):
         head = range(points[0], points[-1] + 1, points[1] - points[0] if len(points) > 1 else 1)
         head = head[:next(compress(count(), map(ne, points, head)), len(head))]
-    for part in (head, points[len(head):]):
+    for part in (head, [*points[len(head):], *tail]):
         defect, at = _max_defect(
             partial(eval_block, ladder), part, (-left, left - 1), first=True
         )
@@ -273,7 +277,7 @@ def check_returns(ladder: Ladder, n: int, grid: Iterable[int]) -> ReturnReport:
         n=n,
         left_shift=left,
         right_shift=left - 1,
-        checked=len(points),
+        checked=len(points) + len(tail),
         all_equal=defect == 0,
         first_mismatch=part[at] if defect else None,
     )

@@ -75,22 +75,21 @@ def alpha_source(ladder: Ladder) -> OrbitSource:
 TAIL = 4096
 
 
-def tail_period(values: Sequence[Fraction]) -> tuple[int, int] | None:
-    """(period, first): the least period of the file's tail, its last half
-    but at most TAIL values, when that period is at most half the tail, and
-    the first index from which the values keep it to the end.  None when
-    the tail has no such period.
+def tail_period(window: SeqWindow) -> tuple[int, int] | None:
+    """(period, first): the least period of the window's tail, its last
+    half but at most TAIL values, when that period is at most half the
+    tail, and the first index from which the values keep it to the end.
+    None when the tail has no such period.
 
-    The tail is coded one character per distinct value, equal values alike
-    whatever their objects, so `str.find` proposes the period at C speed;
-    the tail's own period is then followed back through the values in
-    slices."""
-    tail = values[len(values) - min(TAIL, len(values) // 2):]
-    codes: dict[tuple[int, int], int] = {}
-    by_id = dict(zip(map(id, tail), tail))
-    for i, v in by_id.items():
-        by_id[i] = codes.setdefault(v.as_integer_ratio(), len(codes))
-    text = "".join(map(chr, map(by_id.__getitem__, map(id, tail))))
+    The tail is written one character per distinct value, each code named
+    once (a window built from objects may give equal values two codes), so
+    `str.find` proposes the period at C speed; it is followed back through
+    the codes in slices, and value by value where the codes differ."""
+    codes, table, n = window._codes, window._distinct, len(window)
+    tail = codes[n - min(TAIL, n // 2):]
+    same: dict[tuple[int, int], str] = {}
+    chars = {c: same.setdefault(table[c].as_integer_ratio(), chr(len(same))) for c in set(tail)}
+    text = "".join(map(chars.__getitem__, tail))
     m = len(text)
     head = text[:m // 2]
     # By Fine and Wilf, when the first candidate is not a period no later
@@ -98,11 +97,11 @@ def tail_period(values: Sequence[Fraction]) -> tuple[int, int] | None:
     p = text.find(head, 1, 2 * (m // 2))
     if p < 1 or text[p:] != text[:m - p]:
         return None
-    first = len(values) - m  # values[j] == values[j + p] for first <= j < len - p
+    first = n - m  # value j equals value j + p for first <= j < n - p
     while first:
         a = max(0, first - TAIL)
-        if values[a:first] != values[a + p:first + p]:
-            while values[first - 1] == values[first - 1 + p]:
+        if codes[a:first] != codes[a + p:first + p]:
+            while first and table[codes[first - 1]] == table[codes[first - 1 + p]]:
                 first -= 1
             return p, first
         first = a
@@ -110,19 +109,19 @@ def tail_period(values: Sequence[Fraction]) -> tuple[int, int] | None:
 
 
 def window_source(window: SeqWindow) -> OrbitSource:
-    """A window file's values.  They repeat with the least period of the
-    file's tail from where the file starts keeping it, and not before;
-    `tail_period` finds both the first time a search asks."""
-    values = window.values
+    """A window file's values, read off its codes.  They repeat with the
+    least period of the file's tail from where the file starts keeping it,
+    and not before; `tail_period` finds both the first time a search asks."""
+    codes, table = window._codes, window._distinct
     found = []
 
     def repeat(i: int) -> tuple[int | None, int]:
         if not found:
-            found.append(tail_period(values) or (None, len(values)))
+            found.append(tail_period(window) or (None, len(codes)))
         period, first = found[0]
-        return (period, len(values)) if i >= first else (None, first)
+        return (period, len(codes)) if i >= first else (None, first)
 
-    return OrbitSource(lambda a, b: values[a:b], len(values), repeat)
+    return OrbitSource(lambda a, b: list(map(table.__getitem__, codes[a:b])), len(codes), repeat)
 
 
 def constant_source(value: Rational) -> OrbitSource:

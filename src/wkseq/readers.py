@@ -3,12 +3,11 @@
 Text in the shape `gen` writes is read a block at a time at C speed: one
 `str.translate` deletes the ASCII digits, plus `.` for CSV or `/` for JSON,
 and what is left must be the format's separator skeleton.  A block that
-matches is split with `str.split`, and its values are kept only once the
+matches is split with `str.split`, and its rows are coded only once the
 whole block has passed.  Any other text takes the exact path, which alone
 raises errors: `csv.reader` over the rows of the CSV block that failed, or
-`json.loads` of the whole text.  Both paths parse each distinct value text
-once, through `_Values`, so they give the same window, the same error and
-the same line number.
+`json.loads` of the whole text.  Both paths code each row through
+`_Values`, so they give the same window, error and line number.
 
 Only a window read imports this module, so no other command compiles it,
 and a read imports `csv` or `json` only for its own format.
@@ -17,11 +16,10 @@ from __future__ import annotations
 
 import io
 from fractions import Fraction
-from itertools import chain
 from typing import Iterable, Iterator, TextIO
 
 from .seqio import CSV_HEADER, WINDOW_SCHEMA, WindowFormatError
-from .sequence import SeqWindow
+from .sequence import SeqWindow, code_array
 
 #: Characters per CSV block (each completed to the end of its line), and
 #: per slice of a JSON values array.  Each bounds the strings a read holds
@@ -35,11 +33,14 @@ _JSON_DROP = str.maketrans("", "", "0123456789/")
 
 
 class _Values(dict):
-    """Window values by their text, a CSV row's (num, den) fields or a JSON
-    "num/den" entry: each text is parsed, checked for a positive denominator
-    and built into one Fraction on its first lookup; later rows share it."""
+    """Codes by value text, a CSV row's (num, den) fields or a JSON "num/den"
+    entry, each parsed, checked for a positive denominator and built into a
+    Fraction once: its index in `table`, shared by equal values' texts."""
 
-    def __missing__(self, key) -> Fraction:
+    def __init__(self):
+        self.table, self.codes = [], bytearray()
+
+    def __missing__(self, key) -> int:
         if isinstance(key, tuple):
             num, den = key
         else:
@@ -49,20 +50,34 @@ class _Values(dict):
         num, den = int(num), int(den)
         if den <= 0:
             raise ValueError("denominator must be positive")
-        value = self[key] = Fraction(num, den)
-        return value
+        value = Fraction(num, den)
+        num, den = value.as_integer_ratio()
+        reduced = (str(num), str(den)) if isinstance(key, tuple) else f"{num}/{den}"
+        code = self[key] = self[reduced] = self.get(reduced, len(self.table))
+        if code == len(self.table):
+            self.table.append(value)
+        return code
+
+    def extend(self, keys: Iterable) -> None:
+        """Append the codes of `keys` once all have parsed, widening `codes` as needed."""
+        codes = list(map(self.__getitem__, keys))
+        if len(self.table) > 256 ** getattr(self.codes, "itemsize", 1):
+            wide = code_array(len(self.table), [])
+            wide.extend(iter(self.codes))  # one by one, never as the bytes of an array
+            self.codes = wide
+        self.codes += code_array(len(self.table), codes)
 
 
-def csv_window(stream: TextIO, lead: Iterable[str] = ()) -> SeqWindow:
-    """The window of a CSV file, its lines `lead` (if any) and then the text
-    of `stream`, so the file is never held whole.  After the header, the
-    text is read in blocks of CSV_BLOCK characters, each completed to the
-    end of its line.  A block not in canonical shape is parsed one record at
-    a time, with the lines that a quoted field carries past its end; the
-    next block is tried in canonical shape again."""
+def csv_window(stream: TextIO) -> SeqWindow:
+    """The window of a CSV file read from `stream`, so the file is never
+    held whole.  After the header, the text is read in blocks of CSV_BLOCK
+    characters, each completed to the end of its line.  A block not in
+    canonical shape is parsed one record at a time, with the lines that a
+    quoted field carries past its end; the next block is tried in
+    canonical shape again."""
     import csv
 
-    header = next(csv.reader(chain(lead, stream)), None)  # reads the header's lines and no more
+    header = next(csv.reader(stream), None)  # reads the header's lines and no more
     if header is None:
         raise WindowFormatError("empty file")
     if tuple(header[:3]) != CSV_HEADER:
@@ -71,19 +86,18 @@ def csv_window(stream: TextIO, lead: Iterable[str] = ()) -> SeqWindow:
         )
     parsed = _Values()
     offset = None
-    values = []
     records = 1  # read so far, the header's included; a block that passed holds one per line
     limit = csv.field_size_limit()
     while text := stream.read(CSV_BLOCK):
         if not text.endswith("\n"):
             text += stream.readline()
-        passed = _csv_block(text, parsed, None if offset is None else offset + len(values), limit)
+        passed = _csv_block(text, parsed, None if offset is None else offset + len(parsed.codes), limit)
         if passed is not None:
             if offset is None:
                 offset = passed[0]
-            values += passed[1]
-            records += len(passed[1])
+            records += passed[1]
             continue
+        keys = []
         for row in _records(text, stream):
             records += 1
             if not row:
@@ -91,21 +105,22 @@ def csv_window(stream: TextIO, lead: Iterable[str] = ()) -> SeqWindow:
             if len(row) < 3:
                 raise WindowFormatError("need index,value_num,value_den", line=records)
             try:
-                index, value = int(row[0]), parsed[row[1], row[2]]
+                index, _ = int(row[0]), parsed[row[1], row[2]]
             except ValueError as exc:
                 raise WindowFormatError(str(exc), line=records) from None
             if offset is None:
                 offset = index
-            elif index != offset + len(values):
+            elif index != offset + len(parsed.codes) + len(keys):
                 raise WindowFormatError(
-                    f"indices must be contiguous, expected {offset + len(values)}",
+                    f"indices must be contiguous, expected {offset + len(parsed.codes) + len(keys)}",
                     line=records,
                 )
-            values.append(value)
+            keys.append((row[1], row[2]))
+        parsed.extend(keys)
     if offset is None:
         raise WindowFormatError("no data rows")
     try:
-        return SeqWindow._from_distinct(offset, tuple(values), parsed.values())
+        return SeqWindow._from_codes(offset, parsed.codes, parsed.table)
     except ValueError as exc:
         raise WindowFormatError(str(exc)) from None
 
@@ -133,12 +148,12 @@ def _records(text: str, stream: TextIO) -> Iterator[list[str]]:
 
 
 def _csv_block(text: str, parsed: _Values, first: int | None, limit: int):
-    """(first index, values) of a block of lines `i,num,den[,...]`, each
+    """(first index, rows) of a block of lines `i,num,den[,...]`, each
     field ASCII digits or `.`, each line ending in a newline, every line with
     the same number of fields, and indices contiguous from `first` (from the
-    block's own first index if None); or None if the block needs the exact
-    path.  A line longer than the csv module's field `limit` also needs it,
-    since only the exact path enforces that limit."""
+    block's own first index if None), once its codes are in; or None if the
+    block needs the exact path.  A line longer than the csv module's field
+    `limit` also needs it, since only the exact path enforces that limit."""
     skeleton = text.translate(_CSV_DROP)
     commas = skeleton.find("\n")
     rows = skeleton.count("\n")
@@ -152,20 +167,22 @@ def _csv_block(text: str, parsed: _Values, first: int | None, limit: int):
             first = int(fields[0])
         if ",".join(fields[0:-1:step]) != ",".join(["%d"] * rows) % tuple(range(first, first + rows)):
             return None
-        return first, list(map(parsed.__getitem__, zip(fields[1::step], fields[2::step])))
+        parsed.extend(zip(fields[1::step], fields[2::step]))
+        return first, rows
     except ValueError:
         return None
 
 
-def json_window(text: str) -> SeqWindow:
-    """The window of a JSON window document."""
+def json_window(stream: TextIO) -> SeqWindow:
+    """The window of a JSON window document, read from a seekable `stream`."""
     import json
 
-    window = _json_blocks(text)
+    window = _json_blocks(stream)
     if window is not None:
         return window
+    stream.seek(0)
     try:
-        doc = json.loads(text)
+        doc = json.loads(stream.read())
     except json.JSONDecodeError as exc:
         raise WindowFormatError(str(exc), line=exc.lineno) from None
     if not isinstance(doc, dict) or doc.get("schema") != WINDOW_SCHEMA:
@@ -175,58 +192,64 @@ def json_window(text: str) -> SeqWindow:
         if not isinstance(entries, list):
             raise ValueError('"values" must be an array')
         try:
-            values = tuple(map(parsed.__getitem__, entries))
+            parsed.extend(entries)
         except TypeError:  # unhashable: the first array or object entry
             bad = next(e for e in entries if isinstance(e, (list, dict)))
             raise ValueError(f"expected num/den, got {bad!r}") from None
         offset = doc["offset"]
         if type(offset) is not int:
             raise ValueError(f"offset must be an integer, got {offset!r}")
-        return SeqWindow._from_distinct(offset, values, parsed.values())
+        return SeqWindow._from_codes(offset, parsed.codes, parsed.table)
     except (KeyError, ValueError) as exc:
         raise WindowFormatError(str(exc)) from None
 
 
-def _json_blocks(text: str) -> SeqWindow | None:
+def _json_blocks(stream: TextIO) -> SeqWindow | None:
     """The window of a JSON text whose first `[` and last `]` hold its
     "values" array, if every entry is "num/den" in ASCII digits, separated
     by `,` or `, `, and the whole document is a valid window; else None.
 
-    The text with the array's body cut out parses to the same document but
-    for the body, so the array is "values" if that parse gives it `[]`, and
-    the body is a bracket-free run of entries if it passes the skeleton
-    check.  The body is read in slices of about `JSON_SLICE` characters,
-    each cut after an entry."""
+    The body is read off the stream up to the first `]`, in slices of about
+    `JSON_SLICE` characters each cut after an entry, and no `]` may follow.
+    The text without the body parses to the same document but for it, so
+    the array is "values" if that parse gives it `[]`, and the body a run of
+    entries if each slice passes the skeleton check."""
     import json
 
-    start, end = text.find("["), text.rfind("]")
-    if not 0 <= start < end or not text.startswith('"', start + 1):
-        return None
+    head = ""
+    while (start := (text := stream.read(JSON_SLICE)).find("[")) < 0:
+        if not text:
+            return None
+        head += text
+    head, body, parsed = head + text[:start + 1], text[start + 1:], _Values()
+    while True:
+        end = body.find("]")
+        # a cut with a character after its `",`, so a `, ` separator is whole
+        if cut := end if end >= 0 else body.rfind('",', 0, len(body) - 1) + 1:
+            piece = body[:cut]
+            sep = '","' if '","' in piece else '", "'
+            entries = piece[1:-1].split(sep)
+            if piece.translate(_JSON_DROP) != '"' + sep * (len(entries) - 1) + '"':
+                return None
+            try:
+                parsed.extend(entries)
+            except ValueError:
+                return None
+            if end >= 0:
+                break
+            body = body[cut + 1 + body.startswith(" ", cut + 1):]
+        if not (text := stream.read(JSON_SLICE)):
+            return None
+        body += text
+    tail = body[end:] + stream.read()
     try:
-        doc = json.loads(text[:start + 1] + text[end:])
+        doc = json.loads(head + tail)
     except (ValueError, RecursionError):
         return None
-    if (not isinstance(doc, dict) or doc.get("schema") != WINDOW_SCHEMA
+    if ("]" in tail[1:] or not isinstance(doc, dict) or doc.get("schema") != WINDOW_SCHEMA
             or doc.get("values") != [] or type(doc.get("offset")) is not int):
         return None
-    parsed = _Values()
-    values = []
-    pos = start + 1
-    while True:
-        cut = text.find('",', pos + JSON_SLICE, end) + 1 or end
-        piece = text[pos:cut]
-        sep = '","' if '","' in piece else '", "'
-        entries = piece[1:-1].split(sep)
-        if piece.translate(_JSON_DROP) != '"' + sep * (len(entries) - 1) + '"':
-            return None
-        try:
-            values += map(parsed.__getitem__, entries)
-        except ValueError:
-            return None
-        if cut == end:
-            break
-        pos = cut + 1 + text.startswith(" ", cut + 1)
     try:
-        return SeqWindow._from_distinct(doc["offset"], tuple(values), parsed.values())
+        return SeqWindow._from_codes(doc["offset"], parsed.codes, parsed.table)
     except ValueError:
         return None

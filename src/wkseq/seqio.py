@@ -80,12 +80,11 @@ def window_chunks(
     chunk per window for JSON and chunks of at most `WRITE_ROWS` rows for
     CSV; `decimals` adds the CSV's presentation-only decimal column.
 
-    Each distinct value object of a window (`SeqWindow` keeps them, in the
-    order of their first appearance) is formatted once: its JSON entry, or
-    its CSV row after the index.  Where objects repeat, as in alpha's
-    windows, each row looks its object's text up by id within the window,
-    whose values keep their objects, and so their ids, alive; where none
-    does, the texts are the rows.  Either way the rows are joined at C speed.
+    Each distinct value of a window (`SeqWindow` keeps them, in the order
+    of their first appearance) is formatted once: its JSON entry, or its
+    CSV row after the index.  Where values repeat, as in alpha's windows,
+    each row's text is looked up by its code; where none does, the texts
+    are the rows.  Either way the rows are joined at C speed.
     """
     count = 0
     for count, w in enumerate(windows, 1):
@@ -97,7 +96,7 @@ def window_chunks(
         else:
             texts = [",%d,%d\n" % v.as_integer_ratio() for v in distinct]
         if len(texts) < len(w):
-            texts = map(dict(zip(map(id, distinct), texts)).__getitem__, map(id, w.values))
+            texts = map(texts.__getitem__, w._codes)
         if fmt == "json":
             head = f'{{"offset":{w.offset},"schema":"{WINDOW_SCHEMA}","values":[' if count == 1 else ","
             yield head + ",".join(texts)
@@ -128,20 +127,19 @@ def dumps_json(window: SeqWindow) -> str:
 def loads_json(text: str) -> SeqWindow:
     from .readers import json_window
 
-    return json_window(text)
+    return json_window(io.StringIO(text))
 
 
 def load_window(path: str) -> SeqWindow:
     """Load a window file, dispatching on its first non-blank character
-    (JSON vs CSV).  A CSV file is parsed as it is read, never held whole."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lead = []
-        for line in fh:
-            lead.append(line)
-            if not line.isspace():
-                break
-        if lead and lead[-1].lstrip().startswith("{"):
-            return loads_json("".join(lead) + fh.read())
-        from .readers import csv_window
+    (JSON vs CSV).  Either is parsed as it is read, never held whole, but
+    for a JSON file that needs the exact path, or a pipe, which is read
+    whole, since the readers go back to its start."""
+    from .readers import csv_window, json_window
 
-        return csv_window(fh, lead)
+    with open(path, "r", encoding="utf-8") as fh:
+        stream = fh if fh.seekable() else io.StringIO(fh.read())
+        while (lead := stream.read(64)).isspace():
+            pass
+        stream.seek(0)
+        return (json_window if lead.lstrip().startswith("{") else csv_window)(stream)

@@ -8,48 +8,59 @@ rationals in [0, 1]; `alpha_window` reads a range of alpha into one through
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator
+from itertools import repeat
+from typing import Iterable, Iterator, MutableSequence, Sequence
 
 from . import walker
 from .ladder import DomainError, Ladder, Rational, eval_ainf
 
 
+def code_array(distinct: int, codes: list[int]) -> MutableSequence[int]:
+    """`codes` in a mutable array of 1 byte each up to 256 `distinct` codes, else 2 or 4."""
+    if distinct <= 1 << 8:
+        return bytearray(codes)
+    from array import array  # loaded only for a window of more than 256 distinct values
+
+    wide = array("H" if distinct <= 1 << 16 else "I")
+    wide.fromlist(codes)
+    return wide
+
+
 class SeqWindow:
     """Contiguous slice values[i] = x(offset + i) of a one-sided sequence.
 
-    Immutable, equal by value, and as long as its values.  It also keeps
-    its distinct value objects once each, in the order of their first
-    appearance, for `seqio.window_chunks` to format once each.
+    Immutable, equal by value, and as long as its values.  `_codes` holds
+    each value as its index in `_distinct`, the distinct values in the order
+    of their first appearance, in a `code_array`; the constructor codes objects.
     """
 
-    __slots__ = ("offset", "values", "_distinct")
+    __slots__ = ("offset", "_codes", "_distinct")
 
-    def __init__(self, offset: int, values: tuple[Fraction, ...]):
-        # once per object: alpha_block shares one object per value
-        self._fill(offset, values, dict(zip(map(id, values), values)).values())
+    def __init__(self, offset: int, values: Sequence[Fraction]):
+        # one code per object, the next free one at its first row: alpha_block
+        # shares one object per value
+        codes: dict[int, int] = {}
+        rows = [*map(codes.setdefault, map(id, values), map(len, repeat(codes)))]
+        self._fill(offset, code_array(len(codes), rows), dict(zip(rows, values)).values())
 
     @classmethod
-    def _from_distinct(
-        cls, offset: int, values: tuple[Fraction, ...], distinct: Iterable[Fraction]
-    ) -> SeqWindow:
-        """The window of `values`, each one of the objects `distinct`, which
-        come in the order of their first appearance in values: a reader's
-        memo of the values it parsed, so each is checked once."""
+    def _from_codes(cls, offset: int, codes: MutableSequence[int], distinct: Iterable[Fraction]) -> SeqWindow:
+        """The window whose value i is distinct[codes[i]], from a reader."""
         window = cls.__new__(cls)
-        window._fill(offset, values, distinct)
+        window._fill(offset, codes, distinct)
         return window
 
-    def _fill(self, offset: int, values: tuple[Fraction, ...], distinct: Iterable[Fraction]) -> None:
+    def _fill(self, offset: int, codes: MutableSequence[int], distinct: Iterable[Fraction]) -> None:
         if offset < 0:
             raise ValueError("window offset must be nonnegative")
-        if not values:
+        if not codes:
             raise ValueError("window must hold at least one value")
         distinct = tuple(distinct)
         for v in distinct:
             if not 0 <= v.numerator <= v.denominator:
                 raise ValueError(f"window value {v} outside [0, 1]")
         object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_codes", codes)
         object.__setattr__(self, "_distinct", distinct)
 
     def __setattr__(self, name: str, value=None) -> None:
@@ -57,8 +68,13 @@ class SeqWindow:
 
     __delattr__ = __setattr__
 
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        """The values, built from the codes; no package code reads them."""
+        return tuple(map(self._distinct.__getitem__, self._codes))
+
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self._codes)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -80,7 +96,7 @@ def alpha(ladder: Ladder, i: int) -> Fraction:
 
 
 def alpha_window(ladder: Ladder, start: int, length: int) -> SeqWindow:
-    return SeqWindow(start, tuple(alpha_block(ladder, start, length)))
+    return SeqWindow(start, alpha_block(ladder, start, length))
 
 
 def alpha_windows(ladder: Ladder, start: int, length: int) -> Iterator[SeqWindow]:

@@ -167,6 +167,42 @@ def test_returns_refuses_an_oversized_grid_before_sorting_it(lad):
     assert check_returns(lad, 1, range(243, -244, -1)) == check_returns(lad, 1, range(-243, 244))
 
 
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_returns_range_and_end_point_apart_match_their_list(lad, n, monkeypatch):
+    # the CLI's sampled grid is a range and the end point p[n] past it; any
+    # other end point is merged in as a list's would be
+    p = lad.p(n)
+    step = next(s for s in range(2 * p // 97, 2 * p) if 2 * p % s)  # p is not on the progression
+    grid = range(-p, p + 1, step)
+    for g, end in ((grid, p), (grid[::-1], p), (grid, grid[3]), (grid, grid[5] + 1), (grid[1:], -p),
+                   (range(0), p), (grid[:1], p)):
+        assert check_returns(lad, n, g, end) == check_returns(lad, n, [*g, end]), (g, end)
+    # a mismatch planted at the end point, alone or after one in the range
+    for planted in ({p}, {grid[7], p}):
+        def read(ladder, ts):
+            ts = ts if isinstance(ts, range) else list(ts)
+            return [F(1, 2) if t in planted else v for t, v in zip(ts, eval_block(ladder, ts))]
+
+        with monkeypatch.context() as mp:
+            mp.setattr(certify, "eval_block", read)
+            rep = check_returns(lad, n, grid, p)
+            assert rep == check_returns(lad, n, [*grid, p])
+        assert rep.first_mismatch == min(planted) and rep.checked == len(grid) + 1
+    with pytest.raises(ValueError, match=r"grid point Fraction\(1, 2\) is not an integer"):
+        check_returns(lad, n, grid, F(1, 2))
+    with pytest.raises(DomainError, match=f"grid point {p + 1} outside"):
+        check_returns(lad, n, grid, p + 1)
+
+
+def test_returns_range_and_end_point_count_against_the_scan_limit(lad):
+    p2 = lad.p(2)
+    full = range(-p2, -p2 + certify.SCAN_LIMIT)
+    with pytest.raises(ValueError, match=str(certify.SCAN_LIMIT)):
+        check_returns(lad, 2, full, p2)
+    with pytest.raises(ValueError, match=str(certify.SCAN_LIMIT)):
+        check_returns(lad, 2, [*full, p2])
+
 def test_wm_level_zero(lad):
     rep = check_wm_returns(lad, 0)
     assert rep.N == 161

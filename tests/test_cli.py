@@ -496,3 +496,30 @@ def test_repeated_window_file_is_loaded_once(capsys, tmp_path, monkeypatch):
         "--pairs", "0:1", "--horizon", "300", "--k", "8", "--tau", "1/100",
     )
     assert code == 1 and loads == [str(path)]  # proximity stays unwitnessed
+
+
+def test_window_file_commands_never_build_the_values(tmp_path, capsys, monkeypatch):
+    # SeqWindow.values builds a tuple of every value; gen, the readers and
+    # every search on a window file read the codes instead
+    csv_path, json_path = tmp_path / "w.csv", tmp_path / "w.json"
+    commands = [
+        ["gen", "--from", "4860", "--len", "5000", "--out", str(csv_path)],
+        ["--format", "json", "gen", "--from", "25000000", "--len", "5000", "--out", str(json_path)],
+        ["relations", "classify", "--a", str(csv_path), "--b", "ones", "--delta", "1",
+         "--horizon", "4968", "--k", "32", "--tau", "1/100"],
+        ["relations", "classify", "--a", str(csv_path), "--b", str(json_path), "--shift-b", "1", "--delta", "1",
+         "--horizon", "4900", "--k", "32", "--tau", "1/100"],
+        ["relations", "thmB", "--orbit", str(json_path), "--fixed-point", "ones", "--pairs", "0:1,2:5",
+         "--horizon", "4000", "--k", "32", "--tau", "1/100"],
+        ["relations", "thmC", "--orbit", str(csv_path), "--q", "1", "--delta", "1",
+         "--horizon", "4900", "--k", "8", "--tau", "1/100"],
+    ]
+    expected = [run_cli(capsys, *argv) for argv in commands]
+    assert [code for code, _, _ in expected] == [0, 0, 0, 0, 0, 1]
+
+    def values(self):
+        raise AssertionError("SeqWindow.values was read")
+
+    monkeypatch.setattr(wkseq.SeqWindow, "values", property(values))
+    for argv, result in zip(commands, expected):
+        assert run_cli(capsys, *argv) == result

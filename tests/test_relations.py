@@ -568,7 +568,31 @@ def test_tail_period_matches_brute_force():
     # equal values as distinct objects are alike
     cases.append([F(n % 3, 2) for n in range(60)])
     for values in cases:
-        assert orbits.tail_period(values) == _least_tail_period(values), values
+        assert orbits.tail_period(SeqWindow(0, values)) == _least_tail_period(values), values
+
+
+def test_tail_period_on_coded_windows_matches_brute_force():
+    # Windows with up to 400 distinct values, so codes pass one byte: read
+    # from a file, one code per value; built from one object per value; and
+    # built from one object per row, one code per object, so that equal
+    # values have other codes and the slices compared differ while the
+    # values agree.
+    rng = random.Random(2026)
+    cases = [[F(n % 3, 2) for n in range(600)], [F(n % 7, 7) for n in range(300)] + [F(0)] * 5]
+    for _ in range(40):
+        q = rng.choice([1, 2, 5, 50, 300, 400])
+        word = [F(rng.randrange(400), 400) for _ in range(q)]
+        values = [word[i % q] for i in range(rng.randrange(2 * q, 2 * q + 900))]
+        for _ in range(rng.randrange(3)):
+            values[rng.randrange(len(values))] = F(rng.randrange(400), 400)
+        cases.append(values)
+    for values in cases:
+        expected = _least_tail_period(values)
+        text = "index,value_num,value_den\n" + "".join(f"{i},{v.numerator},{v.denominator}\n"
+                                                       for i, v in enumerate(values))
+        fresh = [F(v.numerator, v.denominator) for v in values]
+        for window in (loads_csv(text), SeqWindow(0, values), SeqWindow(0, fresh)):
+            assert orbits.tail_period(window) == expected, values
 
 
 def _window_cases():
@@ -609,15 +633,18 @@ def test_skip_on_window_files_matches_oracles(case, monkeypatch):
 
 def test_skip_treats_equal_values_alike_whatever_their_text(monkeypatch):
     # 1/2 is written three ways, so the texts repeat with period 6 and the
-    # values with period 3; the file is read as JSON and as CSV
+    # values with period 3; the file is read as JSON and as CSV, which code
+    # the values, and built from one object per row, coded per object
     texts = ["1/2", "1/3", "1/1", "2/4", "1/3", "1/1", "3/6", "1/3", "1/1"] * 70
     values = tuple(F(t) for t in texts)
     doc = json.dumps({"schema": "wk-window/1", "offset": 0, "values": texts})
     rows = "".join(f"{i},{t.replace('/', ',')}\n" for i, t in enumerate(texts))
     monkeypatch.setattr(walker, "STREAM_BLOCK", 64)
     horizon, k = len(values) - 9, 8
-    for window in (loads_json(doc), loads_csv("index,value_num,value_den\n" + rows)):
-        assert window.values == values and len(set(map(id, window.values))) == 5
+    files = loads_json(doc), loads_csv("index,value_num,value_den\n" + rows)
+    assert [len(w._distinct) for w in files] == [3, 3] and files[0]._codes == bytes([0, 1, 2]) * 210
+    for window in (*files, SeqWindow(0, values)):
+        assert window.values == values
         reads = []
         src = window_source(window)
         counted = OrbitSource(lambda a, b: reads.append(b - a) or src.read(a, b), src.length, src.repeat)

@@ -12,15 +12,21 @@ killed, and the row records "timeout" for its time.  Each layer row is one
 certificate checker called in process, in one child with the same path, at
 the certify workload's sizes: `wall_s` is the median of LAYER_REPEATS calls,
 each on a fresh ladder, and `report_sha256` hashes the report's JSON.  The
-file also records the git sha, a hash of `src/`, the Python version and the
-CPU count.  The jobs are started and measured by `bench/spawn.py`, as the
-gated benchmark's are.
+window layer rows call both readers and `tail_period` the same way, on
+LOAD_ROWS rows whose values are all distinct, in `gen`'s shape and not; each
+also records its tracemalloc peak per row, from one more call under
+tracemalloc, and a hash of the window's values.  The file also records the
+measured `src/` as a git tree id (`git rev-parse <commit>:src` gives the
+same id for the commit that holds that code), the commit when it is HEAD's,
+a hash of `src/`, the Python version and the CPU count.  The jobs are
+started and measured by `bench/spawn.py`, as the gated benchmark's are.
 
 The gated benchmark (`bench/run.py`) runs only small jobs; these rows are
-the long ones: searches on 10^6 random values, which repeat nowhere, α far
-into its ramps, and the certificate checks near their limits.  The input
-files are written once under `.bench_scale/` from a fixed seed, as
-`bench/inputs.py` writes its own, so no file is downloaded.
+the long ones: searches on 10^6 random values, which repeat nowhere, and on
+10^6 rows of α as CSV and JSON, α far into its ramps, and the certificate
+checks near their limits.  The input files are written once under
+`.bench_scale/`, the random ones from a fixed seed, as `bench/inputs.py`
+writes its own, and α's by this checkout's `gen`, so no file is downloaded.
 """
 from __future__ import annotations
 
@@ -63,6 +69,13 @@ def inputs() -> dict[str, Path]:
         path = paths[name] = INPUTS / f"{name}-seed{SEED}.csv"
         if not path.exists():
             _write_csv(path, rows, blank)
+    for fmt in ("csv", "json"):
+        path = paths[f"alpha_1e6_{fmt}"] = INPUTS / f"alpha-4860-1e6.{fmt}"
+        if not path.exists():
+            env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+            subprocess.run([sys.executable, "-m", "wkseq", "--format", fmt, "gen", "--from", "4860",
+                            "--len", str(RANDOM_ROWS), "--out", f"{path}.tmp"], env=env, check=True)
+            os.replace(f"{path}.tmp", path)
     return paths
 
 
@@ -71,6 +84,7 @@ def rows(files: dict[str, Path]) -> list[tuple[str, list[str], float]]:
     classify = ["--b", "ones", "--delta", "1", "--k", "32", "--tau", "1/100"]
     thmC = ["--q", "1", "--delta", "1", "--k", "8", "--tau", "1/100"]
     big, load, blank = (str(files[n]) for n in ("random_1e6", "random_1e5", "random_1e5_blank"))
+    alpha_csv, alpha_json = str(files["alpha_1e6_csv"]), str(files["alpha_1e6_json"])
     return [
         # ROADMAP item 7: window files with no period, walked one time at a time
         ("classify_random_1e6", ["relations", "classify", "--a", big, "--horizon", "999000", *classify], 120),
@@ -78,6 +92,10 @@ def rows(files: dict[str, Path]) -> list[tuple[str, list[str], float]]:
         # a load and one search time: the canonical file, and one blank line after its header
         ("load_random_1e5", ["relations", "classify", "--a", load, "--horizon", "0", *classify], 60),
         ("load_random_1e5_blank_line", ["relations", "classify", "--a", blank, "--horizon", "0", *classify], 60),
+        # 10^6 rows of α, which repeat from the file's start: the readers and the skip, as CSV and JSON
+        ("classify_alpha_csv_1e6", ["relations", "classify", "--a", alpha_csv, "--horizon", "999968", *classify], 60),
+        ("thmB_alpha_json_1e6", ["relations", "thmB", "--orbit", alpha_json, "--fixed-point", "ones", "--pairs",
+                                 "0:1,2:5", "--horizon", "20000", "--k", "32", "--tau", "1/100"], 60),
         # α past stretch(2) = 14 348 907, on level 2's ramps
         *((f"classify_alpha_{n}e7", ["relations", "classify", "--a", "alpha", "--horizon", str(n * 10**7), *classify],
            120) for n in (1, 2, 3)),
@@ -100,49 +118,107 @@ def rows(files: dict[str, Path]) -> list[tuple[str, list[str], float]]:
 LAYER_REPEATS = 5
 #: The layer rows' child: argv[1] names a certificate checker's call, made
 #: as the CLI makes it at about the certify workload's sizes (bench/inputs.py
-#: draws them near these); stdout is one JSON object.
+#: draws them near these), or a window read; stdout is one JSON object.
 LAYER_SCRIPT = """
-import hashlib, json, sys, time
-from wkseq import certify, ladder_new
+import hashlib, json, os, sys, tempfile, time, tracemalloc
+from fractions import Fraction
+from wkseq import SeqWindow, certify, ladder_new, load_window
+from wkseq.orbits import window_source
+from wkseq.sequence import alpha_window
 
 
-def grid(lad, n, samples):
+def returns(lad, n, samples):
     p = lad.p(n)
     g = range(-p, p + 1, 1 if samples is None else max(1, 2 * p // samples))
-    return g if g[-1] == p else [*g, p]
+    try:
+        return certify.check_returns(lad, n, g, None if g[-1] == p else p)
+    except TypeError:  # a checkout from before check_returns took the end point apart
+        return certify.check_returns(lad, n, g if g[-1] == p else [*g, p])
 
 
 CALLS = {
     "ones_scan": lambda lad: certify.check_ones_runs(lad, 1, 50000, mode="scan"),
     "rigidity_n1": lambda lad: certify.check_rigidity(lad, 1, 10000),
     "rigidity_n2": lambda lad: certify.check_rigidity(lad, 2, 10000),
-    "returns_n2": lambda lad: certify.check_returns(lad, 2, grid(lad, 2, 4000)),
+    "returns_n2": lambda lad: returns(lad, 2, 4000),
     "ones_plateau": lambda lad: certify.check_ones_runs(lad, 2, 300000000, mode="plateau"),
-    "returns_n1": lambda lad: certify.check_returns(lad, 1, grid(lad, 1, None)),
+    "returns_n1": lambda lad: returns(lad, 1, None),
     "wm_n1": lambda lad: certify.check_wm_returns(lad, 1),
     "shift_defect": lambda lad: certify.check_shift_defect(lad, 1, 2, 143489313),
 }
+# Window files of `rows` values i/rows, all distinct and written reduced,
+# in gen's shape (the block paths) and not (the exact paths), read as the
+# CLI reads them; and the tail_period that a search asks for first, on
+# windows that repeat nowhere, read or built from one object per value, and
+# on alpha, which repeats from the window's start.
+name, repeats, rows = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+pairs = [Fraction(i, rows).as_integer_ratio() for i in range(rows)]
+texts = {
+    "csv": "index,value_num,value_den\\n" + "".join(f"{i},{n},{d}\\n" for i, (n, d) in enumerate(pairs)),
+    "csv_exact": "index,value_num,value_den\\n" + "".join(f"{i}, {n}, {d}\\n" for i, (n, d) in enumerate(pairs)),
+    "json": json.dumps({"offset": 0, "schema": "wk-window/1", "values": [f"{n}/{d}" for n, d in pairs]}),
+}
+texts["json_exact"] = json.dumps(json.loads(texts["json"]), indent=1)
+folder = tempfile.mkdtemp()
+for kind, text in texts.items():
+    with open(os.path.join(folder, kind), "w") as fh:
+        fh.write(text)
+READS = {
+    "csv_window_1e5": lambda: load_window(os.path.join(folder, "csv")),
+    "csv_window_exact_1e5": lambda: load_window(os.path.join(folder, "csv_exact")),
+    "json_window_1e5": lambda: load_window(os.path.join(folder, "json")),
+    "json_window_exact_1e5": lambda: load_window(os.path.join(folder, "json_exact")),
+}
+TAILS = {
+    "tail_period_read_1e5": READS["csv_window_1e5"],
+    "tail_period_objects_1e5": lambda: SeqWindow(0, [Fraction(i, rows) for i in range(rows)]),
+    "tail_period_alpha_1e5": lambda: alpha_window(ladder_new(), 4860, rows),
+}
+
+
+def call():
+    if name in READS:
+        return READS[name]()
+    return window_source(window).repeat(0)
+
+
 times = []
-for _ in range(int(sys.argv[2])):
-    lad = ladder_new()
+for _ in range(repeats):
+    lad, window = ladder_new(), TAILS[name]() if name in TAILS else None
     start = time.perf_counter()
-    report = CALLS[sys.argv[1]](lad)
+    report = CALLS[name](lad) if name in CALLS else call()
     times.append(time.perf_counter() - start)
-doc = json.dumps(report.to_json_dict(), sort_keys=True).encode()
-print(json.dumps({"wall_s_runs": times, "report_sha256": hashlib.sha256(doc).hexdigest()}))
+out = {"wall_s_runs": times}
+if name in CALLS:
+    doc = json.dumps(report.to_json_dict(), sort_keys=True)
+else:
+    tracemalloc.start()
+    report = call()
+    out["tracemalloc_bytes_per_row"] = round(tracemalloc.get_traced_memory()[1] / rows, 2)
+    tracemalloc.stop()
+    doc = repr((report.offset, report.values) if name in READS else report)
+for kind in texts:
+    os.remove(os.path.join(folder, kind))
+os.rmdir(folder)
+out["report_sha256"] = hashlib.sha256(doc.encode()).hexdigest()
+print(json.dumps(out))
 """
-LAYER_ROWS = ("ones_scan", "rigidity_n1", "rigidity_n2", "returns_n2", "ones_plateau",
-              "returns_n1", "wm_n1", "shift_defect")
+LAYER_ROWS = (
+    *(f"certify.{name}" for name in ("ones_scan", "rigidity_n1", "rigidity_n2", "returns_n2", "ones_plateau",
+                                     "returns_n1", "wm_n1", "shift_defect")),
+    *(f"readers.{name}" for name in ("csv_window_1e5", "csv_window_exact_1e5", "json_window_1e5",
+                                     "json_window_exact_1e5")),
+    *(f"orbits.{name}" for name in ("tail_period_read_1e5", "tail_period_objects_1e5", "tail_period_alpha_1e5")),
+)
 
 
 def measure_layer(spawner, name: str) -> dict:
-    run = spawner.run(["-c", LAYER_SCRIPT, name, str(LAYER_REPEATS)], 120)
+    run = spawner.run(["-c", LAYER_SCRIPT, name.split(".")[1], str(LAYER_REPEATS), str(LOAD_ROWS)], 120)
     if run.exit_code != 0:
         raise RuntimeError(f"layer row {name} failed: {run.stderr}")
     out = json.loads(run.stdout)
-    times = [round(t, 5) for t in out["wall_s_runs"]]
-    return {"name": f"certify.{name}", "wall_s": statistics.median(times), "wall_s_runs": times,
-            "report_sha256": out["report_sha256"]}
+    times = [round(t, 5) for t in out.pop("wall_s_runs")]
+    return {"name": name, "wall_s": statistics.median(times), "wall_s_runs": times, **out}
 
 
 def measure(spawner, name: str, argv: list[str], timeout: float) -> dict:
@@ -164,17 +240,37 @@ def measure(spawner, name: str, argv: list[str], timeout: float) -> dict:
     }
 
 
+def git_tree(folder: Path) -> str:
+    """The git tree id of the `.py` files under `folder`, as git would
+    write it for them (mode 100644), from the files on disk."""
+    entries = []
+    for path in folder.iterdir():
+        if path.is_dir() and path.name != "__pycache__":
+            entries.append((path.name + "/", b"40000 " + path.name.encode() + b"\0" + bytes.fromhex(git_tree(path))))
+        elif path.suffix == ".py":
+            data = path.read_bytes()
+            blob = hashlib.sha1(b"blob %d\0" % len(data) + data).digest()
+            entries.append((path.name, b"100644 " + path.name.encode() + b"\0" + blob))
+    body = b"".join(entry for _, entry in sorted(entries))  # git orders a folder as its name plus "/"
+    return hashlib.sha1(b"tree %d\0" % len(body) + body).hexdigest()
+
+
 def metadata() -> dict:
+    """What was measured: `src_tree` is the git tree id of `src/` as it was
+    run, which `git rev-parse COMMIT:src` gives for any commit holding that
+    code; `git_sha` is HEAD when HEAD holds it, and null when the code is
+    not committed (or there is no git)."""
+    tree = git_tree(ROOT / "src")
     try:
-        # the commit, with "-dirty" where the tree has changed since it
-        sha = subprocess.run(["git", "-C", str(ROOT), "describe", "--always", "--dirty", "--abbrev=40"],
-                             capture_output=True, text=True, timeout=30).stdout.strip() or None
+        run = [subprocess.run(["git", "-C", str(ROOT), "rev-parse", spec], capture_output=True, text=True,
+                              timeout=30).stdout.strip() for spec in ("HEAD", "HEAD:src")]
+        sha = run[0] if run[1] == tree else None
     except (OSError, subprocess.SubprocessError):
         sha = None
     digest = hashlib.sha256()
     for path in sorted((ROOT / "src").rglob("*.py")):
         digest.update(path.relative_to(ROOT).as_posix().encode() + b"\0" + path.read_bytes())
-    return {"git_sha": sha, "src_sha256": digest.hexdigest(), "python": platform.python_version(),
+    return {"git_sha": sha, "src_tree": tree, "src_sha256": digest.hexdigest(), "python": platform.python_version(),
             "nproc": os.cpu_count(), "repeats": REPEATS, "seed": SEED}
 
 
