@@ -7,8 +7,9 @@ certificates, and orbit-pair relation verdicts."""
 _EXPORTS = {
     name: module
     for module, names in {
-        "certify": "OnesRunReport ReturnReport RigidityReport WMReport check_ones_runs"
-        " check_returns check_rigidity check_shift_defect check_wm_returns",
+        "certify": "ReturnReport RigidityReport WMReport check_ones_runs check_returns"
+        " check_rigidity check_shift_defect check_wm_returns",
+        "runs": "OnesRunReport",
         "cli": "console_main",
         "ladder": "DomainError Ladder LadderError ScheduleViolationError eval_ainf"
         " eval_b ladder_new",

@@ -18,7 +18,7 @@ import io
 from fractions import Fraction
 from typing import Iterable, Iterator, TextIO
 
-from .seqio import CSV_HEADER, WINDOW_SCHEMA, WindowFormatError
+from .seqio import CSV_HEADER, WINDOW_SCHEMA, WindowFormatError, index_text
 from .sequence import SeqWindow, code_array
 
 #: Characters per CSV block (each completed to the end of its line), and
@@ -42,18 +42,25 @@ class _Values(dict):
 
     def __missing__(self, key) -> int:
         if isinstance(key, tuple):
-            num, den = key
+            a, b = key
         else:
-            num, _, den = str(key).partition("/")
-            if not den:
+            a, _, b = str(key).partition("/")
+            if not b:
                 raise ValueError(f"expected num/den, got {key!r}")
-        num, den = int(num), int(den)
+        num, den = int(a), int(b)
         if den <= 0:
             raise ValueError("denominator must be positive")
-        value = Fraction(num, den)
-        num, den = value.as_integer_ratio()
-        reduced = (str(num), str(den)) if isinstance(key, tuple) else f"{num}/{den}"
-        code = self[key] = self[reduced] = self.get(reduced, len(self.table))
+        value, code = Fraction(num, den), len(self.table)
+        # ASCII digits without leading zeros, in lowest terms, is the one text
+        # of a value that is filed alone, so it misses only for a new value;
+        # any other text is filed under that one too
+        digits = a + b
+        if not (digits.isascii() and digits.isdigit() and b[0] != "0" and (a == "0" or a[0] != "0")
+                and value.denominator == den):
+            num, den = value.as_integer_ratio()
+            reduced = (str(num), str(den)) if isinstance(key, tuple) else f"{num}/{den}"
+            code = self[reduced] = self.get(reduced, code)
+        self[key] = code
         if code == len(self.table):
             self.table.append(value)
         return code
@@ -165,7 +172,7 @@ def _csv_block(text: str, parsed: _Values, first: int | None, limit: int):
     try:
         if first is None:
             first = int(fields[0])
-        if ",".join(fields[0:-1:step]) != ",".join(["%d"] * rows) % tuple(range(first, first + rows)):
+        if ",".join(fields[0:-1:step]) != index_text(first, rows):
             return None
         parsed.extend(zip(fields[1::step], fields[2::step]))
         return first, rows

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 from fractions import Fraction
+from functools import cache
 from itertools import chain, islice
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -108,6 +109,32 @@ def window_chunks(
             yield from parts
     if fmt == "json" and count:
         yield "]}\n"
+
+
+@cache
+def _suffixes() -> list[str]:
+    return ["%03d" % i for i in range(1000)]
+
+
+def index_text(start: int, count: int) -> str:
+    """`",".join(map(str, range(start, start + count)))`, without an int or a
+    string per index from 1000 on: there each run of indices that share
+    their thousands is a slice of the table of three-digit suffixes, joined
+    by "," and those thousands."""
+    stop = start + count
+    if start < 0:
+        return ",".join(map(str, range(start, stop)))
+    parts = []
+    while start < stop:
+        thousands, i = divmod(start, 1000)
+        j = min(1000, i + stop - start)
+        if thousands:
+            head = str(thousands)
+            parts.append(head + ("," + head).join(_suffixes()[i:j]))
+        else:
+            parts.append(",".join(map(str, range(i, j))))
+        start += j - i
+    return ",".join(parts)
 
 
 def dumps_csv(window: SeqWindow, decimals: int = 0) -> str:

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from wkseq import certify, walker
+from wkseq import certify, runs, walker
 from wkseq import (
     DomainError,
     check_ones_runs,
@@ -293,9 +293,9 @@ def test_ones_runs_preconditions(lad):
 
 
 
-def _summary_by_brute_force(runs, required, window, end):
+def _summary_by_brute_force(found, required, window, end):
     """The ones summary read off every slice and every block start."""
-    long = [(u, v) for u, v in runs if v - u + 1 >= required]
+    long = [(u, v) for u, v in found if v - u + 1 >= required]
     covered = all(
         any(min(v, s + window - 1) - max(u, s) + 1 >= required for u, v in long)
         for s in range(end - window + 2)
@@ -312,11 +312,11 @@ def _run_lists(draw):
     required = draw(st.integers(1, 5))
     window = draw(st.integers(required, 24))
     end = draw(st.integers(window, window + 40))
-    runs, u = [], 0
+    found, u = [], 0
     for gap, length in draw(st.lists(st.tuples(st.integers(0, 12), st.integers(1, 12)), max_size=8)):
-        runs.append((u + gap, u + gap + length - 1))
-        u = runs[-1][1] + 1
-    return [r for r in runs if r[0] <= end + 10], required, window, end
+        found.append((u + gap, u + gap + length - 1))
+        u = found[-1][1] + 1
+    return [r for r in found if r[0] <= end + 10], required, window, end
 
 
 @settings(deadline=None)
@@ -328,8 +328,8 @@ def _run_lists(draw):
 @example(([(2, 4), (5, 9)], 3, 6, 12))  # adjacent runs
 @example(([(0, 12), (20, 24)], 3, 6, 14))  # coverage lost only after the last slice
 def test_ones_summary_matches_brute_force(case):
-    runs, required, window, end = case
-    assert certify._summary(iter(runs), required, window, end) == _summary_by_brute_force(*case)
+    found, required, window, end = case
+    assert runs._summary(iter(found), required, window, end) == _summary_by_brute_force(*case)
 
 
 @pytest.mark.parametrize("window", [10**11, 10**12])
@@ -498,12 +498,12 @@ def test_scanned_runs_match_oracle_across_block_edges(block, monkeypatch):
     while len(bits) < 9000:
         bits += [1] * rng.choice([1, required - 1, required, required + 1, 100]) + [0] * rng.choice([1, 2, 5])
     bits[4080:4130] = [1] * 50
-    monkeypatch.setattr(certify, "eval_block", lambda ladder, ts: [ONE if bits[t] else ZERO for t in ts])
+    monkeypatch.setattr(runs, "eval_block", lambda ladder, ts: [ONE if bits[t] else ZERO for t in ts])
     for end in (4100, 4129, 4130, len(bits) - 1):
         expected = [r for r in oracles.ones_runs_by_scan(bits[:end + 1]) if r[1] - r[0] + 1 >= required]
-        assert list(certify._scanned_runs(None, range(end + 1), required)) == expected, end
-        runs = list(certify._scanned_runs(None, range(end + 1), required - 1))
-        assert runs == [r for r in oracles.ones_runs_by_scan(bits[:end + 1]) if r[1] - r[0] + 2 >= required]
+        assert list(runs._scanned_runs(None, range(end + 1), required)) == expected, end
+        found = list(runs._scanned_runs(None, range(end + 1), required - 1))
+        assert found == [r for r in oracles.ones_runs_by_scan(bits[:end + 1]) if r[1] - r[0] + 2 >= required]
 
 
 @pytest.mark.parametrize("block", [7, 64, 4096])
@@ -515,9 +515,9 @@ def test_ones_scan_of_alpha_matches_oracle(lad, block, monkeypatch):
     for end in (486, 566, 597, 598, 4500):
         rep = check_ones_runs(lad, 1, end, mode="scan")
         expected = [r for r in oracles.ones_runs_by_scan(bits[:end + 1]) if r[1] - r[0] + 1 >= 27]
-        assert list(certify._scanned_runs(lad, range(end + 1), 27)) == expected
+        assert list(runs._scanned_runs(lad, range(end + 1), 27)) == expected
         assert (rep.passed, rep.worst_gap, rep.first_run, rep.runs_found) == \
-            certify._summary(expected, 27, 486, end)
+            runs._summary(expected, 27, 486, end)
 
 
 def test_scan_limit_refuses_before_evaluating(lad):

@@ -413,28 +413,39 @@ def _imported(*argv: str) -> tuple[subprocess.CompletedProcess, set[str]]:
 
 #: Modules each command must not import, besides the dataclasses machinery
 #: and shutil (argparse's terminal-width lookup): the layers and readers it
-#: does not run (configparser is only for --config).
+#: does not run (configparser is only for --config).  Only `verify ones`
+#: compiles the ones-run walk (`wkseq.runs`), and no `verify` the window or
+#: search code.
+WINDOW_AND_SEARCH = "wkseq.sequence wkseq.orbits wkseq.readers wkseq.brackets wkseq.relations wkseq.plfunc csv"
 NOT_IMPORTED = {
-    "gen --len 6": "json csv configparser wkseq.certify wkseq.relations wkseq.plfunc",
-    "verify wm --n 1": "wkseq.relations wkseq.plfunc",
+    "gen --len 6": "json csv configparser wkseq.certify wkseq.runs wkseq.relations wkseq.plfunc",
+    "verify wm --n 1": "wkseq.runs " + WINDOW_AND_SEARCH,
+    "verify rigidity --n 1 --count 486": "wkseq.runs " + WINDOW_AND_SEARCH,
+    "verify returns --n 1": "wkseq.runs " + WINDOW_AND_SEARCH,
+    "verify shift-defect --n 1 --m 2 --step 143489313": "wkseq.runs " + WINDOW_AND_SEARCH,
+    "verify ones --n 1 --window 1000": WINDOW_AND_SEARCH,
+    "verify ones --n 2 --window 300000000 --mode plateau": WINDOW_AND_SEARCH,
     "relations classify --a alpha --b ones --delta 1 --horizon 400 --k 8"
-    " --tau 1/100 --require proximal-witnessed": "wkseq.certify wkseq.plfunc",
+    " --tau 1/100 --require proximal-witnessed": "wkseq.certify wkseq.runs wkseq.plfunc",
 }
 
 
 def test_installed_entry_point_runs():
     _, bare = _imported("-c", "pass")  # what the interpreter loads anyway
-    out = {}
     for argv, banned in NOT_IMPORTED.items():
         proc, modules = _imported("-m", "wkseq", *argv.split())
         assert proc.returncode == 0, argv
         assert "wkseq.cli" in modules
         unwanted = {"dataclasses", "inspect", "shutil", *banned.split()} & (modules - bare)
         assert not unwanted, (argv, unwanted)
-        out[argv.split()[0]] = proc.stdout
-    assert out["gen"].splitlines()[0] == "index,value_num,value_den"
-    assert json.loads(out["verify"])["lemma"] == "wm-returns"
-    assert json.loads(out["relations"])["kind"] == "pair-verdict"
+        command = argv.split()[0]
+        if command == "gen":
+            assert proc.stdout.splitlines()[0] == "index,value_num,value_den"
+        elif command == "verify":
+            lemma = {"wm": "wm-returns", "ones": "ones-runs"}.get(argv.split()[1], argv.split()[1])
+            assert json.loads(proc.stdout)["lemma"] == lemma, argv
+        else:
+            assert json.loads(proc.stdout)["kind"] == "pair-verdict"
 
 
 @pytest.mark.parametrize(

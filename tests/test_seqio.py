@@ -24,7 +24,7 @@ from wkseq import (
     render_decimal,
 )
 from wkseq import readers
-from wkseq.seqio import CSV_HEADER, window_chunks
+from wkseq.seqio import CSV_HEADER, index_text, window_chunks
 from wkseq.sequence import alpha_windows
 
 SAMPLE = SeqWindow(41, (F(14, 27), F(0), F(1), F(2, 3)))
@@ -478,6 +478,41 @@ def test_csv_block_path_matches_the_exact_path(shape, tmp_path, monkeypatch):
                        "underscore", "arabic_indic", "leading_zero", "no_final_newline",
                        "blank_lines", "ragged", "sign"}
     assert (got[0] == "window") == (shape in expected_window), got
+
+
+@pytest.mark.parametrize("start", [0, 1, 998, 999, 1000, 1001, 9_999, 10_000, 999_999, 10**6,
+                                   10**20 - 1001, 10**20 - 1, 10**20, 10**20 + 999, -1001, -1])
+@pytest.mark.parametrize("count", [0, 1, 2, 999, 1000, 1001, 2001])
+def test_index_text_matches_a_plain_join(start, count):
+    assert index_text(start, count) == ",".join(map(str, range(start, start + count)))
+
+
+@given(start=st.one_of(st.integers(0, 10**7), st.integers(10**20 - 3000, 10**20 + 3000)),
+       count=st.integers(0, 3000))
+@settings(deadline=None)
+def test_index_text_matches_a_plain_join_anywhere(start, count):
+    assert index_text(start, count) == ",".join(map(str, range(start, start + count)))
+
+
+#: Rows 990 .. 2010 as gen writes them, and with one index in another text:
+#: those take the exact path, which reads a leading zero and refuses a
+#: decimal point or a gap.
+ACROSS_1000 = HEADER + "".join(f"{i},{i % 3},3\n" for i in range(990, 2011))
+INDEX_TEXTS = {"canonical": "1000", "leading_zero": "01000", "decimal": "1000.0", "point": "1000.",
+               "leading_zero_2000": "02000", "off_by_one": "1001"}
+
+
+@pytest.mark.parametrize("name", INDEX_TEXTS)
+def test_csv_block_indices_across_thousands(name, monkeypatch):
+    old = "2000" if name.endswith("2000") else "1000"
+    text = ACROSS_1000.replace(f"\n{old},", f"\n{INDEX_TEXTS[name]},", 1)
+    blocks = _block_paths(monkeypatch, "_csv_block")
+    got = _outcome(loads_csv, text)
+    assert all(blocks) == (name == "canonical")
+    assert got == _outcome(reference_readers.loads_csv, text)
+    assert (got[0] == "window") == (name in {"canonical", "leading_zero", "leading_zero_2000"})
+    for size in (1, 7, 64, 1000):  # block edges on and around each thousand
+        assert _at_block_size(loads_csv, text, CSV_BLOCK=size) == got
 
 
 def test_csv_errors_keep_their_line_past_the_first_blocks():

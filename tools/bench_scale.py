@@ -18,13 +18,14 @@ also records its tracemalloc peak per row, from one more call under
 tracemalloc, and a hash of the window's values.  The file also records the
 measured `src/` as a git tree id (`git rev-parse <commit>:src` gives the
 same id for the commit that holds that code), the commit when it is HEAD's,
-a hash of `src/`, the Python version and the CPU count.  The jobs are
+a hash of `src/`, the Python version, the CPU count and each module's
+tokenize token count.  The jobs are
 started and measured by `bench/spawn.py`, as the gated benchmark's are.
 
 The gated benchmark (`bench/run.py`) runs only small jobs; these rows are
 the long ones: searches on 10^6 random values, which repeat nowhere, and on
-10^6 rows of α as CSV and JSON, α far into its ramps, and the certificate
-checks near their limits.  The input files are written once under
+10^6 rows of α as CSV and JSON, α far into its ramps, the certificate
+checks near their limits, and each certify job's command, for its peak RSS.  The input files are written once under
 `.bench_scale/`, the random ones from a fixed seed, as `bench/inputs.py`
 writes its own, and α's by this checkout's `gen`, so no file is downloaded.
 """
@@ -38,6 +39,7 @@ import random
 import statistics
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -111,9 +113,28 @@ def rows(files: dict[str, Path]) -> list[tuple[str, list[str], float]]:
         ("returns_n2_samples1e6", ["verify", "returns", "--n", "2", "--samples", "1000000"], 60),
         ("ones_scan_n1_2e6", ["verify", "ones", "--n", "1", "--window", "2000000", "--mode", "scan"], 60),
         ("ones_plateau_n2_1e13", ["verify", "ones", "--n", "2", "--window", str(10**13), "--mode", "plateau"], 60),
+        # ROADMAP's state table: the rational grid near the scan limit, and the plateau walk's long windows
+        ("shift_defect_n1_m1_step1_4000", ["verify", "shift-defect", "--n", "1", "--m", "1", "--step", "1/4000"], 120),
+        ("ones_plateau_n2_1e14", ["verify", "ones", "--n", "2", "--window", str(10**14), "--mode", "plateau"], 120),
+        ("ones_plateau_n1_1e7", ["verify", "ones", "--n", "1", "--window", str(10**7), "--mode", "plateau"], 120),
+        # each certify job of bench/workloads.py at the layer rows' sizes, so each command's peak RSS
+        # shows; the workload's `wm --n 2` probe is the row wm_n2_refused
+        *((f"certify_{name}", ["verify", *args.split()], 60) for name, args in CERTIFY_JOBS.items()),
     ]
 
 
+#: The certify workload's jobs at about its sizes: a CLI row each, and the
+#: same call in process as a layer row.
+CERTIFY_JOBS = {
+    "ones_scan": "ones --n 1 --window 50000 --mode scan",
+    "rigidity_n1": "rigidity --n 1 --count 10000",
+    "rigidity_n2": "rigidity --n 2 --count 10000",
+    "returns_n2": "returns --n 2 --samples 4000",
+    "ones_plateau": "ones --n 2 --window 300000000 --mode plateau",
+    "returns_n1": "returns --n 1",
+    "wm_n1": "wm --n 1",
+    "shift_defect": "shift-defect --n 1 --m 2 --step 143489313",
+}
 #: Calls per layer row, each on a fresh ladder.
 LAYER_REPEATS = 5
 #: The layer rows' child: argv[1] names a certificate checker's call, made
@@ -204,8 +225,7 @@ out["report_sha256"] = hashlib.sha256(doc.encode()).hexdigest()
 print(json.dumps(out))
 """
 LAYER_ROWS = (
-    *(f"certify.{name}" for name in ("ones_scan", "rigidity_n1", "rigidity_n2", "returns_n2", "ones_plateau",
-                                     "returns_n1", "wm_n1", "shift_defect")),
+    *(f"certify.{name}" for name in CERTIFY_JOBS),
     *(f"readers.{name}" for name in ("csv_window_1e5", "csv_window_exact_1e5", "json_window_1e5",
                                      "json_window_exact_1e5")),
     *(f"orbits.{name}" for name in ("tail_period_read_1e5", "tail_period_objects_1e5", "tail_period_alpha_1e5")),
@@ -271,7 +291,19 @@ def metadata() -> dict:
     for path in sorted((ROOT / "src").rglob("*.py")):
         digest.update(path.relative_to(ROOT).as_posix().encode() + b"\0" + path.read_bytes())
     return {"git_sha": sha, "src_tree": tree, "src_sha256": digest.hexdigest(), "python": platform.python_version(),
-            "nproc": os.cpu_count(), "repeats": REPEATS, "seed": SEED}
+            "nproc": os.cpu_count(), "repeats": REPEATS, "seed": SEED, "tokens": tokens()}
+
+
+def tokens() -> dict[str, int]:
+    """Each module's tokenize token count.  Without a bytecode cache a CLI
+    call compiles every module it imports, and a module's compile peak jumps
+    by about 120 KB past about 2048 tokens (Python 3.11), which peak RSS
+    shows."""
+    counts = {}
+    for path in sorted((ROOT / "src" / "wkseq").glob("*.py")):
+        with open(path, "rb") as fh:
+            counts[path.stem] = sum(1 for _ in tokenize.tokenize(fh.readline))
+    return counts
 
 
 def main() -> int:

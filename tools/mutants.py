@@ -59,14 +59,66 @@ MUTANTS = [
            ("test_relations.py",)),
     # equal values share one code whatever their text
     Mutant("codes_keyed_by_text", "readers.py",
-           "self[key] = self[reduced] = self.get(reduced, len(self.table))",
-           "self[key] = self[reduced] = len(self.table)",
+           "code = self[reduced] = self.get(reduced, code)",
+           "code = self[reduced] = code",
            ("test_seqio.py", "test_relations.py")),
     # codes widen to two bytes at the 257th distinct value, not later
     Mutant("widening_one_value_late", "readers.py",
            'if len(self.table) > 256 ** getattr(self.codes, "itemsize", 1):',
            'if len(self.table) > 257 ** getattr(self.codes, "itemsize", 1):',
            ("test_seqio.py",)),
+    # each window's rows are written from its own distinct values' texts
+    Mutant("texts_of_one_window_reused_for_the_next", "seqio.py",
+           "        distinct = w._distinct\n",
+           "        distinct = w._distinct if count == 1 else distinct\n",
+           ("test_seqio.py",)),
+    # a CSV block's indices are checked a thousand at a time: runs that
+    # share their thousands end at the next multiple of 1000
+    Mutant("index_text_thousands_boundary_off_by_one", "seqio.py",
+           "        j = min(1000, i + stop - start)\n",
+           "        j = min(1001, i + stop - start)\n",
+           ("test_seqio.py",)),
+    # the walk asks where to skip from the first time every open search covers
+    Mutant("scan_asks_from_min_first", "relations.py",
+           "ready = leave = max((s.first for s, d in zip(searches, done) if not d), default=start)",
+           "ready = leave = min((s.first for s, d in zip(searches, done) if not d), default=start)",
+           ("test_relations.py",)),
+    # a skip starts only once one whole common period has been scanned
+    Mutant("scan_jumps_one_time_early", "orbits.py",
+           "        return t + period, leave\n",
+           "        return t + period - 1, leave\n",
+           ("test_relations.py",)),
+    # the block scan hands each search its best so far, which a later
+    # block must strictly beat
+    Mutant("scan_without_passing_the_best", "relations.py",
+           "best=best[i] and best[i][1].lo)",
+           "best=None)",
+           ("test_relations.py", "test_search_kernels.py")),
+    # _fixed_min drops a time only once its head reaches the best
+    Mutant("fixed_min_drops_at_best_minus_one", "brackets.py",
+           "compress(times, map((-(-ceiling >> shift)).__gt__, merged))",
+           "compress(times, map((-(-ceiling >> shift) - 1).__gt__, merged))",
+           ("test_search_kernels.py", "test_relations.py")),
+    # the head's bound is the best in head units rounded up, not down
+    Mutant("fixed_min_floor_for_the_ceiling", "brackets.py",
+           "compress(times, map((-(-ceiling >> shift)).__gt__, merged))",
+           "compress(times, map((ceiling >> shift).__gt__, merged))",
+           ("test_search_kernels.py", "test_relations.py")),
+    # only a strictly smaller sum replaces the best, so ties keep the first time
+    Mutant("fixed_min_later_tie_wins", "brackets.py",
+           "            if n < ceiling:\n",
+           "            if n <= ceiling:\n",
+           ("test_search_kernels.py", "test_relations.py")),
+    # a time's sum is the largest over its sides
+    Mutant("fixed_min_sides_merged_by_min", "brackets.py",
+           "n = max(sum(map(mul, map(abs, map(sub, xi[j:j + k], yi)), weights)) for xi, yi in sides)",
+           "n = min(sum(map(mul, map(abs, map(sub, xi[j:j + k], yi)), weights)) for xi, yi in sides)",
+           ("test_search_kernels.py", "test_relations.py")),
+    # a tile holds one period from -p[m], so a point x sits at x + p[m] mod 2p[m]
+    Mutant("tile_index_without_its_shift", "walker.py",
+           "tile, j = tiles[m], (r.start + half) % (2 * half)",
+           "tile, j = tiles[m], r.start % (2 * half)",
+           ("test_kernel.py", "test_certify.py")),
 ]
 
 
