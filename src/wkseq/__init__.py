@@ -19,7 +19,8 @@ _EXPORTS = {
         "relations": "DELTA_SEPARATED_WITNESSED INCONCLUSIVE PAIR_RECURRENT_WITNESSED"
         " PROXIMAL_WITNESSED NotFoundInHorizonError PairVerdict classify_pair"
         " pair_recur_defect prox_defect sep_sup thmB_witnesses thmC_witnesses",
-        "seqio": "REPORT_SCHEMA WINDOW_SCHEMA WindowFormatError dumps_csv dumps_json"
+        "report": "REPORT_SCHEMA",
+        "seqio": "WINDOW_SCHEMA WindowFormatError dumps_csv dumps_json"
         " load_window loads_csv loads_json render_decimal",
         "brackets": "DistBracket",
         "sequence": "SeqWindow alpha alpha_window",

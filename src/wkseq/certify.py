@@ -30,7 +30,7 @@ from .ladder import (
     eval_b,
     exact_fraction,
 )
-from .seqio import report_dict
+from .report import report_dict
 from .walker import eval_block
 
 #: Every coordinate scan visits at most this many points; a larger scan is

@@ -11,21 +11,20 @@ Decimal rendering is presentation only; exact num/den strings are always
 emitted and are the values of record.
 
 Each command imports the layers it runs when it runs them, so `gen` loads
-neither the certificates, the relation searches nor `json`, and `verify`
-neither the window types nor the search kernels.
+neither the certificates, the relation searches, the report encoder nor
+`json`, and `verify` neither the window code nor the search kernels.  The
+`relations` commands are in `wkseq.relations_cli`, and the settings files'
+readers in `wkseq.config`.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .ladder import Ladder, LadderError
-from .seqio import WindowFormatError, load_window, report_dict, window_chunks
-
-if TYPE_CHECKING:
-    from .orbits import OrbitSource
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -54,57 +53,9 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
-def load_schedule_file(path: str) -> tuple[int, ...]:
-    """Read a growth-factor schedule: one integer per line, # comments."""
-    entries = []
-    with open(path) as fh:
-        text = fh.read()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            entries.append(int(line))
-        except ValueError:
-            raise ValueError(
-                f"{path}:{lineno}: schedule entry is not an integer: {raw!r}"
-            ) from None
-    if not entries:
-        raise ValueError(f"{path}: schedule file has no entries")
-    return tuple(entries)
-
-
-def _run_section(path: str) -> dict[str, str]:
-    """The [run] section's settings, once its ladder policy is checked, as
-    defaults for the flags of the same names, which check them in turn."""
-    import configparser  # only here: importing it costs every other run about 2 ms
-
-    parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise ValueError(f"config file not found: {path}")
-    if not parser.has_section("run"):
-        raise ValueError(f"{path}: missing [run] section")
-    section = parser["run"]
-    policy = section.get("ladder_policy", "default-minimal")
-    if policy == "explicit":
-        if not section.get("ladder_schedule"):
-            raise ValueError(f"{path}: explicit ladder policy needs ladder_schedule")
-    elif policy != "default-minimal":
-        raise ValueError(f"{path}: unknown ladder_policy {policy!r}")
-    elif "ladder_schedule" in section:
-        raise ValueError(f"{path}: ladder_schedule needs ladder_policy = explicit")
-    keys = ("ladder_schedule", "format", "decimals", "parallelism")
-    return {key: section[key] for key in keys if key in section}
-
-
-def _emit_report(doc: dict) -> None:
-    import json
-
-    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-
-
 def _cmd_gen(args: argparse.Namespace, ladder: Ladder) -> int:
     """Stream the window in pieces, in memory that does not grow with its length."""
+    from .seqio import window_chunks
     from .sequence import alpha_windows
 
     windows = alpha_windows(ladder, args.start, args.count)
@@ -119,6 +70,7 @@ def _cmd_gen(args: argparse.Namespace, ladder: Ladder) -> int:
 
 def _cmd_verify(args: argparse.Namespace, ladder: Ladder) -> int:
     from . import certify
+    from .report import emit
 
     if args.lemma == "rigidity":
         report = certify.check_rigidity(ladder, args.n, args.count)
@@ -133,100 +85,8 @@ def _cmd_verify(args: argparse.Namespace, ladder: Ladder) -> int:
         report = certify.check_wm_returns(ladder, args.n, eps=args.eps)
     else:
         report = certify.check_shift_defect(ladder, args.n, args.m, args.step)
-    _emit_report(report.to_json_dict())
+    emit(report.to_json_dict())
     return EXIT_PASS if report.passed else EXIT_FAIL
-
-
-def _orbit_source(token: str, ladder: Ladder) -> OrbitSource:
-    from . import relations
-
-    if token == "alpha":
-        return relations.alpha_source(ladder)
-    if token == "ones":
-        return relations.ones_source()
-    if token == "zeros":
-        return relations.zeros_source()
-    return relations.window_source(load_window(token))
-
-
-def _orbit_sources(tokens: Sequence[str], ladder: Ladder) -> list[OrbitSource]:
-    """One source per token; a token named twice, such as one window file on
-    both sides of a pair, is read once."""
-    built = {token: _orbit_source(token, ladder) for token in dict.fromkeys(tokens)}
-    return [built[token] for token in tokens]
-
-
-def _parse_required_labels(text: str | None) -> frozenset | None:
-    if text is None:
-        return None
-    from . import relations
-
-    labels = frozenset(part.strip() for part in text.split(",") if part.strip())
-    known = {relations.PROXIMAL_WITNESSED, relations.DELTA_SEPARATED_WITNESSED,
-             relations.PAIR_RECURRENT_WITNESSED}
-    unknown = labels - known
-    if unknown:
-        raise ValueError(f"unknown labels: {', '.join(sorted(unknown))}")
-    if not labels:
-        raise ValueError("--require must name at least one label")
-    return labels
-
-
-def _parse_pairs(text: str) -> list[tuple[int, int]]:
-    pairs = []
-    for part in text.split(","):
-        left, sep, right = part.partition(":")
-        if not sep:
-            raise ValueError(f"pair must look like m:n, got {part!r}")
-        try:
-            pairs.append((int(left), int(right)))
-        except ValueError:
-            raise ValueError(f"pair must use integers, got {part!r}") from None
-    return pairs
-
-
-def _cmd_relations(args: argparse.Namespace, ladder: Ladder) -> int:
-    from . import relations
-
-    if args.subcommand == "classify":
-        required = _parse_required_labels(args.require)
-        a, b = _orbit_sources([args.a, args.b], ladder)
-        a, b = relations.OrbitView(a, args.shift_a), relations.OrbitView(b, args.shift_b)
-        verdict = relations.classify_pair(
-            a, b, args.delta, args.start, args.horizon, args.k, args.tau
-        )
-        _emit_report(verdict.to_json_dict())
-        if required is not None:
-            ok = required <= set(verdict.labels)
-        else:
-            ok = relations.INCONCLUSIVE not in verdict.labels
-        return EXIT_PASS if ok else EXIT_FAIL
-    if args.subcommand == "thmB":
-        pairs = _parse_pairs(args.pairs)
-        orbit, fixed_point = _orbit_sources([args.orbit, args.fixed_point], ladder)
-        verdicts = relations.thmB_witnesses(
-            orbit, fixed_point, pairs, args.horizon, args.k, args.tau
-        )
-        _emit_report(
-            report_dict(
-                kind="pair-verdict-list",
-                verdicts=[v.to_json_dict() for v in verdicts],
-            )
-        )
-        ok = all(relations.INCONCLUSIVE not in v.labels for v in verdicts)
-        return EXIT_PASS if ok else EXIT_FAIL
-    orbit = _orbit_source(args.orbit, ladder)
-    try:
-        verdict = relations.thmC_witnesses(
-            orbit, args.q, args.delta, args.horizon, args.k, args.tau
-        )
-    except relations.NotFoundInHorizonError as exc:
-        _emit_report(
-            report_dict(kind="error", error="not-found-in-horizon", message=str(exc))
-        )
-        return EXIT_FAIL
-    _emit_report(verdict.to_json_dict())
-    return EXIT_PASS if relations.INCONCLUSIVE not in verdict.labels else EXIT_FAIL
 
 
 class _Formatter(argparse.HelpFormatter):
@@ -316,12 +176,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
-    """Flags over the config file's values; returning frees the parser before a command runs."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.config:
-        parser.set_defaults(**_run_section(args.config))
+    """Flags over the config file's values.  The parser's objects hold
+    reference cycles, so only the collector frees them.  It does not run
+    while they are made, so all are in its youngest generation, and one pass
+    over that (about 0.2 ms) frees them before a command runs."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        parser = build_parser()
         args = parser.parse_args(argv)
+        if args.config:
+            from .config import run_section
+
+            parser.set_defaults(**run_section(args.config))
+            args = parser.parse_args(argv)
+    finally:
+        if enabled:
+            gc.enable()
+    del parser
+    gc.collect(0)
     return args
 
 
@@ -330,13 +203,17 @@ def console_main(argv: Sequence[str] | None = None) -> int:
         args = _parse_args(argv)
         if args.format not in ("csv", "json"):  # choices are not checked on a default
             raise ValueError(f"unknown output format {args.format!r}")
+        if args.ladder_schedule:
+            from .config import load_schedule_file
         ladder = Ladder(load_schedule_file(args.ladder_schedule) if args.ladder_schedule else None)
         if args.command == "gen":
             return _cmd_gen(args, ladder)
         if args.command == "verify":
             return _cmd_verify(args, ladder)
-        return _cmd_relations(args, ladder)
-    except (LadderError, WindowFormatError, ValueError, OSError) as exc:
+        from .relations_cli import run
+
+        return EXIT_PASS if run(args, ladder) else EXIT_FAIL
+    except (LadderError, ValueError, OSError) as exc:  # a WindowFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # crash guard: keep exit 3 distinct from exit 1

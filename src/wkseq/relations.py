@@ -11,7 +11,8 @@ All searches of one call share one block loop, `_scan`.  It walks the time
 range in blocks of `walker.STREAM_BLOCK` times, reads each view once per
 block and hands that read to each search's kernel: `brackets.bracket_scan`,
 the one place a bracket sum is computed, or `brackets.occurrence_scan` for
-thmC's pattern.  So a search holds at most one block of each orbit at any
+thmC's pattern, whose search `thmC_witnesses` imports from `wkseq.thmc` when
+it is called, so no other search compiles it.  So a search holds at most one block of each orbit at any
 horizon.  Ties always prefer the smallest time.  Each orbit states where
 its stretches begin and which of them repeat (see `orbits`); where
 every orbit a search reads repeats, the search scans one period of the
@@ -24,7 +25,7 @@ from functools import partial
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import walker
-from .brackets import DistBracket, bracket_scan, occurrence_scan
+from .brackets import DistBracket, bracket_scan
 # eval_ainf stays bound here: bench/tracing.py counts evaluator calls
 # through this module's name for it.
 from .ladder import Rational, eval_ainf, exact_fraction
@@ -32,7 +33,7 @@ from .ladder import Rational, eval_ainf, exact_fraction
 # the CLI calls them, and bench/tracing.py times them, through this module.
 from .orbits import (OrbitSource, OrbitView, alpha_source, jump_over, ones_source,
                      window_source, zeros_source)
-from .seqio import report_dict
+from .report import report_dict
 
 PROXIMAL_WITNESSED = "proximal-witnessed"
 DELTA_SEPARATED_WITNESSED = "delta-separated-witnessed"
@@ -276,39 +277,9 @@ def thmB_witnesses(
     ]
 
 
-def thmC_witnesses(
-    x: OrbitSource, q: int, delta: Rational, horizon: int, k: int, tau: Rational
-) -> PairVerdict:
-    """Separate the orbit from its q-shift through an occurrence of the
-    alternating-blocks pattern (q zeros, q ones, repeating), then search
-    for proximity of the same pair.
+def thmC_witnesses(x, q, delta, horizon, k, tau) -> PairVerdict:
+    """`thmc.thmC_witnesses(x, q, delta, horizon, k, tau)`: x against its
+    q-shift, separated through the alternating-blocks pattern."""
+    from .thmc import thmC_witnesses  # only thmC compiles its pattern search
 
-    The occurrence must fit inside the horizon: coordinates t .. t+q+k-1
-    all lie in [0, horizon], so a finite orbit needs horizon < its length.
-    Raises NotFoundInHorizonError when no such occurrence exists.
-    """
-    delta, tau = exact_fraction(delta), exact_fraction(tau)
-    if q < 1:
-        raise ValueError("block length must be at least 1")
-    if k < 1:
-        raise ValueError("prefix length must be at least 1")
-    if delta <= 0 or tau <= 0:
-        raise ValueError("delta and tau must be positive")
-    if x.length is not None and horizon >= x.length:
-        raise ValueError(f"horizon {horizon} exceeds available data (max {x.length - 1})")
-    need = q + k
-    top = horizon - need + 1
-    word = "".join(str(i // q % 2) for i in range(need))
-    # the shifted pair reads coordinates up to top + q + k - 1, as the word does
-    match, prox = _scan([OrbitView(x)], need, 0, top, [
-        _Search(0, need, occurrence_scan, lambda reads: [(reads[0], word)]),
-        _Search(0, k, _PROX, lambda reads: [(reads[0], reads[0][q:])]),
-    ])
-    if match is None:
-        raise NotFoundInHorizonError(
-            f"no block-alternating occurrence of length {need} within horizon {horizon}"
-        )
-    found = match[0]
-    xs = x.read(found, found + need)
-    sep = found, bracket_scan([(xs, xs[q:])], 1, k, True)[1]
-    return _verdict(delta, tau, (0, horizon), k, (0, q), prox=prox, sep=sep)
+    return thmC_witnesses(x, q, delta, horizon, k, tau)

@@ -1,12 +1,10 @@
-"""Window and report serialization: delimited text and JSON, bit-exact.
+"""Window serialization: delimited text and JSON, bit-exact.
 
 CSV carries absolute indices and exact numerator/denominator columns, with
 an optional decimal column that is presentation-only and ignored on load.
 JSON carries the offset and the values as "num/den" strings under a
 versioned schema tag.  Loading either form reproduces the original window
-exactly.  Certificate reports and pair verdicts are JSON documents under
-their own schema tag, built by `report_dict`, with every rational in the
-same "num/den" form.
+exactly.  Reports have their own encoder, `wkseq.report`.
 """
 from __future__ import annotations
 
@@ -20,7 +18,6 @@ if TYPE_CHECKING:
     from .sequence import SeqWindow
 
 WINDOW_SCHEMA = "wk-window/1"
-REPORT_SCHEMA = "wk-report/1"
 CSV_HEADER = ("index", "value_num", "value_den")
 #: Most CSV rows in one chunk of `window_chunks`.  Each row's index is a
 #: string of its own until its chunk is joined, so this bounds those
@@ -29,39 +26,15 @@ CSV_HEADER = ("index", "value_num", "value_den")
 WRITE_ROWS = 1024
 
 
-class WindowFormatError(Exception):
-    """A window file failed to parse; carries the offending line if known."""
+class WindowFormatError(ValueError):
+    """A window file failed to parse; carries the offending line if known.
+    The CLI refuses it as a ValueError, without importing this module."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-
-
-def _frac_str(value: Fraction) -> str:
-    """The exact "num/den" form every window file and report uses."""
-    return f"{value.numerator}/{value.denominator}"
-
-
-def report_dict(**fields) -> dict:
-    """A wk-report/1 document holding `fields`.
-
-    Rationals become "num/den" strings, named tuples become objects keyed
-    by their field names, other tuples and lists become arrays, and every
-    other value is kept as it is.
-    """
-    return {"schema": REPORT_SCHEMA, **{k: _jsonable(v) for k, v in fields.items()}}
-
-
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return _frac_str(value)
-    if hasattr(value, "_asdict"):
-        return {k: _jsonable(v) for k, v in value._asdict().items()}
-    if isinstance(value, (tuple, list)):
-        return [_jsonable(v) for v in value]
-    return value
 
 
 def render_decimal(value: Fraction, digits: int) -> str:

@@ -1,10 +1,13 @@
+import argparse
 import csv
+import importlib.util
 import io
 import json
 import os
 import subprocess
 import sys
 import time
+import tokenize
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -93,6 +96,32 @@ def test_usage_errors_keep_their_bytes(capsys, monkeypatch, argv, err):
         console_main(argv.split())
     assert exc.value.code == 2
     assert capsys.readouterr() == ("", err)
+
+
+def test_the_parser_is_freed_before_a_command_runs(capsys, monkeypatch):
+    # the parsers' objects hold reference cycles; left for the collector's
+    # next run, they would sit under the command's peak memory
+    import gc
+
+    import wkseq.cli as cli
+
+    def parsers() -> int:  # pytest holds parsers of its own
+        return sum(isinstance(o, argparse.ArgumentParser) for o in gc.get_objects())
+
+    ladder, before, left = cli.Ladder, parsers(), []
+
+    def first_step_of_the_command(schedule):
+        left.append(parsers() - before)
+        return ladder(schedule)
+
+    monkeypatch.setattr(cli, "Ladder", first_step_of_the_command)
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            code, _, _ = run_cli(capsys, "gen", "--len", "1")
+            assert code == 0 and left[-1] == 0 and gc.isenabled() == enabled
+    finally:
+        gc.enable()
 
 
 def test_gen_len_zero_is_usage_error(capsys):
@@ -355,6 +384,21 @@ def test_thmC_not_found_emits_error_report(capsys, tmp_path):
     assert doc["error"] == "not-found-in-horizon"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "verify wm --n 0",
+        "relations classify --a alpha --b ones --delta 1 --horizon 40 --k 8 --tau 1/100",
+        "relations thmB --orbit alpha --fixed-point ones --pairs 0:1 --horizon 40 --k 8 --tau 1/100",
+        "relations thmC --orbit ones --q 1 --delta 1 --horizon 40 --k 8 --tau 1/100",
+    ],
+)
+def test_reports_are_written_with_sorted_keys(capsys, argv):
+    # every report, verdict and error document, nested objects included
+    _, out, _ = run_cli(capsys, *argv.split())
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
 def test_thmC_refuses_a_horizon_past_the_file(capsys, tmp_path):
     # an occurrence reads coordinates up to the horizon, so 399 is the
     # largest horizon a 400-row file allows
@@ -413,12 +457,20 @@ def _imported(*argv: str) -> tuple[subprocess.CompletedProcess, set[str]]:
 
 #: Modules each command must not import, besides the dataclasses machinery
 #: and shutil (argparse's terminal-width lookup): the layers and readers it
-#: does not run (configparser is only for --config).  Only `verify ones`
-#: compiles the ones-run walk (`wkseq.runs`), and no `verify` the window or
-#: search code.
-WINDOW_AND_SEARCH = "wkseq.sequence wkseq.orbits wkseq.readers wkseq.brackets wkseq.relations wkseq.plfunc csv"
+#: does not run.  The settings files' readers (`wkseq.config`, and
+#: configparser with it) are only for --config and --ladder-schedule.  Only
+#: `verify ones` compiles the ones-run walk (`wkseq.runs`); no `verify`, and
+#: no search on α, compiles the window-file code; `gen` compiles no report
+#: or relations code; and only thmC compiles its pattern search
+#: (`wkseq.thmc`).
+SETTINGS = " configparser wkseq.config"
+WINDOW_FILES = " wkseq.seqio wkseq.readers csv"
+WINDOW_AND_SEARCH = ("wkseq.sequence wkseq.orbits wkseq.brackets wkseq.relations wkseq.relations_cli"
+                     " wkseq.thmc wkseq.plfunc" + WINDOW_FILES + SETTINGS)
+ALPHA_SEARCH = "wkseq.certify wkseq.runs wkseq.plfunc wkseq.thmc" + WINDOW_FILES + SETTINGS
 NOT_IMPORTED = {
-    "gen --len 6": "json csv configparser wkseq.certify wkseq.runs wkseq.relations wkseq.plfunc",
+    "gen --len 6": "json csv wkseq.certify wkseq.runs wkseq.relations wkseq.plfunc wkseq.report"
+    " wkseq.relations_cli wkseq.thmc" + SETTINGS,
     "verify wm --n 1": "wkseq.runs " + WINDOW_AND_SEARCH,
     "verify rigidity --n 1 --count 486": "wkseq.runs " + WINDOW_AND_SEARCH,
     "verify returns --n 1": "wkseq.runs " + WINDOW_AND_SEARCH,
@@ -426,7 +478,9 @@ NOT_IMPORTED = {
     "verify ones --n 1 --window 1000": WINDOW_AND_SEARCH,
     "verify ones --n 2 --window 300000000 --mode plateau": WINDOW_AND_SEARCH,
     "relations classify --a alpha --b ones --delta 1 --horizon 400 --k 8"
-    " --tau 1/100 --require proximal-witnessed": "wkseq.certify wkseq.runs wkseq.plfunc",
+    " --tau 1/100 --require proximal-witnessed": ALPHA_SEARCH,
+    "relations thmB --orbit alpha --fixed-point ones --pairs 0:1,2:5 --horizon 300"
+    " --k 8 --tau 1/100": ALPHA_SEARCH,
 }
 
 
@@ -445,7 +499,47 @@ def test_installed_entry_point_runs():
             lemma = {"wm": "wm-returns", "ones": "ones-runs"}.get(argv.split()[1], argv.split()[1])
             assert json.loads(proc.stdout)["lemma"] == lemma, argv
         else:
-            assert json.loads(proc.stdout)["kind"] == "pair-verdict"
+            kind = {"classify": "pair-verdict", "thmB": "pair-verdict-list"}[argv.split()[1]]
+            assert json.loads(proc.stdout)["kind"] == kind, argv
+
+
+#: CPython's compile peak for a module jumps by about 120 KB once the module
+#: passes about this many tokenize tokens (Python 3.11), and without a
+#: bytecode cache every CLI call compiles each module it imports.
+COMPILE_CLIFF = 2048
+
+
+def _tokens(module: str) -> int:
+    """A module's tokenize token count, as tools/bench_scale.py counts it."""
+    with open(importlib.util.find_spec(module).origin, "rb") as fh:
+        return sum(1 for _ in tokenize.tokenize(fh.readline))
+
+
+def test_no_command_compiles_a_module_past_the_compile_cliff(tmp_path):
+    path = tmp_path / "w.csv"
+    path.write_text(dumps_csv(full_shift_transitive_point(400)))
+    (tmp_path / "sched.txt").write_text("10\n")
+    (tmp_path / "run.ini").write_text(
+        f"[run]\nladder_policy = explicit\nladder_schedule = {tmp_path / 'sched.txt'}\n"
+    )
+    searches = {
+        "classify": ["--a", str(path), "--b", "ones", "--delta", "1"],
+        "thmB": ["--orbit", str(path), "--fixed-point", "ones", "--pairs", "0:1"],
+        "thmC": ["--orbit", str(path), "--q", "1", "--delta", "1"],
+    }
+    commands = [
+        *map(str.split, NOT_IMPORTED),
+        *(["relations", name, *args, "--horizon", "300", "--k", "8", "--tau", "1/100"]
+          for name, args in searches.items()),
+        ["--config", str(tmp_path / "run.ini"), "verify", "rigidity", "--n", "1", "--count", "5"],
+    ]
+    for argv in commands:
+        proc, modules = _imported("-m", "wkseq", *argv)
+        assert proc.returncode in (0, 1), (argv, proc.stderr[-300:])
+        counts = {m: _tokens(m) for m in modules if m.split(".")[0] == "wkseq"}
+        assert "wkseq.cli" in counts and ("wkseq.thmc" in counts) == ("thmC" in argv), argv
+        past = {m: n for m, n in counts.items() if n >= COMPILE_CLIFF}
+        assert not past, (argv, past)
 
 
 @pytest.mark.parametrize(
@@ -484,7 +578,7 @@ def test_thmB_short_fixed_point_is_usage_error(capsys, tmp_path):
 
 
 def test_repeated_window_file_is_loaded_once(capsys, tmp_path, monkeypatch):
-    import wkseq.cli as cli
+    import wkseq.seqio as seqio
 
     path = tmp_path / "w.csv"
     path.write_text(dumps_csv(full_shift_transitive_point(400)))
@@ -494,7 +588,7 @@ def test_repeated_window_file_is_loaded_once(capsys, tmp_path, monkeypatch):
         loads.append(p)
         return load_window(p)
 
-    monkeypatch.setattr(cli, "load_window", counted)
+    monkeypatch.setattr(seqio, "load_window", counted)
     code, _, _ = run_cli(
         capsys, "relations", "classify", "--a", str(path), "--b", str(path),
         "--shift-b", "1", "--delta", "1", "--horizon", "300", "--k", "8",

@@ -1,25 +1,38 @@
 """Write BENCH_scale.json: end-to-end and layer rows for the regimes ROADMAP.md targets.
 
-    python3 tools/bench_scale.py
+    python3 tools/bench_scale.py [--against DIR]
 
 Run it from any directory; it times the checkout it sits in.  Each
 end-to-end row is one `python -m wkseq` command with this checkout's `src`
 first on the path, run as a child process three times, one after another.
 A row holds the argv, its timeout (at most 120 s), the exit code and stdout
 sha256 of the runs, `wall_s` as the median of the three wall times, and
-`peak_rss_mb` as the largest of their peak RSS.  A run past its timeout is
-killed, and the row records "timeout" for its time.  Each layer row is one
+`peak_rss_mb` as the largest of their peak RSS (`peak_rss_mb_runs` holds
+each).  A run past its timeout is
+killed, and the row records "timeout" for its time.  With `--against DIR`,
+DIR is a second checkout, for example a `git worktree` of the parent commit
+at a path of the same length as this one (the path alone moves a call's
+peak RSS by about 0.1 MB).  Each end-to-end row then runs its command three
+times in each checkout, alternating between them and starting with the
+other one on each repeat, so drift on the host falls on both sides alike;
+the row's `against` object holds DIR's exit code, hash, times and peaks, and
+the file's `against` object DIR's metadata.  The cold-start rows (`cold_*`)
+are the cheapest call of each command family, whose peak RSS is the
+interpreter, the imports and their compiles.  Each layer row is one
 certificate checker called in process, in one child with the same path, at
 the certify workload's sizes: `wall_s` is the median of LAYER_REPEATS calls,
 each on a fresh ladder, and `report_sha256` hashes the report's JSON.  The
 window layer rows call both readers and `tail_period` the same way, on
 LOAD_ROWS rows whose values are all distinct, in `gen`'s shape and not; each
 also records its tracemalloc peak per row, from one more call under
-tracemalloc, and a hash of the window's values.  The file also records the
+tracemalloc, and a hash of the window's values.  Layer rows run in this
+checkout only.  The file also records the
 measured `src/` as a git tree id (`git rev-parse <commit>:src` gives the
 same id for the commit that holds that code), the commit when it is HEAD's,
-a hash of `src/`, the Python version, the CPU count and each module's
-tokenize token count.  The jobs are
+a hash of `src/`, the Python version, the CPU count, each module's
+tokenize token count, and under `compiles` the `wkseq` modules each command
+imports (and so compiles, without a bytecode cache) with their token total.
+The jobs are
 started and measured by `bench/spawn.py`, as the gated benchmark's are.
 
 The gated benchmark (`bench/run.py`) runs only small jobs; these rows are
@@ -31,6 +44,7 @@ writes its own, and α's by this checkout's `gen`, so no file is downloaded.
 """
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -120,7 +134,27 @@ def rows(files: dict[str, Path]) -> list[tuple[str, list[str], float]]:
         # each certify job of bench/workloads.py at the layer rows' sizes, so each command's peak RSS
         # shows; the workload's `wm --n 2` probe is the row wm_n2_refused
         *((f"certify_{name}", ["verify", *args.split()], 60) for name, args in CERTIFY_JOBS.items()),
+        # cold starts: the cheapest call of each command family
+        *((f"cold_{name}", COMPILES[name].split(), 60) for name in ("gen", "verify", "relations")),
     ]
+
+
+#: One cheap call per command, whose imports the metadata's `compiles`
+#: lists; `gen`, `verify` and `relations` are also the cold-start rows.
+COMPILES = {
+    "gen": "gen --len 1",
+    "verify": "verify rigidity --n 1 --count 1",
+    "verify_returns": "verify returns --n 1",
+    "verify_ones": "verify ones --n 1 --window 1000",
+    "verify_wm": "verify wm --n 0",
+    "verify_shift_defect": "verify shift-defect --n 1 --m 2 --step 143489313",
+    "relations": "relations classify --a alpha --b ones --delta 1 --horizon 1 --k 1 --tau 1/100",
+    "thmB_alpha": "relations thmB --orbit alpha --fixed-point ones --pairs 0:1 --horizon 1 --k 1 --tau 1/100",
+    "thmC_alpha": "relations thmC --orbit alpha --q 1 --delta 1 --horizon 100 --k 8 --tau 1/100",
+    "classify_file": "relations classify --a {csv} --b ones --delta 1 --horizon 1 --k 1 --tau 1/100",
+    "thmB_file": "relations thmB --orbit {csv} --fixed-point ones --pairs 0:1 --horizon 1 --k 1 --tau 1/100",
+    "thmC_file": "relations thmC --orbit {csv} --q 1 --delta 1 --horizon 100 --k 8 --tau 1/100",
+}
 
 
 #: The certify workload's jobs at about its sizes: a CLI row each, and the
@@ -241,23 +275,35 @@ def measure_layer(spawner, name: str) -> dict:
     return {"name": name, "wall_s": statistics.median(times), "wall_s_runs": times, **out}
 
 
-def measure(spawner, name: str, argv: list[str], timeout: float) -> dict:
-    runs, digests = [], set()
-    for _ in range(REPEATS):
-        runs.append(spawner.run(["-m", "wkseq", *argv], timeout))
-        digests.add(hashlib.sha256((INPUTS / "job.out").read_bytes()).hexdigest())
-    codes = sorted({run.exit_code for run in runs}, key=str)
-    times = [round(run.wall_s, 4) for run in runs]
-    return {
+def measure(spawners: list, name: str, argv: list[str], timeout: float) -> dict:
+    """One end-to-end row, REPEATS runs in each checkout, alternating."""
+    runs, digests = [[] for _ in spawners], [set() for _ in spawners]
+    for i in range(REPEATS):
+        for side in (range(len(spawners)) if i % 2 == 0 else reversed(range(len(spawners)))):
+            runs[side].append(spawners[side].run(["-m", "wkseq", *argv], timeout))
+            digests[side].add(hashlib.sha256((INPUTS / "job.out").read_bytes()).hexdigest())
+    sides = []
+    for side_runs, side_digests in zip(runs, digests):
+        codes = sorted({run.exit_code for run in side_runs}, key=str)
+        times = [round(run.wall_s, 4) for run in side_runs]
+        peaks = [round(run.maxrss_mb, 2) for run in side_runs]
+        sides.append({
+            "exit_code": codes[0] if len(codes) == 1 else codes,
+            "stdout_sha256": side_digests.pop() if len(side_digests) == 1 else sorted(side_digests),
+            "wall_s": "timeout" if any(run.timed_out for run in side_runs) else statistics.median(times),
+            "wall_s_runs": times,
+            "peak_rss_mb": max(peaks),
+            "peak_rss_mb_runs": peaks,
+        })
+    row = {
         "name": name,
         "argv": ["python", "-m", "wkseq", *(os.path.relpath(a, ROOT) if a.startswith(str(INPUTS)) else a for a in argv)],
         "timeout_s": timeout,
-        "exit_code": codes[0] if len(codes) == 1 else codes,
-        "stdout_sha256": digests.pop() if len(digests) == 1 else sorted(digests),
-        "wall_s": "timeout" if any(run.timed_out for run in runs) else statistics.median(times),
-        "wall_s_runs": times,
-        "peak_rss_mb": round(max(run.maxrss_mb for run in runs), 2),
+        **sides[0],
     }
+    if len(sides) > 1:
+        row["against"] = sides[1]
+    return row
 
 
 def git_tree(folder: Path) -> str:
@@ -275,59 +321,94 @@ def git_tree(folder: Path) -> str:
     return hashlib.sha1(b"tree %d\0" % len(body) + body).hexdigest()
 
 
-def metadata() -> dict:
+def metadata(root: Path, spawner, files: dict[str, Path]) -> dict:
     """What was measured: `src_tree` is the git tree id of `src/` as it was
     run, which `git rev-parse COMMIT:src` gives for any commit holding that
     code; `git_sha` is HEAD when HEAD holds it, and null when the code is
     not committed (or there is no git)."""
-    tree = git_tree(ROOT / "src")
+    tree = git_tree(root / "src")
     try:
-        run = [subprocess.run(["git", "-C", str(ROOT), "rev-parse", spec], capture_output=True, text=True,
+        run = [subprocess.run(["git", "-C", str(root), "rev-parse", spec], capture_output=True, text=True,
                               timeout=30).stdout.strip() for spec in ("HEAD", "HEAD:src")]
         sha = run[0] if run[1] == tree else None
     except (OSError, subprocess.SubprocessError):
         sha = None
     digest = hashlib.sha256()
-    for path in sorted((ROOT / "src").rglob("*.py")):
-        digest.update(path.relative_to(ROOT).as_posix().encode() + b"\0" + path.read_bytes())
+    for path in sorted((root / "src").rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0" + path.read_bytes())
+    counts = tokens(root)
     return {"git_sha": sha, "src_tree": tree, "src_sha256": digest.hexdigest(), "python": platform.python_version(),
-            "nproc": os.cpu_count(), "repeats": REPEATS, "seed": SEED, "tokens": tokens()}
+            "nproc": os.cpu_count(), "repeats": REPEATS, "seed": SEED, "tokens": counts,
+            "compiles": compiles(spawner, counts, files)}
 
 
-def tokens() -> dict[str, int]:
+def tokens(root: Path) -> dict[str, int]:
     """Each module's tokenize token count.  Without a bytecode cache a CLI
     call compiles every module it imports, and a module's compile peak jumps
     by about 120 KB past about 2048 tokens (Python 3.11), which peak RSS
     shows."""
     counts = {}
-    for path in sorted((ROOT / "src" / "wkseq").glob("*.py")):
+    for path in sorted((root / "src" / "wkseq").glob("*.py")):
         with open(path, "rb") as fh:
             counts[path.stem] = sum(1 for _ in tokenize.tokenize(fh.readline))
     return counts
 
 
-def main() -> int:
+def compiles(spawner, counts: dict[str, int], files: dict[str, Path]) -> dict[str, dict]:
+    """The `wkseq` modules each command of COMPILES imports, in the order
+    `-X importtime` lists them, and their total token count."""
+    out = {}
+    for name, args in COMPILES.items():
+        argv = args.format(csv=files["random_1e5"]).split()
+        run = spawner.run(["-X", "importtime", "-m", "wkseq", *argv], 60)
+        if run.exit_code not in (0, 1):
+            raise RuntimeError(f"{args} failed: {run.stderr}")
+        modules = [line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines()
+                   if line.startswith("import time:") and "|" in line]
+        stems = [m.removeprefix("wkseq.") if m != "wkseq" else "__init__" for m in modules
+                 if m.split(".")[0] == "wkseq"]
+        out[name] = {"argv": args.split(), "modules": stems, "tokens": sum(counts[m] for m in stems),
+                     "largest": max(counts[m] for m in stems)}
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", metavar="DIR", type=Path,
+                        help="a second checkout whose end-to-end rows alternate with this one's")
+    args = parser.parse_args(argv)
+    roots = [ROOT, *([args.against.resolve()] if args.against else [])]
+    if args.against and len(str(roots[1])) != len(str(ROOT)):
+        print(f"warning: {roots[1]} and {ROOT} differ in length, which moves peak RSS", file=sys.stderr)
     INPUTS.mkdir(exist_ok=True)
-    # bench/spawn.py's helper, forked while this process is small, starts
-    # the jobs and reads their peak RSS
+    # bench/spawn.py's helpers, one per checkout, forked while this process
+    # is small, start the jobs and read their peak RSS.  A later helper holds
+    # the request pipes of the earlier ones, so they are closed last first.
     sys.path.insert(0, str(ROOT / "bench"))
     import spawn
 
-    spawner = spawn.Spawner(spawn.child_env(ROOT), INPUTS)
+    spawners = [spawn.Spawner(spawn.child_env(root), INPUTS) for root in roots]
     try:
-        result = {"schema": "wkseq-bench-scale/1", **metadata(), "rows": []}
-        for name, argv, timeout in rows(inputs()):
-            row = measure(spawner, name, argv, timeout)
+        files = inputs()
+        result = {"schema": "wkseq-bench-scale/1", **metadata(ROOT, spawners[0], files), "rows": []}
+        if args.against:
+            result["against"] = {"root": os.path.relpath(roots[1], ROOT), **metadata(roots[1], spawners[1], files)}
+        for name, argv, timeout in rows(files):
+            row = measure(spawners, name, argv, timeout)
             result["rows"].append(row)
-            print(f"{name:<28} exit {row['exit_code']!s:<6} wall {row['wall_s']!s:>9} s  "
-                  f"peak {row['peak_rss_mb']:6.2f} MB", flush=True)
+            other = row.get("against")
+            print(f"{name:<30} exit {row['exit_code']!s:<6} wall {row['wall_s']!s:>9} s  "
+                  f"peak {row['peak_rss_mb']:6.2f} MB"
+                  + (f"  | against: exit {other['exit_code']!s:<6} wall {other['wall_s']!s:>9} s  "
+                     f"peak {other['peak_rss_mb']:6.2f} MB" if other else ""), flush=True)
         result["layer_rows"] = []
         for name in LAYER_ROWS:
-            row = measure_layer(spawner, name)
+            row = measure_layer(spawners[0], name)
             result["layer_rows"].append(row)
-            print(f"{row['name']:<28} in process   wall {row['wall_s']:>9} s", flush=True)
+            print(f"{row['name']:<30} in process   wall {row['wall_s']:>9} s", flush=True)
     finally:
-        spawner.close()
+        for spawner in reversed(spawners):
+            spawner.close()
     (ROOT / "BENCH_scale.json").write_text(json.dumps(result, indent=1) + "\n")
     return 0
 

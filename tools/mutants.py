@@ -114,6 +114,32 @@ MUTANTS = [
            "n = max(sum(map(mul, map(abs, map(sub, xi[j:j + k], yi)), weights)) for xi, yi in sides)",
            "n = min(sum(map(mul, map(abs, map(sub, xi[j:j + k], yi)), weights)) for xi, yi in sides)",
            ("test_search_kernels.py", "test_relations.py")),
+    # a window file named on both sides of a pair is read once
+    Mutant("orbit_sources_without_dedupe", "relations_cli.py",
+           "for token in dict.fromkeys(tokens)}",
+           "for token in tokens}",
+           ("test_cli.py",)),
+    # every report is written with its keys sorted
+    Mutant("report_emitter_without_sort_keys", "report.py",
+           "json.dumps(doc, sort_keys=True, indent=2)",
+           "json.dumps(doc, indent=2)",
+           ("test_cli.py",)),
+    # a bad window file is a usage error (exit 2), which the CLI catches as a
+    # ValueError without importing the window code, not a crash (exit 3)
+    Mutant("window_format_error_not_a_usage_error", "seqio.py",
+           "class WindowFormatError(ValueError):",
+           "class WindowFormatError(Exception):",
+           ("test_cli.py",)),
+    # thmC's front door hands its arguments on in order
+    Mutant("thmC_front_door_arguments_swapped", "relations.py",
+           "return thmC_witnesses(x, q, delta, horizon, k, tau)",
+           "return thmC_witnesses(x, q, delta, k, horizon, tau)",
+           ("test_relations.py", "test_cli.py")),
+    # the parsers' reference cycles are collected before a command runs
+    Mutant("parser_left_for_the_collector", "cli.py",
+           "    gc.collect(0)\n",
+           "    pass\n",
+           ("test_cli.py",)),
     # a tile holds one period from -p[m], so a point x sits at x + p[m] mod 2p[m]
     Mutant("tile_index_without_its_shift", "walker.py",
            "tile, j = tiles[m], (r.start + half) % (2 * half)",
