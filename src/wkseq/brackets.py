@@ -4,9 +4,9 @@ Distances between points of the shift space use the summable metric
 sum |x(i) - y(i)| / 2^i; comparing finite windows of length k pins that
 distance inside a closed bracket of width exactly 2^(1-k), which is the
 only form of distance this package ever reports.  `bracket_scan` computes
-every such bracket, and `occurrence_scan` finds an exact 0/1 word; the
-relation searches hand them one block of at most `walker.STREAM_BLOCK`
-times at a time.
+every such bracket; the relation searches hand it one block of at most
+`walker.STREAM_BLOCK` times at a time.  thmC's word search,
+`thmc.occurrence_scan`, lives with thmC, so no other search compiles it.
 """
 from __future__ import annotations
 
@@ -187,21 +187,3 @@ def _fixed_min(
         else:
             return best, ceiling
 
-
-def occurrence_scan(
-    sides: Sequence[tuple[Sequence[Rational], str]], count: int, k: int, best: Fraction | None = None
-) -> tuple[int, DistBracket] | None:
-    """The first of the times 0 .. count-1 at which xs[j:j+k] is exactly
-    the 0/1 word of the one side (xs, word), and its bracket [0, 2^(1-k)],
-    which no time beats; or None where the word does not occur, whatever
-    `best`.
-
-    Each distinct value object of xs is coded once, by value, as "0", "1"
-    or "x" for any other value, and `str.find` searches the code for the
-    word in linear time."""
-    (xs, word), = sides
-    code = dict(zip(map(id, xs), xs))
-    for i, v in code.items():
-        code[i] = "0" if v == 0 else "1" if v == 1 else "x"
-    j = "".join(map(code.__getitem__, map(id, xs))).find(word, 0, count + k - 1)
-    return None if j < 0 else (j, DistBracket(Fraction(0), Fraction(2) ** (1 - k)))

@@ -62,8 +62,8 @@ class Ladder:
         self._p: list[int] = [BASE_HALF_PERIOD]
         self._L: list[int] = [0]  # index 0 unused; L[n] valid for n >= 1
         self._lock = threading.Lock()
-        # level m -> one period of level m, shared by every `walker.eval_block` read
-        self._tiles: dict[int, list[Fraction]] = {}
+        # (algebra, level, phase) -> one period of the level, folded by `walker.fold`
+        self._memo: dict[tuple, object] = {}
         self.ensure(len(self._explicit))
 
     # -- growth ---------------------------------------------------------

@@ -10,9 +10,9 @@ labeled inconclusive rather than refuted.
 All searches of one call share one block loop, `_scan`.  It walks the time
 range in blocks of `walker.STREAM_BLOCK` times, reads each view once per
 block and hands that read to each search's kernel: `brackets.bracket_scan`,
-the one place a bracket sum is computed, or `brackets.occurrence_scan` for
-thmC's pattern, whose search `thmC_witnesses` imports from `wkseq.thmc` when
-it is called, so no other search compiles it.  So a search holds at most one block of each orbit at any
+the one place a bracket sum is computed, or `thmc.occurrence_scan` for
+thmC's pattern, which `thmC_witnesses` imports with thmC's search from
+`wkseq.thmc` when it is called, so no other search compiles it.  So a search holds at most one block of each orbit at any
 horizon.  Ties always prefer the smallest time.  Each orbit states where
 its stretches begin and which of them repeat (see `orbits`); where
 every orbit a search reads repeats, the search scans one period of the

@@ -1,24 +1,21 @@
 """The ones-run certificate: long runs of exact ones in every window.
 
 `certify.check_ones_runs` imports this module when it is called, so only
-`verify ones` compiles the runs walk, and the other certificates compile
-only the shifted-comparison kernel.
-
-The certificate scans every coordinate at small levels; at large ones it
-reads the runs off `walker.pieces`, which `eval_block` expands.  Either way
-the runs stream into one pass that decides the report, so its memory does
-not grow with the window.
+`verify ones` compiles it.  The certificate scans every coordinate at small
+levels, into one pass over the runs; at large ones `walker.fold` summarises
+the runs of each period once and joins repeats by count.  Either way its
+memory does not grow with the window.
 """
 from __future__ import annotations
 
 from functools import partial
-from itertools import chain
+from itertools import count
 from operator import is_
 from typing import Iterable, Iterator, NamedTuple
 
 from . import certify, walker
-from .ladder import ONE, DomainError, Ladder
-from .walker import eval_block, pieces, spans
+from .ladder import ONE, ZERO, DomainError, Ladder
+from .walker import eval_block, fold, spans
 
 
 class OnesRunReport(NamedTuple):
@@ -38,52 +35,66 @@ class OnesRunReport(NamedTuple):
     to_json_dict = certify._report_json
 
 
-def _ones_runs(ladder: Ladder, lo: int, hi: int, prune: int) -> Iterator[tuple[int, int]]:
-    """Runs of exact ones of the limit profile on lo .. hi-1, as closed
-    intervals, at least `prune` long, in order: a sound under-approximation.
-    Each run is spot-checked at its ends and middle and yielded as soon as
-    the next run cannot extend it.  A read of level m is descended only
-    while one period of it (with the next one's first point) can hold such
-    a run, and each level's runs over one full period are found once."""
-    p = ladder.sizes
-    period_runs: dict[int, list[tuple[int, int]]] = {}
+class _Runs(NamedTuple):
+    """`walker.fold`'s algebra for the plateau mode: a stretch's summary is its
+    length, its leading and trailing ones (its length if all ones) and `long`'s
+    view of the runs inside.  Levels below `floor`, too short for a run of the
+    prune bound's ones, read as zeros.  Equal algebras share the ladder's memo."""
 
-    def level(n: int, lo: int, hi: int, at: int) -> Iterator[tuple[int, int]]:
-        # runs of level n on lo .. hi-1, moved by `at`, in order
-        for a, b, i, copies, s in pieces(ladder, n, lo, hi):
-            if i is None:
-                yield a + at, b - 1 + at
-                continue
-            if copies and copies[0] >= s:  # only a ramp's first point reaches 1
-                yield a + at, a + at
-            if n and 2 * p[n - 1] + 1 >= prune:
-                yield from periodized(n - 1, i, b - a, a + at)
+    required: int
+    floor: int
+    cut = None
 
-    def periodized(m: int, i: int, length: int, at: int) -> Iterator[tuple[int, int]]:
-        # runs of level m periodized, read from i for `length` points, moved to `at`
-        half = p[m]
-        while length:
-            take = min(length, half - i)
-            if take == 2 * half:
-                if m not in period_runs:
-                    period_runs[m] = list(level(m, -half, half, half))
-                yield from ((u + at, v + at) for u, v in period_runs[m])
-            else:
-                yield from level(m, i, i + take, at - i)
-            at, length, i = at + take, length - take, -half
+    def flat(self, value, points):
+        length = points[-1] + 1 - points[0] if points else 0
+        return length, length * (value is ONE), None, length * (value is ONE)
 
-    start, stop = lo, lo - 2  # no run, and no run extends it
-    found = chain.from_iterable(level(n, a, b, 0) for n, a, b in spans(ladder, lo, hi))
-    for u, v in chain(found, [(hi + 1, hi)]):  # a last run that extends none
-        if u > stop + 1:
-            if stop - start + 1 >= prune:
-                for probe in (start, (start + stop) // 2, stop):
-                    # read through certify's name, where the traced benchmark counts it
-                    if certify.eval_ainf(ladder, probe) != ONE:
-                        raise AssertionError(f"certified interval [{start}, {stop}] fails at {probe}")
-                yield start, stop
-            start = u
-        stop = max(stop, v)
+    def ramp(self, copies, s, below):
+        return below  # past its first point a ramp is 1 only where the level below is
+
+    def long(self, u, v):  # (first run, last end, count, largest step), as `_summary` counts
+        return ((u, v), v, 1, min(1, v - u + 1 - self.required)) if v - u + 1 >= self.required else None
+
+    def merge(self, x, *rest):
+        for y in rest:  # the step from x's last block start to y's first run
+            x = x and y and (x[0], y[1], x[2] + y[2], max(x[3], y[3], y[0][0] - x[1] + self.required - 1)) or x or y
+        return x
+
+    def join(self, a, b):  # a, then b, with a's tail and b's head one run
+        (la, ha, xa, ta), (lb, hb, xb, tb) = a, b
+        xb = xb and ((xb[0][0] + la, xb[0][1] + la), xb[1] + la, *xb[2:])
+        if ha == la:  # a is all ones
+            return la + lb, la + hb, xb, tb + la * (hb == lb)
+        if hb == lb:
+            return la + lb, ha, xa, ta + lb
+        return la + lb, ha, self.merge(xa, self.long(la - ta, la + hb - 1), xb), tb
+
+    def repeat(self, summary, times):  # by doubling
+        half = self.repeat(self.join(summary, summary), times >> 1) if times > 1 else self.flat(ZERO, ())
+        return self.join(half, summary) if times & 1 else half
+
+
+def _plateau(ladder: Ladder, required: int, window: int, end: int) -> tuple:
+    """`_summary`'s result for the runs `_Runs` folds on 0 .. end, pruned at
+    required // 8, with the first run probed at its ends and middle, the last at its end."""
+    alg = _Runs(required, next(m for m in count() if 2 * ladder.p(m) + 1 >= max(1, required // 8)))
+    total = alg.flat(ZERO, ())
+    for n, a, b in spans(ladder, 0, end + 1):
+        total = alg.join(total, fold(ladder, n, range(a, b), alg, end + 1))
+    length, head, runs, tail = total
+    runs = alg.merge(alg.long(0, head - 1), runs, head < length and alg.long(length - tail, end))
+    if not runs:
+        return False, end + 1, None, 0
+    (u, v), last, found, worst = runs
+    for probe in (u, (u + v) // 2, v, last):
+        # read through certify's name, where the traced benchmark counts it
+        if certify.eval_ainf(ladder, probe) != ONE:
+            raise AssertionError(f"certified run fails at {probe}")
+    # `_summary`'s coverage: no step, the lead-in from -1 included, past window - required + 1
+    # (one from a block start at or past the last slice's start cannot be, as blocks end by
+    # `end`), and a block start at or past that slice's start
+    covered = max(u + 1, worst) <= window - required + 1 and last - required >= end - window
+    return covered, max(u, worst), (u, v), found
 
 
 def _scanned_runs(ladder: Ladder, points: range, required: int) -> Iterator[tuple[int, int]]:
@@ -130,18 +141,15 @@ def _summary(
     return not lost and pos > target, worst if count else end + 1, first, count
 
 
-def check_ones_runs(
-    ladder: Ladder, n: int, window_end: int, mode: str = "auto"
-) -> OnesRunReport:
+def check_ones_runs(ladder: Ladder, n: int, window_end: int, mode: str = "auto") -> OnesRunReport:
     """Certify that every length-2p[n] window of the sequence's first
     window_end + 1 coordinates contains at least p[n]/9 consecutive exact
     ones.
 
     Mode "scan" reads every coordinate, in blocks of STREAM_BLOCK, and is
-    exact in both directions; mode "plateau" reads runs off the ladder's
-    pieces, spot-checks each as it comes, and can only affirm (a False there
-    means the certificate could not be built).  The default picks scan at
-    level 1 and plateau above.
+    exact in both directions; mode "plateau" folds the runs off the ladder's
+    pieces, and can only affirm (a False there means the certificate could
+    not be built).  The default picks scan at level 1 and plateau above.
     """
     if n < 1:
         raise DomainError("run certificates start at level 1")
@@ -153,19 +161,9 @@ def check_ones_runs(
         mode = "scan" if n == 1 else "plateau"
     if mode == "scan":
         runs = _scanned_runs(ladder, certify.scan_points(range(window_end + 1)), required)
+        summary = _summary(runs, required, window, window_end)
     elif mode == "plateau":
-        runs = _ones_runs(ladder, 0, window_end + 1, max(1, required // 8))
+        summary = _plateau(ladder, required, window, window_end)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    passed, worst_gap, first_run, runs_found = _summary(runs, required, window, window_end)
-    return OnesRunReport(
-        n=n,
-        run_length_required=required,
-        gap_bound=window,
-        window=(0, window_end),
-        passed=passed,
-        worst_gap=worst_gap,
-        first_run=first_run,
-        runs_found=runs_found,
-        mode=mode,
-    )
+    return OnesRunReport(n, required, window, (0, window_end), *summary, mode)

@@ -1,9 +1,12 @@
-"""thmC's search, in `relations._scan` with `brackets.occurrence_scan` as
-the pattern's kernel.  `relations.thmC_witnesses` imports this module when
-it is called, so the other searches never compile it."""
+"""thmC's search, in `relations._scan` with `occurrence_scan` as the
+pattern's kernel.  `relations.thmC_witnesses` imports this module when it
+is called, so the other searches never compile it."""
 from __future__ import annotations
 
-from .brackets import bracket_scan, occurrence_scan
+from fractions import Fraction
+from typing import Sequence
+
+from .brackets import DistBracket, bracket_scan
 from .ladder import Rational, exact_fraction
 from .orbits import OrbitSource, OrbitView
 from .relations import _PROX, NotFoundInHorizonError, PairVerdict, _scan, _Search, _verdict
@@ -45,3 +48,22 @@ def thmC_witnesses(
     xs = x.read(found, found + need)
     sep = found, bracket_scan([(xs, xs[q:])], 1, k, True)[1]
     return _verdict(delta, tau, (0, horizon), k, (0, q), prox=prox, sep=sep)
+
+
+def occurrence_scan(
+    sides: Sequence[tuple[Sequence[Rational], str]], count: int, k: int, best: Fraction | None = None
+) -> tuple[int, DistBracket] | None:
+    """The first of the times 0 .. count-1 at which xs[j:j+k] is exactly
+    the 0/1 word of the one side (xs, word), and its bracket [0, 2^(1-k)],
+    which no time beats; or None where the word does not occur, whatever
+    `best`.
+
+    Each distinct value object of xs is coded once, by value, as "0", "1"
+    or "x" for any other value, and `str.find` searches the code for the
+    word in linear time."""
+    (xs, word), = sides
+    code = dict(zip(map(id, xs), xs))
+    for i, v in code.items():
+        code[i] = "0" if v == 0 else "1" if v == 1 else "x"
+    j = "".join(map(code.__getitem__, map(id, xs))).find(word, 0, count + k - 1)
+    return None if j < 0 else (j, DistBracket(Fraction(0), Fraction(2) ** (1 - k)))

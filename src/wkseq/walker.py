@@ -2,15 +2,15 @@
 
 `pieces` gives a level on a range by its structure: plateaus of ones,
 repeats of the periodized level below, and ramps over them; `spans` splits
-a range by the least level covering each point.  `eval_block` expands the
-pieces of a range of any positive step into values, and `certify` reads
-runs of ones off them, so both cost what the levels and pieces of a range
-do, not its length.
+a range by the least level covering each point.  `fold` descends the
+pieces once, for any algebra over them, with repeats of one period joined
+by count: `eval_block` folds the values, and the ones certificate its runs.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import iadd, mul
 from typing import Iterable, Iterator
 
 from .ladder import ONE, ZERO, Ladder, _below, _copy, _value, eval_ratio
@@ -62,77 +62,74 @@ def spans(ladder: Ladder, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
         lo = end
 
 
+def fold(ladder: Ladder, n: int, r: range, alg, size: int):
+    """Level n at the points of r, a range of positive step in [-p[n], p[n]],
+    folded over its `pieces` by `alg`: `flat(value, points)` for a plateau of
+    ONE, or of ZERO below level `alg.floor`; `ramp` over the level below;
+    `join`; `repeat(part, times)`.  A ramp's only 1, its first point, is a
+    plateau.  A period of the level below no longer than `size` is folded
+    once per ladder, in `ladder._memo[alg, level, phase]`: at phase 0 where
+    `alg.cut` reads any points of it, else at the phase read, and repeated."""
+    out, d = alg.flat(ZERO, ()), r.step
+    for a, b, i, copies, s in pieces(ladder, n, r.start, r.stop):
+        k = (r.start - a) % d  # the first point of r in the piece is a + k
+        if a + k < b and copies and copies[k] >= s:
+            out, k = alg.join(out, alg.flat(ONE, (a,))), k + d
+        if a + k < b:
+            part = range(a + k, b, d) if i is None else _periodized(ladder, n - 1, range(i + k, i + b - a, d), alg, size)
+            part = alg.flat(ONE, part) if i is None else part if copies is None else alg.ramp(copies[k::d], s, part)
+            out = alg.join(out, part)
+    return out
+
+
+def _periodized(ladder, m, r, alg, size, memoised=True):
+    """Level m periodized with period 2p[m], at the points of r, folded a run
+    of points per period met, but for the whole periods of a memoised one."""
+    if m < alg.floor:
+        return alg.flat(ZERO, r)
+    half, memo, out = ladder.sizes[m], ladder._memo, alg.flat(ZERO, ())
+    key = alg, m, 0 if alg.cut else (r.start + half) % (2 * half)
+    if memoised and (key in memo or 2 * half <= size):
+        if key not in memo:
+            memo[key] = _periodized(ladder, m, range(key[2] - half, key[2] + half), alg, size, False)
+        if alg.cut:
+            return alg.cut(memo[key], r)
+        out = alg.repeat(memo[key], (r.stop - r.start) // (2 * half))  # r is contiguous without `cut`
+        r = range(r.stop - (r.stop - r.start) % (2 * half), r.stop)
+    while r:
+        x = (r.start + half) % (2 * half) - half
+        run = range(x, min(half, x + r.stop - r.start), r.step)
+        out, r = alg.join(out, fold(ladder, m, run, alg, size)), range(r.start + run[-1] - x + r.step, r.stop, r.step)
+    return out
+
+
+class VALUES:
+    """`eval_block`'s algebra, whose summary is the list of values.  A read
+    of a memoised period is cut out of it, so reads share one object per
+    point of it, and repeats after period / gcd(period, step) points."""
+
+    floor, join, repeat = 0, iadd, mul
+
+    def flat(value, points):
+        return [value] * len(points)
+
+    def ramp(copies, s, below):
+        return [v if c <= 0 or c * v.denominator <= v.numerator * s else Fraction(c, s) for c, v in zip(copies, below)]
+
+    def cut(tile, r):
+        period, d = len(tile), r.step
+        j, cycle = (r.start + period // 2) % period, period // gcd(d, period)
+        once = tile[j:] + tile[:j] if d == 1 else [tile[x % period] for x in range(j, j + min(cycle, len(r)) * d, d)]
+        return (once * -(-len(r) // cycle))[:len(r)]
+
+
 def eval_block(ladder: Ladder, points: Iterable[int]) -> list[Fraction]:
-    """The limit profile at integer points of either sign, each read at the
-    least level whose domain covers it, as `eval_ainf` does; the shared
-    ZERO and ONE stand for every 0 and 1.  A range of positive step d is the
-    expansion of its `pieces`: inside a piece its points are a range, a
-    ramp's copies a slice of the piece's, and a repeat reads the periodized
-    level below at a range of step d, split where it wraps.  Where a level's
-    period is cached, or no longer than the points of the call, it is one
-    period expanded once per ladder and shared by all reads, and a read of
-    it repeats after period / gcd(period, d) points.  Other points, and a
-    range's lone points, go through `eval_ratio` one by one.
-    """
-    p = ladder.sizes
+    """The limit profile at integer points of either sign, each at the least
+    level covering it, as `eval_ainf` reads it: a range of positive step folded
+    by `VALUES` over its `spans`, other points by `eval_ratio` one by one."""
     if not isinstance(points, range) or points.step < 1:
-        return [_value(*eval_ratio(p, ladder.ensure_cover(x), x, 1)) for x in points]
-    tiles = ladder._tiles
-
-    def level(n: int, r: range) -> list[Fraction]:
-        """Level n at the points of r, inside [-p[n], p[n]]."""
-        if len(r) < 2:
-            return [_value(*eval_ratio(p, n, x, 1)) for x in r]
-        out: list[Fraction] = []
-        d = r.step
-        for a, b, i, copies, s in pieces(ladder, n, r.start, r[-1] + 1):
-            k = (r.start - a) % d  # the first point of r in the piece is a + k
-            if a + k >= b:
-                continue
-            if i is None:
-                out += [ONE] * len(range(a + k, b, d))
-                continue
-            below = periodized(n - 1, range(i + k, i + b - a, d))
-            if copies is None:
-                out += below
-                continue
-            out += [
-                ONE if c >= s
-                else v if c <= 0 or c * v.denominator <= v.numerator * s
-                else Fraction(c, s)
-                for c, v in zip(copies[k::d], below)
-            ]
-        return out
-
-    def periodized(m: int, r: range) -> list[Fraction]:
-        """Level m periodized with period 2p[m], at the points of r."""
-        if m < 0:
-            return [ZERO] * len(r)
-        half, d = p[m], r.step
-        if m in tiles or 2 * half <= len(points):
-            if m not in tiles:
-                tiles[m] = level(m, range(-half, half))
-            tile, j = tiles[m], (r.start + half) % (2 * half)
-            cycle = 2 * half // gcd(d, 2 * half)  # points until the read repeats
-            if d == 1:
-                once = tile[j:] + tile[:j]
-            else:
-                once = [tile[x % (2 * half)] for x in range(j, j + min(cycle, len(r)) * d, d)]
-            reps, rest = divmod(len(r), cycle)
-            out = once * reps
-            out += once[:rest]
-            return out
-        out = []
-        while len(out) < len(r):  # one run of points per period met
-            x = (r[len(out)] + half) % (2 * half) - half
-            run = level(m, range(x, half, d)[:len(r) - len(out)])
-            if out:
-                out += run
-            else:
-                out = run
-        return out
-
+        return [_value(*eval_ratio(ladder.sizes, ladder.ensure_cover(x), x, 1)) for x in points]
     out: list[Fraction] = []
     for n, lo, hi in spans(ladder, points.start, points[-1] + 1 if points else points.start):
-        out += level(n, range(lo + (points.start - lo) % points.step, hi, points.step))
+        out += fold(ladder, n, range(lo + (points.start - lo) % points.step, hi, points.step), VALUES, len(points))
     return out

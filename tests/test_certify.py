@@ -1,5 +1,6 @@
 import random
 import time
+from bisect import bisect_left
 import tracemalloc
 from fractions import Fraction as F
 from functools import partial
@@ -20,6 +21,7 @@ from wkseq import (
     eval_ainf,
     ladder_new,
 )
+from wkseq.cli import console_main
 from wkseq.ladder import ONE, ZERO
 from wkseq.walker import eval_block
 
@@ -256,6 +258,33 @@ def test_ones_runs_plateau_agrees_with_scan(window, schedule):
     assert scan.runs_found > 0
 
 
+#: Plateau reports (n, window, runs_found, first_run, worst_gap) of the
+#: default ladder and of the schedule (10, 72901), as the walk that replayed
+#: every repeat gave them; every one passes.
+PLATEAU_REPORTS = {
+    (): [
+        (1, 10**5, 617, (54, 111), 134),
+        (1, 10**6, 6173, (54, 111), 134),
+        (1, 10**7, 61728, (54, 111), 134),
+        (1, 10**8, 440138, (54, 111), 134),
+        (2, 10**9, 12, (28697814, 57395628), 71744534),
+        (2, 10**12, 11615, (28697814, 57395628), 71744534),
+        (2, 10**13, 116153, (28697814, 57395628), 71744534),
+        (2, 10**14, 1161529, (28697814, 57395628), 71744534),
+    ],
+    (10, 72901): [
+        (1, 10**5, 556, (60, 123), 149),
+        (1, 10**6, 5556, (60, 123), 149),
+        (1, 10**7, 55556, (60, 123), 149),
+        (1, 10**8, 336854, (60, 123), 149),
+        (2, 10**9, 8, (39366540, 78733080), 98416349),
+        (2, 10**12, 8467, (39366540, 78733080), 98416349),
+        (2, 10**13, 84674, (39366540, 78733080), 98416349),
+        (2, 10**14, 846743, (39366540, 78733080), 98416349),
+    ],
+}
+
+
 @pytest.mark.parametrize(
     "n, window, runs_found, first_run, worst_gap",
     [
@@ -263,12 +292,56 @@ def test_ones_runs_plateau_agrees_with_scan(window, schedule):
         (2, 10**12, 11615, (28697814, 57395628), 71744534),
         (3, 4 * 10**25, 3, (4307387926151115532621494, 8614775852302231065242988),
          10768469815377788831553734),
+        *(row for row in PLATEAU_REPORTS[()] if row[:2] != (2, 10**12)),
+        # windows the walk that replayed every repeat could not decide: n = 1
+        # at 10^9 took more than 5 minutes, n = 2 at 10^20 about 10^6 times 15 s
+        (1, 10**9, 4074393, (54, 111), 134),
+        (2, 10**20, 1161528656271, (28697814, 57395628), 71744534),
     ],
 )
 def test_ones_runs_plateau_reports_are_pinned(lad, n, window, runs_found, first_run, worst_gap):
     rep = check_ones_runs(lad, n, window, mode="plateau")
     assert rep.passed
     assert (rep.runs_found, rep.first_run, rep.worst_gap) == (runs_found, first_run, worst_gap)
+
+
+@pytest.mark.parametrize(
+    "schedule, n, window, runs_found, first_run, worst_gap",
+    [(schedule, *row) for schedule, rows in PLATEAU_REPORTS.items() for row in rows],
+)
+def test_ones_plateau_cli_bytes_are_pinned(tmp_path, capsys, schedule, n, window, runs_found, first_run, worst_gap):
+    # the whole stdout of `verify ones --mode plateau`, byte for byte
+    argv = ["verify", "ones", "--n", str(n), "--window", str(window), "--mode", "plateau"]
+    if schedule:
+        (tmp_path / "schedule.txt").write_text("".join(f"{x}\n" for x in schedule))
+        argv = ["--ladder-schedule", str(tmp_path / "schedule.txt"), *argv]
+    lad = ladder_new(schedule or "default-minimal")
+    assert console_main(argv) == 0
+    assert capsys.readouterr().out == (
+        '{\n  "first_run": [\n    %d,\n    %d\n  ],\n  "gap_bound": %d,\n  "lemma": "ones-runs",\n'
+        '  "mode": "plateau",\n  "n": %d,\n  "pass": true,\n  "run_length_required": %d,\n'
+        '  "runs_found": %d,\n  "schema": "wk-report/1",\n  "window": [\n    0,\n    %d\n  ],\n'
+        '  "worst_gap": %d\n}\n'
+    ) % (*first_run, 2 * lad.p(n), n, lad.p(n) // 9, runs_found, window, worst_gap)
+
+
+@settings(max_examples=60, deadline=None)
+@given(schedule=st.sampled_from([(), (10, 72901)]), required=st.integers(1, 90), data=st.data())
+@example(schedule=(), required=27, data=None)  # level 1's certificate
+@example(schedule=(10, 72901), required=70, data=None)  # level 0 pruned
+def test_ones_runs_plateau_fold_matches_a_naive_walk(schedule, required, data):
+    # The folded summary against every coordinate read by the oracle, with
+    # the levels the prune bound skips read as zeros.  Windows end mid-repeat,
+    # level 0's and 1's runs fuse across the seams of their periods, and
+    # runs under `required` (some under the prune bound) are read and dropped.
+    window = data.draw(st.integers(required, 700)) if data else 486
+    end = data.draw(st.integers(window, 4000)) if data else 3000
+    lad = ladder_new(schedule or "default-minimal")
+    floor = next(m for m in range(4) if 2 * lad.p(m) + 1 >= max(1, required // 8))
+    P, L = oracles.tower(3, schedule)
+    bits = [oracles.pruned_level(P, L, bisect_left(P, x), x, floor) == 1 for x in range(end + 1)]
+    found = oracles.ones_runs_by_scan(bits)
+    assert runs._plateau(lad, required, window, end) == _summary_by_brute_force(found, required, window, end)
 
 
 def test_ones_runs_level_two_plateau(lad):
@@ -332,11 +405,26 @@ def test_ones_summary_matches_brute_force(case):
     assert runs._summary(iter(found), required, window, end) == _summary_by_brute_force(*case)
 
 
-@pytest.mark.parametrize("window", [10**11, 10**12])
+@pytest.mark.parametrize("window", [10**11, 10**12, 10**14, 10**20])
 def test_ones_runs_plateau_memory_is_flat(lad, window):
+    # repeats of a period are joined by count, so neither the time nor the
+    # memory grows with the window (the walk that replayed every repeat took
+    # 13 s at 10^14)
+    _plateau_is_fast_and_flat(lad, 2, window)
+
+
+def test_ones_runs_plateau_level_one_is_fast_and_flat(lad):
+    # no answer in 5 minutes from the walk that replayed every repeat
+    _plateau_is_fast_and_flat(lad, 1, 10**9)
+
+
+def _plateau_is_fast_and_flat(lad, n, window):
+    check_ones_runs(lad, n, 2 * lad.p(n), "plateau")  # the runs module is imported
     tracemalloc.start()
     try:
-        assert check_ones_runs(lad, 2, window, "plateau").passed
+        start = time.perf_counter()
+        assert check_ones_runs(lad, n, window, "plateau").passed
+        assert time.perf_counter() - start < 1
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

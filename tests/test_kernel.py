@@ -14,7 +14,7 @@ import oracles
 from fixtures import profile
 from wkseq import DomainError, eval_ainf, eval_b, ladder_new
 from wkseq.ladder import ONE, ZERO, _below, _copy
-from wkseq.walker import eval_block, pieces
+from wkseq.walker import VALUES, eval_block, pieces
 from wkseq.sequence import alpha_block
 
 #: Growth factors 10 and 100000: p = 3, 270, 243000000, ... and stretches
@@ -173,7 +173,7 @@ def test_stepped_ranges_match_pointwise_evaluation_and_oracle(schedule, warm):
                 ladder = _ladder(schedule)
                 if warm:
                     eval_block(ladder, range(-3 * p1, 3 * p1))
-                    assert {0, 1} <= set(ladder._tiles)
+                    assert {(VALUES, 0, 0), (VALUES, 1, 0)} <= set(ladder._memo)
                 start = edge - (count // 2) * d - 1
                 r = range(start, start + count * d, d)
                 block = eval_block(ladder, r)

@@ -131,6 +131,10 @@ def rows(files: dict[str, Path]) -> list[tuple[str, list[str], float]]:
         ("shift_defect_n1_m1_step1_4000", ["verify", "shift-defect", "--n", "1", "--m", "1", "--step", "1/4000"], 120),
         ("ones_plateau_n2_1e14", ["verify", "ones", "--n", "2", "--window", str(10**14), "--mode", "plateau"], 120),
         ("ones_plateau_n1_1e7", ["verify", "ones", "--n", "1", "--window", str(10**7), "--mode", "plateau"], 120),
+        # plateau windows whose repeats a walk must join by count, not replay: a walk that replays
+        # them takes more than 5 minutes at n = 1 and 10^9, and about 10^6 times 15 s at n = 2 and 10^20
+        ("ones_plateau_n1_1e9", ["verify", "ones", "--n", "1", "--window", str(10**9), "--mode", "plateau"], 30),
+        ("ones_plateau_n2_1e20", ["verify", "ones", "--n", "2", "--window", str(10**20), "--mode", "plateau"], 30),
         # each certify job of bench/workloads.py at the layer rows' sizes, so each command's peak RSS
         # shows; the workload's `wm --n 2` probe is the row wm_n2_refused
         *((f"certify_{name}", ["verify", *args.split()], 60) for name, args in CERTIFY_JOBS.items()),
@@ -180,6 +184,7 @@ from fractions import Fraction
 from wkseq import SeqWindow, certify, ladder_new, load_window
 from wkseq.orbits import window_source
 from wkseq.sequence import alpha_window
+from wkseq.walker import STREAM_BLOCK, eval_block
 
 
 def returns(lad, n, samples):
@@ -231,9 +236,23 @@ TAILS = {
 }
 
 
+# eval_block over one piece of each kind at levels 1 and 2 of the default
+# ladder, at most `rows` points of it a block of STREAM_BLOCK at a time: the
+# repeat of the level below, a ramp over it, and a plateau of ones.
+s1, s2 = 27, 14348907
+BLOCKS = {
+    "eval_block_repeat_l1": (4, s1), "eval_block_ramp_l1": (s1 + 1, 2 * s1),
+    "eval_block_plateau_l1": (2 * s1, 4 * s1 + 1), "eval_block_repeat_l2": (10**6, 10**6 + rows),
+    "eval_block_ramp_l2": (s2 + 1, s2 + 1 + rows), "eval_block_plateau_l2": (2 * s2, 2 * s2 + rows),
+}
+
+
 def call():
     if name in READS:
         return READS[name]()
+    if name in BLOCKS:
+        a, b = BLOCKS[name]
+        return [v for x in range(a, b, STREAM_BLOCK) for v in eval_block(lad, range(x, min(x + STREAM_BLOCK, b)))]
     return window_source(window).repeat(0)
 
 
@@ -249,7 +268,7 @@ if name in CALLS:
 else:
     tracemalloc.start()
     report = call()
-    out["tracemalloc_bytes_per_row"] = round(tracemalloc.get_traced_memory()[1] / rows, 2)
+    out["tracemalloc_bytes_per_row"] = round(tracemalloc.get_traced_memory()[1] / len(report if name in BLOCKS else pairs), 2)
     tracemalloc.stop()
     doc = repr((report.offset, report.values) if name in READS else report)
 for kind in texts:
@@ -263,6 +282,7 @@ LAYER_ROWS = (
     *(f"readers.{name}" for name in ("csv_window_1e5", "csv_window_exact_1e5", "json_window_1e5",
                                      "json_window_exact_1e5")),
     *(f"orbits.{name}" for name in ("tail_period_read_1e5", "tail_period_objects_1e5", "tail_period_alpha_1e5")),
+    *(f"walker.eval_block_{kind}_l{n}" for n in (1, 2) for kind in ("repeat", "ramp", "plateau")),
 )
 
 

@@ -142,9 +142,24 @@ MUTANTS = [
            ("test_cli.py",)),
     # a tile holds one period from -p[m], so a point x sits at x + p[m] mod 2p[m]
     Mutant("tile_index_without_its_shift", "walker.py",
-           "tile, j = tiles[m], (r.start + half) % (2 * half)",
-           "tile, j = tiles[m], r.start % (2 * half)",
+           "j, cycle = (r.start + period // 2) % period,",
+           "j, cycle = r.start % period,",
            ("test_kernel.py", "test_certify.py")),
+    # the plateau summary fuses a's last run and b's first where they meet
+    Mutant("join_without_fusing_at_the_seam", "runs.py",
+           "self.merge(xa, self.long(la - ta, la + hb - 1), xb)",
+           "self.merge(xa, self.long(la - ta, la - 1), self.long(la, la + hb - 1), xb)",
+           ("test_certify.py",)),
+    # whole periods of a memoised level are summarised as all their repeats
+    Mutant("repeat_one_copy_short", "walker.py",
+           "out = alg.repeat(memo[key], (r.stop - r.start) // (2 * half))",
+           "out = alg.repeat(memo[key], (r.stop - r.start) // (2 * half) - 1)",
+           ("test_certify.py",)),
+    # a period summarised from one phase is not read at another
+    Mutant("memo_keyed_without_its_phase", "walker.py",
+           "key = alg, m, 0 if alg.cut else (r.start + half) % (2 * half)",
+           "key = alg, m, 0",
+           ("test_certify.py",)),
 ]
 
 
