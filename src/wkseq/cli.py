@@ -15,15 +15,21 @@ neither the certificates, the relation searches, the report encoder nor
 `json`, and `verify` neither the window code nor the search kernels.  The
 `relations` commands are in `wkseq.relations_cli`, and the settings files'
 readers in `wkseq.config`.
+
+argv is read from the flag table in `wkseq.flags`, without argparse, when
+it has the canonical shape: the global `--flag value` pairs, then the
+command words, then that command's own pairs, each flag once.  argparse's
+parser, built from the same table in `wkseq.argparser`, serves only help,
+usage errors, abbreviations, `--flag=value` forms and `--config`, and only
+there are parsers built and freed.
 """
 from __future__ import annotations
 
-import argparse
-import gc
 import sys
-from fractions import Fraction
+from types import SimpleNamespace
 from typing import Sequence
 
+from .flags import read
 from .ladder import Ladder, LadderError
 
 EXIT_PASS = 0
@@ -32,28 +38,7 @@ EXIT_USAGE = 2
 EXIT_CRASH = 3
 
 
-def _fraction_arg(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
-
-
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be nonnegative")
-    return value
-
-
-def _cmd_gen(args: argparse.Namespace, ladder: Ladder) -> int:
+def _cmd_gen(args: SimpleNamespace, ladder: Ladder) -> int:
     """Stream the window in pieces, in memory that does not grow with its length."""
     from .seqio import window_chunks
     from .sequence import alpha_windows
@@ -68,7 +53,7 @@ def _cmd_gen(args: argparse.Namespace, ladder: Ladder) -> int:
     return EXIT_PASS
 
 
-def _cmd_verify(args: argparse.Namespace, ladder: Ladder) -> int:
+def _cmd_verify(args: SimpleNamespace, ladder: Ladder) -> int:
     from . import certify
     from .report import emit
 
@@ -89,112 +74,14 @@ def _cmd_verify(args: argparse.Namespace, ladder: Ladder) -> int:
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
-class _Formatter(argparse.HelpFormatter):
-    """argparse's help formatter, set up (which imports `shutil` for the
-    terminal width) only to write text, not to check each added argument."""
+def _parse_args(argv: Sequence[str] | None) -> SimpleNamespace:
+    """argv read from the flag table; argparse only for what that reader
+    leaves to it, which includes every help text and every usage error."""
+    args = read(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        from .argparser import parse_args
 
-    def __init__(self, prog: str):
-        self._prog = prog
-
-    def __getattr__(self, name: str):
-        if "_width" in vars(self):  # set up, so the attribute does not exist
-            raise AttributeError(name)
-        super().__init__(self._prog)
-        return getattr(self, name)
-
-
-class _Parser(argparse.ArgumentParser):
-    def _get_formatter(self) -> argparse.HelpFormatter:
-        return _Formatter(self.prog)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="wkseq",
-        description="Generate, verify and classify exact shift-orbit data.",
-    )
-    parser.add_argument("--config", metavar="PATH", help="INI config with a [run] section")
-    parser.add_argument("--ladder-schedule", metavar="PATH", help="explicit growth schedule, one integer per line")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--decimals", type=_nonneg_int, default=0, help="extra decimal column width for CSV output")
-    parser.add_argument("--parallelism", type=_positive_int, help="accepted for compatibility and ignored: searches run as one pass")
-    sub = parser.add_subparsers(dest="command", required=True, prog="wkseq")
-
-    gen = sub.add_parser("gen", help="emit a window of the limit sequence")
-    gen.add_argument("--from", dest="start", type=_nonneg_int, default=0)
-    gen.add_argument("--len", dest="count", type=_positive_int, required=True)
-    gen.add_argument("--out", metavar="PATH")
-
-    verify = sub.add_parser("verify", help="run one finite certificate check")
-    vsub = verify.add_subparsers(dest="lemma", required=True, prog="wkseq verify")
-    rig = vsub.add_parser("rigidity", help="sequence-level near-period bound")
-    rig.add_argument("--n", type=_nonneg_int, required=True)
-    rig.add_argument("--count", type=_positive_int, required=True)
-    ret = vsub.add_parser("returns", help="exact return identities at one level")
-    ret.add_argument("--n", type=_nonneg_int, required=True)
-    ret.add_argument("--samples", type=_positive_int)
-    ones = vsub.add_parser("ones", help="syndetic runs of exact ones")
-    ones.add_argument("--n", type=_positive_int, required=True)
-    ones.add_argument("--window", type=_positive_int, required=True)
-    ones.add_argument("--mode", choices=("auto", "scan", "plateau"), default="auto")
-    wm = vsub.add_parser("wm", help="double return at consecutive times")
-    wm.add_argument("--n", type=_nonneg_int, required=True)
-    wm.add_argument("--eps", type=_fraction_arg)
-    sd = vsub.add_parser("shift-defect", help="function-level near-period bound")
-    sd.add_argument("--n", type=_nonneg_int, required=True)
-    sd.add_argument("--m", type=_nonneg_int, required=True)
-    sd.add_argument("--step", type=_fraction_arg, default=Fraction(1))
-
-    rel = sub.add_parser("relations", help="orbit-pair witness searches")
-    rsub = rel.add_subparsers(dest="subcommand", required=True, prog="wkseq relations")
-    cls = rsub.add_parser("classify", help="three-way label for one pair")
-    cls.add_argument("--a", required=True, metavar="ORBIT")
-    cls.add_argument("--b", required=True, metavar="ORBIT")
-    cls.add_argument("--shift-a", type=_nonneg_int, default=0)
-    cls.add_argument("--shift-b", type=_nonneg_int, default=0)
-    cls.add_argument("--delta", type=_fraction_arg, required=True)
-    cls.add_argument("--start", type=_nonneg_int, default=0)
-    cls.add_argument("--horizon", type=_nonneg_int, required=True)
-    cls.add_argument("--k", type=_positive_int, required=True)
-    cls.add_argument("--tau", type=_fraction_arg, required=True)
-    cls.add_argument("--require", metavar="LABEL[,LABEL]")
-    thb = rsub.add_parser("thmB", help="joint proximity and recurrence per pair")
-    thb.add_argument("--orbit", required=True, metavar="ORBIT")
-    thb.add_argument("--fixed-point", dest="fixed_point", required=True, metavar="ORBIT")
-    thb.add_argument("--pairs", required=True, metavar="M:N[,M:N]")
-    thb.add_argument("--horizon", type=_nonneg_int, required=True)
-    thb.add_argument("--k", type=_positive_int, required=True)
-    thb.add_argument("--tau", type=_fraction_arg, required=True)
-    thc = rsub.add_parser("thmC", help="separation through a block pattern")
-    thc.add_argument("--orbit", required=True, metavar="ORBIT")
-    thc.add_argument("--q", type=_positive_int, required=True)
-    thc.add_argument("--delta", type=_fraction_arg, required=True)
-    thc.add_argument("--horizon", type=_nonneg_int, required=True)
-    thc.add_argument("--k", type=_positive_int, required=True)
-    thc.add_argument("--tau", type=_fraction_arg, required=True)
-    return parser
-
-
-def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
-    """Flags over the config file's values.  The parser's objects hold
-    reference cycles, so only the collector frees them.  It does not run
-    while they are made, so all are in its youngest generation, and one pass
-    over that (about 0.2 ms) frees them before a command runs."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        if args.config:
-            from .config import run_section
-
-            parser.set_defaults(**run_section(args.config))
-            args = parser.parse_args(argv)
-    finally:
-        if enabled:
-            gc.enable()
-    del parser
-    gc.collect(0)
+        args = parse_args(argv)
     return args
 
 

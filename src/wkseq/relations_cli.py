@@ -4,7 +4,7 @@ benchmark's trace wraps them, and load the window-file code only for a
 token that names a file, so a search on α compiles none of it."""
 from __future__ import annotations
 
-import argparse
+from types import SimpleNamespace
 from typing import Sequence
 
 from . import relations
@@ -58,7 +58,7 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
     return pairs
 
 
-def run(args: argparse.Namespace, ladder: Ladder) -> bool:
+def run(args: SimpleNamespace, ladder: Ladder) -> bool:
     """Run one `relations` command and print its verdicts; whether every
     label it requires (by default, every clause it searched) was witnessed."""
     if args.subcommand == "classify":

@@ -98,9 +98,11 @@ def test_usage_errors_keep_their_bytes(capsys, monkeypatch, argv, err):
     assert capsys.readouterr() == ("", err)
 
 
-def test_the_parser_is_freed_before_a_command_runs(capsys, monkeypatch):
+def test_the_parser_is_freed_before_a_command_runs(capsys, monkeypatch, tmp_path):
     # the parsers' objects hold reference cycles; left for the collector's
-    # next run, they would sit under the command's peak memory
+    # next run, they would sit under the command's peak memory.  Canonical
+    # argv builds no parser, so the run reads a config file, which argparse
+    # reads.
     import gc
 
     import wkseq.cli as cli
@@ -108,6 +110,7 @@ def test_the_parser_is_freed_before_a_command_runs(capsys, monkeypatch):
     def parsers() -> int:  # pytest holds parsers of its own
         return sum(isinstance(o, argparse.ArgumentParser) for o in gc.get_objects())
 
+    gc.collect()  # parsers an earlier test's usage error left behind
     ladder, before, left = cli.Ladder, parsers(), []
 
     def first_step_of_the_command(schedule):
@@ -115,10 +118,11 @@ def test_the_parser_is_freed_before_a_command_runs(capsys, monkeypatch):
         return ladder(schedule)
 
     monkeypatch.setattr(cli, "Ladder", first_step_of_the_command)
+    (tmp_path / "run.ini").write_text("[run]\nformat = json\n")
     try:
         for enabled in (True, False):
             (gc.enable if enabled else gc.disable)()
-            code, _, _ = run_cli(capsys, "gen", "--len", "1")
+            code, _, _ = run_cli(capsys, "--config", str(tmp_path / "run.ini"), "gen", "--len", "1")
             assert code == 0 and left[-1] == 0 and gc.isenabled() == enabled
     finally:
         gc.enable()
@@ -455,8 +459,9 @@ def _imported(*argv: str) -> tuple[subprocess.CompletedProcess, set[str]]:
     return proc, {line.rsplit("|", 1)[1].strip() for line in lines}
 
 
-#: Modules each command must not import, besides the dataclasses machinery
-#: and shutil (argparse's terminal-width lookup): the layers and readers it
+#: Modules each command must not import, besides the dataclasses machinery,
+#: shutil, and argparse with the gettext and locale it loads (argv in
+#: canonical shape is read from the flag table): the layers and readers it
 #: does not run.  The settings files' readers (`wkseq.config`, and
 #: configparser with it) are only for --config and --ladder-schedule.  Only
 #: `verify ones` compiles the ones-run walk (`wkseq.runs`); no `verify`, and
@@ -490,7 +495,8 @@ def test_installed_entry_point_runs():
         proc, modules = _imported("-m", "wkseq", *argv.split())
         assert proc.returncode == 0, argv
         assert "wkseq.cli" in modules
-        unwanted = {"dataclasses", "inspect", "shutil", *banned.split()} & (modules - bare)
+        unwanted = {"dataclasses", "inspect", "shutil", "argparse", "gettext", "locale", *banned.split()}
+        unwanted &= modules - bare
         assert not unwanted, (argv, unwanted)
         command = argv.split()[0]
         if command == "gen":
@@ -501,6 +507,13 @@ def test_installed_entry_point_runs():
         else:
             kind = {"classify": "pair-verdict", "thmB": "pair-verdict-list"}[argv.split()[1]]
             assert json.loads(proc.stdout)["kind"] == kind, argv
+
+
+def test_help_and_usage_errors_go_through_argparse():
+    for argv, code in (("verify ones --help", 0), ("gen --len 0", 2)):
+        proc, modules = _imported("-m", "wkseq", *argv.split())
+        assert proc.returncode == code and "argparse" in modules, argv
+        assert proc.stdout.startswith("usage: ") == (code == 0), argv
 
 
 #: CPython's compile peak for a module jumps by about 120 KB once the module

@@ -179,7 +179,7 @@ LAYER_REPEATS = 5
 #: as the CLI makes it at about the certify workload's sizes (bench/inputs.py
 #: draws them near these), or a window read; stdout is one JSON object.
 LAYER_SCRIPT = """
-import hashlib, json, os, sys, tempfile, time, tracemalloc
+import hashlib, json, os, shutil, sys, tempfile, time, tracemalloc
 from fractions import Fraction
 from wkseq import SeqWindow, certify, ladder_new, load_window
 from wkseq.orbits import window_source
@@ -212,17 +212,7 @@ CALLS = {
 # windows that repeat nowhere, read or built from one object per value, and
 # on alpha, which repeats from the window's start.
 name, repeats, rows = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
-pairs = [Fraction(i, rows).as_integer_ratio() for i in range(rows)]
-texts = {
-    "csv": "index,value_num,value_den\\n" + "".join(f"{i},{n},{d}\\n" for i, (n, d) in enumerate(pairs)),
-    "csv_exact": "index,value_num,value_den\\n" + "".join(f"{i}, {n}, {d}\\n" for i, (n, d) in enumerate(pairs)),
-    "json": json.dumps({"offset": 0, "schema": "wk-window/1", "values": [f"{n}/{d}" for n, d in pairs]}),
-}
-texts["json_exact"] = json.dumps(json.loads(texts["json"]), indent=1)
 folder = tempfile.mkdtemp()
-for kind, text in texts.items():
-    with open(os.path.join(folder, kind), "w") as fh:
-        fh.write(text)
 READS = {
     "csv_window_1e5": lambda: load_window(os.path.join(folder, "csv")),
     "csv_window_exact_1e5": lambda: load_window(os.path.join(folder, "csv_exact")),
@@ -234,6 +224,18 @@ TAILS = {
     "tail_period_objects_1e5": lambda: SeqWindow(0, [Fraction(i, rows) for i in range(rows)]),
     "tail_period_alpha_1e5": lambda: alpha_window(ladder_new(), 4860, rows),
 }
+# only the rows that read the files build them
+if name in (*READS, "tail_period_read_1e5"):
+    pairs = [Fraction(i, rows).as_integer_ratio() for i in range(rows)]
+    texts = {
+        "csv": "index,value_num,value_den\\n" + "".join(f"{i},{n},{d}\\n" for i, (n, d) in enumerate(pairs)),
+        "csv_exact": "index,value_num,value_den\\n" + "".join(f"{i}, {n}, {d}\\n" for i, (n, d) in enumerate(pairs)),
+        "json": json.dumps({"offset": 0, "schema": "wk-window/1", "values": [f"{n}/{d}" for n, d in pairs]}),
+    }
+    texts["json_exact"] = json.dumps(json.loads(texts["json"]), indent=1)
+    for kind, text in texts.items():
+        with open(os.path.join(folder, kind), "w") as fh:
+            fh.write(text)
 
 
 # eval_block over one piece of each kind at levels 1 and 2 of the default
@@ -268,12 +270,10 @@ if name in CALLS:
 else:
     tracemalloc.start()
     report = call()
-    out["tracemalloc_bytes_per_row"] = round(tracemalloc.get_traced_memory()[1] / len(report if name in BLOCKS else pairs), 2)
+    out["tracemalloc_bytes_per_row"] = round(tracemalloc.get_traced_memory()[1] / (len(report) if name in BLOCKS else rows), 2)
     tracemalloc.stop()
     doc = repr((report.offset, report.values) if name in READS else report)
-for kind in texts:
-    os.remove(os.path.join(folder, kind))
-os.rmdir(folder)
+shutil.rmtree(folder)
 out["report_sha256"] = hashlib.sha256(doc.encode()).hexdigest()
 print(json.dumps(out))
 """

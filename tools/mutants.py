@@ -136,10 +136,37 @@ MUTANTS = [
            "return thmC_witnesses(x, q, delta, k, horizon, tau)",
            ("test_relations.py", "test_cli.py")),
     # the parsers' reference cycles are collected before a command runs
-    Mutant("parser_left_for_the_collector", "cli.py",
+    Mutant("parser_left_for_the_collector", "argparser.py",
            "    gc.collect(0)\n",
            "    pass\n",
            ("test_cli.py",)),
+    # the flag table's reader leaves a repeated flag to argparse, where the
+    # last value wins
+    Mutant("reader_takes_a_repeated_flag_first_value_wins", "flags.py",
+           "            if flag in given or i + 1 == len(argv)",
+           "            if flag in given:\n"
+           "                i += 2\n"
+           "                continue\n"
+           "            if i + 1 == len(argv)",
+           ("test_flags.py",)),
+    # a value outside the flag's choices is argparse's error to report
+    Mutant("reader_without_the_choice_check", "flags.py",
+           '            if value not in kw.get("choices", (value,)):\n',
+           "            if False:\n",
+           ("test_flags.py",)),
+    # a required flag left out is argparse's error to report
+    Mutant("reader_without_required_flags", "flags.py",
+           '        if any(kw.get("required") and flag not in given for flag, kw in flags.items()):\n',
+           "        if False:\n",
+           ("test_flags.py",)),
+    # a global flag after the command words is an unrecognized argument
+    Mutant("reader_takes_global_flags_after_the_command", "flags.py",
+           "        while i < len(argv) and argv[i] in flags:\n"
+           "            flag, kw = argv[i], flags[argv[i]]\n",
+           "        merged = {**FLAGS[()], **flags}\n"
+           "        while i < len(argv) and argv[i] in merged:\n"
+           "            flag, kw = argv[i], merged[argv[i]]\n",
+           ("test_flags.py",)),
     # a tile holds one period from -p[m], so a point x sits at x + p[m] mod 2p[m]
     Mutant("tile_index_without_its_shift", "walker.py",
            "j, cycle = (r.start + period // 2) % period,",
