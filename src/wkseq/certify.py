@@ -9,7 +9,8 @@ Every comparison of a profile with its own shift runs through one kernel,
 `_max_defect`, and every coordinate scan is refused up front when it would
 visit more than SCAN_LIMIT points.
 
-The ones-run certificate lives in `wkseq.runs`, which `check_ones_runs`
+The ones-run certificate scans no coordinates: it folds the runs off the
+ladder's pieces.  It lives in `wkseq.runs`, which `check_ones_runs`
 imports when it is called, so the other checks never compile it.
 """
 from __future__ import annotations
@@ -301,7 +302,8 @@ def check_wm_returns(
 
 def check_ones_runs(ladder: Ladder, n: int, window_end: int, mode: str = "auto"):
     """`runs.check_ones_runs`: every length-2p[n] window of the first
-    window_end + 1 coordinates holds p[n]/9 consecutive exact ones."""
-    from .runs import check_ones_runs  # only `verify ones` compiles the runs walk
+    window_end + 1 coordinates holds p[n]/9 consecutive exact ones, decided
+    by one exact fold in every mode, which only labels the report."""
+    from .runs import check_ones_runs  # only `verify ones` compiles the runs fold
 
     return check_ones_runs(ladder, n, window_end, mode)

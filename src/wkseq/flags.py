@@ -26,9 +26,13 @@ def _refused(message: str) -> Exception:
 
 def _fraction_arg(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise _refused(f"not a rational: {text!r}") from exc
+    # fixed, so that a report can write it as num/den under Python's default limit of 4300 digits
+    if max(abs(value.numerator), value.denominator) >= 10**4300:
+        raise _refused(f"numerator or denominator of 4300 digits or more: {text!r}")
+    return value
 
 
 def _positive_int(text: str) -> int:

@@ -17,8 +17,8 @@ from math import lcm
 from typing import Callable, NamedTuple, Sequence
 
 from .ladder import Ladder, Rational, exact_fraction
-from .sequence import SeqWindow, alpha_block
-from .walker import pieces
+from .sequence import SeqWindow
+from .walker import eval_block, pieces
 
 
 class OrbitSource:
@@ -67,7 +67,7 @@ def alpha_source(ladder: Ladder) -> OrbitSource:
             return None, stop
         return 1 if below is None or not n else 2 * p[n - 1], stop
 
-    return OrbitSource(lambda a, b: alpha_block(ladder, a, b - a), repeat=repeat)
+    return OrbitSource(lambda a, b: eval_block(ladder, range(a, b)), repeat=repeat)
 
 
 #: Most values at the end of a window file whose least period

@@ -1,21 +1,18 @@
 """The ones-run certificate: long runs of exact ones in every window.
 
 `certify.check_ones_runs` imports this module when it is called, so only
-`verify ones` compiles it.  The certificate scans every coordinate at small
-levels, into one pass over the runs; at large ones `walker.fold` summarises
-the runs of each period once and joins repeats by count.  Either way its
-memory does not grow with the window.
+`verify ones` compiles it.  `walker.fold` summarises the runs of each
+period of a level once, exactly, and joins its repeats by count, so the
+certificate's time grows with the levels the window meets, not with its
+length, and its memory does not grow with either.
 """
 from __future__ import annotations
 
-from functools import partial
-from itertools import count
-from operator import is_
-from typing import Iterable, Iterator, NamedTuple
+from typing import NamedTuple
 
-from . import certify, walker
+from . import certify
 from .ladder import ONE, ZERO, DomainError, Ladder
-from .walker import eval_block, fold, spans
+from .walker import fold, spans
 
 
 class OnesRunReport(NamedTuple):
@@ -36,13 +33,12 @@ class OnesRunReport(NamedTuple):
 
 
 class _Runs(NamedTuple):
-    """`walker.fold`'s algebra for the plateau mode: a stretch's summary is its
+    """`walker.fold`'s algebra for the certificate: a stretch's summary is its
     length, its leading and trailing ones (its length if all ones) and `long`'s
-    view of the runs inside.  Levels below `floor`, too short for a run of the
-    prune bound's ones, read as zeros.  Equal algebras share the ladder's memo."""
+    view of the runs of at least `required` ones inside.  Equal algebras share
+    the ladder's memo."""
 
     required: int
-    floor: int
     cut = None
 
     def flat(self, value, points):
@@ -52,7 +48,7 @@ class _Runs(NamedTuple):
     def ramp(self, copies, s, below):
         return below  # past its first point a ramp is 1 only where the level below is
 
-    def long(self, u, v):  # (first run, last end, count, largest step), as `_summary` counts
+    def long(self, u, v):  # (first run, last run's end, count, largest step between block starts)
         return ((u, v), v, 1, min(1, v - u + 1 - self.required)) if v - u + 1 >= self.required else None
 
     def merge(self, x, *rest):
@@ -73,84 +69,44 @@ class _Runs(NamedTuple):
         half = self.repeat(self.join(summary, summary), times >> 1) if times > 1 else self.flat(ZERO, ())
         return self.join(half, summary) if times & 1 else half
 
+    def verdict(self, total, window: int, end: int) -> tuple[tuple, int | None]:
+        """The report's (passed, worst_gap, first_run, runs_found) from the summary
+        of 0 .. end, and the last run's end; worst_gap is the largest step between
+        block starts, the lead-in from 0 included (end + 1 without a run)."""
+        length, head, runs, tail = total
+        runs = self.merge(self.long(0, head - 1), runs, head < length and self.long(length - tail, end))
+        if not runs:
+            return (False, end + 1, None, 0), None
+        (u, v), last, found, worst = runs
+        # each slice 0 .. end - window + 1 holds a block when the lead-in from -1 and every
+        # step are at most window - required + 1 (a step from a block start at or past the
+        # last slice's start cannot be more: blocks end by `end`), and one starts past it
+        covered = max(u + 1, worst) <= window - self.required + 1 and last - self.required >= end - window
+        return (covered, max(u, worst), (u, v), found), last
+
 
 def _plateau(ladder: Ladder, required: int, window: int, end: int) -> tuple:
-    """`_summary`'s result for the runs `_Runs` folds on 0 .. end, pruned at
-    required // 8, with the first run probed at its ends and middle, the last at its end."""
-    alg = _Runs(required, next(m for m in count() if 2 * ladder.p(m) + 1 >= max(1, required // 8)))
+    """`_Runs.verdict` of the runs folded on 0 .. end, with the first run
+    probed at its ends and middle, and the last at its end."""
+    alg = _Runs(required)
     total = alg.flat(ZERO, ())
     for n, a, b in spans(ladder, 0, end + 1):
         total = alg.join(total, fold(ladder, n, range(a, b), alg, end + 1))
-    length, head, runs, tail = total
-    runs = alg.merge(alg.long(0, head - 1), runs, head < length and alg.long(length - tail, end))
-    if not runs:
-        return False, end + 1, None, 0
-    (u, v), last, found, worst = runs
-    for probe in (u, (u + v) // 2, v, last):
-        # read through certify's name, where the traced benchmark counts it
-        if certify.eval_ainf(ladder, probe) != ONE:
-            raise AssertionError(f"certified run fails at {probe}")
-    # `_summary`'s coverage: no step, the lead-in from -1 included, past window - required + 1
-    # (one from a block start at or past the last slice's start cannot be, as blocks end by
-    # `end`), and a block start at or past that slice's start
-    covered = max(u + 1, worst) <= window - required + 1 and last - required >= end - window
-    return covered, max(u, worst), (u, v), found
-
-
-def _scanned_runs(ladder: Ladder, points: range, required: int) -> Iterator[tuple[int, int]]:
-    """The runs of ones of alpha at least `required` long on points, a range
-    from 0, read a block of STREAM_BLOCK at a time.  The block reader hands
-    out the one shared ONE for every 1, so each block is coded as bytes, 1
-    for ONE, and its runs found by `bytes.find`.  A run open at a block's
-    end is carried into the next as at most `required` ones."""
-    ones, size, start = b"\x01" * required, walker.STREAM_BLOCK, 0
-    for b in range(0, len(points), size):
-        carry = min(b - start, required)  # the open run began at start
-        code = ones[:carry] + bytes(map(partial(is_, ONE), eval_block(ladder, points[b:b + size])))
-        j = 0
-        while (j := code.find(ones, j)) >= 0 and (end := code.find(0, j)) >= 0:
-            yield start if j == 0 else b - carry + j, b - carry + end - 1
-            j = end
-        if (last := code.rfind(0)) >= 0:
-            start = b - carry + last + 1
-    if len(points) - start >= required:
-        yield start, len(points) - 1
-
-
-def _summary(
-    runs: Iterable[tuple[int, int]], required: int, window: int, end: int
-) -> tuple[bool, int, tuple[int, int] | None, int]:
-    """One pass over sorted, disjoint runs; those under `required` long are
-    skipped.  Returns whether every length-`window` slice of [0, end] holds
-    `required` points of one run; the largest step between consecutive
-    starts of a required-length block of one run, the lead-in from
-    coordinate zero included (end + 1 when there is none); the first run;
-    and the number of runs."""
-    target = end - window + 1  # the last slice's start
-    pos = last = worst = count = 0  # slices starting before pos are covered
-    first, lost = None, False
-    for u, v in runs:
-        if v - u + 1 < required:
-            continue
-        # the run's block starts u .. v-required+1, one apart when it is longer
-        worst = max(worst, u - last, min(1, v - u + 1 - required))
-        last, count, first = v - required + 1, count + 1, first or (u, v)
-        if not lost and pos <= target:  # slices u+required-window .. last are covered
-            lost = u + required - window > pos
-            pos = last + 1
-    return not lost and pos > target, worst if count else end + 1, first, count
+    summary, last = alg.verdict(total, window, end)
+    if summary[2]:
+        u, v = summary[2]
+        for probe in (u, (u + v) // 2, v, last):
+            # read through certify's name, where the traced benchmark counts it
+            if certify.eval_ainf(ladder, probe) != ONE:
+                raise AssertionError(f"certified run fails at {probe}")
+    return summary
 
 
 def check_ones_runs(ladder: Ladder, n: int, window_end: int, mode: str = "auto") -> OnesRunReport:
-    """Certify that every length-2p[n] window of the sequence's first
-    window_end + 1 coordinates contains at least p[n]/9 consecutive exact
-    ones.
-
-    Mode "scan" reads every coordinate, in blocks of STREAM_BLOCK, and is
-    exact in both directions; mode "plateau" folds the runs off the ladder's
-    pieces, and can only affirm (a False there means the certificate could
-    not be built).  The default picks scan at level 1 and plateau above.
-    """
+    """Certify, exactly both ways, that every length-2p[n] window of the
+    sequence's first window_end + 1 coordinates holds p[n]/9 consecutive ones.
+    Every mode runs the one fold; `mode` ("scan", "plateau", or "auto": scan
+    at level 1, plateau above) only labels the report."""
     if n < 1:
         raise DomainError("run certificates start at level 1")
     window = 2 * ladder.p(n)
@@ -159,11 +115,6 @@ def check_ones_runs(ladder: Ladder, n: int, window_end: int, mode: str = "auto")
         raise ValueError("window_end must cover at least one full window")
     if mode == "auto":
         mode = "scan" if n == 1 else "plateau"
-    if mode == "scan":
-        runs = _scanned_runs(ladder, certify.scan_points(range(window_end + 1)), required)
-        summary = _summary(runs, required, window, window_end)
-    elif mode == "plateau":
-        summary = _plateau(ladder, required, window, window_end)
-    else:
+    if mode not in ("scan", "plateau"):
         raise ValueError(f"unknown mode {mode!r}")
-    return OnesRunReport(n, required, window, (0, window_end), *summary, mode)
+    return OnesRunReport(n, required, window, (0, window_end), *_plateau(ladder, required, window, window_end), mode)

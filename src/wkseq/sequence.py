@@ -2,8 +2,8 @@
 
 A `SeqWindow` is a finite, exactly-valued view of a one-sided sequence of
 rationals in [0, 1]; `alpha_window` reads a range of alpha into one through
-`alpha_block`, the ladder's block reader on nonnegative coordinates, and
-`alpha_windows` streams a long range as consecutive windows.
+`walker.eval_block`, and `alpha_windows` streams a long range as
+consecutive windows.
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ class SeqWindow:
     __slots__ = ("offset", "_codes", "_distinct")
 
     def __init__(self, offset: int, values: Sequence[Fraction]):
-        # one code per object, the next free one at its first row: alpha_block
+        # one code per object, the next free one at its first row: eval_block
         # shares one object per value
         codes: dict[int, int] = {}
         rows = [*map(codes.setdefault, map(id, values), map(len, repeat(codes)))]
@@ -96,7 +96,10 @@ def alpha(ladder: Ladder, i: int) -> Fraction:
 
 
 def alpha_window(ladder: Ladder, start: int, length: int) -> SeqWindow:
-    return SeqWindow(start, alpha_block(ladder, start, length))
+    """alpha(start) .. alpha(start + length - 1), read by alpha's structure."""
+    if not isinstance(start, int) or start < 0:
+        raise DomainError("sequence coordinates are nonnegative integers")
+    return SeqWindow(start, walker.eval_block(ladder, range(start, start + length)))
 
 
 def alpha_windows(ladder: Ladder, start: int, length: int) -> Iterator[SeqWindow]:
@@ -104,15 +107,3 @@ def alpha_windows(ladder: Ladder, start: int, length: int) -> Iterator[SeqWindow
     windows of at most `walker.STREAM_BLOCK` values."""
     for i in range(start, start + length, walker.STREAM_BLOCK):
         yield alpha_window(ladder, i, min(walker.STREAM_BLOCK, start + length - i))
-
-
-def alpha_block(ladder: Ladder, start: int, length: int) -> list[Fraction]:
-    """alpha(start) .. alpha(start + length - 1); none for length < 1.
-
-    This is `walker.eval_block` on nonnegative coordinates: each coordinate
-    is read at the least level whose domain covers it, as in `alpha`, at a
-    cost that grows with the levels and pieces the range meets.
-    """
-    if not isinstance(start, int) or start < 0:
-        raise DomainError("sequence coordinates are nonnegative integers")
-    return walker.eval_block(ladder, range(start, start + length))

@@ -65,7 +65,7 @@ def spans(ladder: Ladder, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
 def fold(ladder: Ladder, n: int, r: range, alg, size: int):
     """Level n at the points of r, a range of positive step in [-p[n], p[n]],
     folded over its `pieces` by `alg`: `flat(value, points)` for a plateau of
-    ONE, or of ZERO below level `alg.floor`; `ramp` over the level below;
+    ONE, and for level 0's level below, all ZERO; `ramp` over the level below;
     `join`; `repeat(part, times)`.  A ramp's only 1, its first point, is a
     plateau.  A period of the level below no longer than `size` is folded
     once per ladder, in `ladder._memo[alg, level, phase]`: at phase 0 where
@@ -85,7 +85,7 @@ def fold(ladder: Ladder, n: int, r: range, alg, size: int):
 def _periodized(ladder, m, r, alg, size, memoised=True):
     """Level m periodized with period 2p[m], at the points of r, folded a run
     of points per period met, but for the whole periods of a memoised one."""
-    if m < alg.floor:
+    if m < 0:  # level 0 reads a level -1 that is 0 everywhere
         return alg.flat(ZERO, r)
     half, memo, out = ladder.sizes[m], ladder._memo, alg.flat(ZERO, ())
     key = alg, m, 0 if alg.cut else (r.start + half) % (2 * half)
@@ -108,7 +108,7 @@ class VALUES:
     of a memoised period is cut out of it, so reads share one object per
     point of it, and repeats after period / gcd(period, step) points."""
 
-    floor, join, repeat = 0, iadd, mul
+    join, repeat = iadd, mul
 
     def flat(value, points):
         return [value] * len(points)

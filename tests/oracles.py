@@ -83,20 +83,6 @@ def raw_periodized(p, L, n, t):
     return raw_level(p, L, n, wrap(t, p[n]))
 
 
-def pruned_level(p, L, n, t, floor):
-    """raw_level of level n with the levels below it that lie below `floor`
-    read as 0: what the plateau certificate's walk keeps of level n when it
-    does not descend to levels whose periods hold no run it needs."""
-    t = F(t)
-    if n == 0:
-        return base_profile(t)
-    stretched = periodized_base(t / (p[n - 1] * L[n]))
-    if n - 1 < floor:
-        return stretched
-    at = t if t <= 3 * L[n] * p[n - 1] else t + 1
-    return max(pruned_level(p, L, n - 1, wrap(at, p[n - 1]), floor), stretched)
-
-
 def limit_value(t, schedule=()):
     """sup over all levels, taken literally over levels 0..cover."""
     t = F(t)

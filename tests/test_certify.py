@@ -3,7 +3,7 @@ import time
 from bisect import bisect_left
 import tracemalloc
 from fractions import Fraction as F
-from functools import partial
+from functools import partial, reduce
 
 import pytest
 from hypothesis import example, given, settings
@@ -241,46 +241,52 @@ def test_ones_runs_scan_matches_oracle(lad):
 #: schedule's least window is 2p[1] = 540.
 PLATEAU_WINDOWS = [486, 487, 539, 540, 600, 729, 1000, 1457, 2000, 2917, 4373,
                    6561, 9999, 13122, 19683, 27000, 39366, 59049, 77777, 100000]
+#: Level-2 windows around the least on each ladder, 2p[2] = 258 280 326 on
+#: the default one and 486 000 000 on the explicit one, and far past both.
+LEVEL_TWO_WINDOWS = [258280325, 258280326, 3 * 10**8, 485999999, 486000000, 10**12, 10**20]
 
 
 @pytest.mark.parametrize("schedule", [(), (10, 100000)], ids=["default", "explicit"])
-@pytest.mark.parametrize("window", PLATEAU_WINDOWS)
+@pytest.mark.parametrize("window", PLATEAU_WINDOWS + LEVEL_TWO_WINDOWS)
 def test_ones_runs_plateau_agrees_with_scan(window, schedule):
+    # every mode runs the one fold: the reports differ only in their label
+    n = 1 if window in PLATEAU_WINDOWS else 2
     lad = ladder_new(schedule or "default-minimal")
-    if window < 2 * lad.p(1):
-        for mode in ("scan", "plateau"):
+    if window < 2 * lad.p(n):
+        for mode in ("scan", "plateau", "auto"):
             with pytest.raises(ValueError):
-                check_ones_runs(lad, 1, window, mode=mode)
+                check_ones_runs(lad, n, window, mode=mode)
         return
-    scan = check_ones_runs(lad, 1, window, mode="scan")
-    plat = check_ones_runs(lad, 1, window, mode="plateau")
+    scan, plat, auto = (check_ones_runs(lad, n, window, mode=mode) for mode in ("scan", "plateau", "auto"))
     assert plat == scan._replace(mode="plateau")
+    assert auto == (scan if n == 1 else plat)
     assert scan.runs_found > 0
 
 
 #: Plateau reports (n, window, runs_found, first_run, worst_gap) of the
 #: default ladder and of the schedule (10, 72901), as the walk that replayed
-#: every repeat gave them; every one passes.
+#: every repeat gave them, but for each level-2 first run, which ends where
+#: alpha's run of ones does; every one passes.
 PLATEAU_REPORTS = {
     (): [
         (1, 10**5, 617, (54, 111), 134),
         (1, 10**6, 6173, (54, 111), 134),
         (1, 10**7, 61728, (54, 111), 134),
         (1, 10**8, 440138, (54, 111), 134),
-        (2, 10**9, 12, (28697814, 57395628), 71744534),
-        (2, 10**12, 11615, (28697814, 57395628), 71744534),
-        (2, 10**13, 116153, (28697814, 57395628), 71744534),
-        (2, 10**14, 1161529, (28697814, 57395628), 71744534),
+        (2, 10**9, 12, (28697814, 57395631), 71744534),
+        (2, 10**12, 11615, (28697814, 57395631), 71744534),
+        (2, 10**13, 116153, (28697814, 57395631), 71744534),
+        (2, 10**14, 1161529, (28697814, 57395631), 71744534),
     ],
     (10, 72901): [
         (1, 10**5, 556, (60, 123), 149),
         (1, 10**6, 5556, (60, 123), 149),
         (1, 10**7, 55556, (60, 123), 149),
         (1, 10**8, 336854, (60, 123), 149),
-        (2, 10**9, 8, (39366540, 78733080), 98416349),
-        (2, 10**12, 8467, (39366540, 78733080), 98416349),
-        (2, 10**13, 84674, (39366540, 78733080), 98416349),
-        (2, 10**14, 846743, (39366540, 78733080), 98416349),
+        (2, 10**9, 8, (39366540, 78733083), 98416349),
+        (2, 10**12, 8467, (39366540, 78733083), 98416349),
+        (2, 10**13, 84674, (39366540, 78733083), 98416349),
+        (2, 10**14, 846743, (39366540, 78733083), 98416349),
     ],
 }
 
@@ -288,21 +294,28 @@ PLATEAU_REPORTS = {
 @pytest.mark.parametrize(
     "n, window, runs_found, first_run, worst_gap",
     [
-        (2, 3 * 10**8, 3, (28697814, 57395628), 71744534),
-        (2, 10**12, 11615, (28697814, 57395628), 71744534),
-        (3, 4 * 10**25, 3, (4307387926151115532621494, 8614775852302231065242988),
+        (2, 3 * 10**8, 3, (28697814, 57395631), 71744534),
+        (2, 10**12, 11615, (28697814, 57395631), 71744534),
+        (3, 4 * 10**25, 3, (4307387926151115532621494, 8614775852302231065242991),
          10768469815377788831553734),
         *(row for row in PLATEAU_REPORTS[()] if row[:2] != (2, 10**12)),
         # windows the walk that replayed every repeat could not decide: n = 1
         # at 10^9 took more than 5 minutes, n = 2 at 10^20 about 10^6 times 15 s
         (1, 10**9, 4074393, (54, 111), 134),
-        (2, 10**20, 1161528656271, (28697814, 57395628), 71744534),
+        (2, 10**20, 1161528656271, (28697814, 57395631), 71744534),
     ],
 )
 def test_ones_runs_plateau_reports_are_pinned(lad, n, window, runs_found, first_run, worst_gap):
     rep = check_ones_runs(lad, n, window, mode="plateau")
     assert rep.passed
     assert (rep.runs_found, rep.first_run, rep.worst_gap) == (runs_found, first_run, worst_gap)
+    _is_a_whole_run(first_run, ())
+
+
+def _is_a_whole_run(run, schedule):
+    """alpha is 1 at both ends of run, and not 1 just outside it."""
+    u, v = run
+    assert [oracles.limit_value(t, schedule) == 1 for t in (u - 1, u, v, v + 1)] == [False, True, True, False]
 
 
 @pytest.mark.parametrize(
@@ -317,6 +330,7 @@ def test_ones_plateau_cli_bytes_are_pinned(tmp_path, capsys, schedule, n, window
         argv = ["--ladder-schedule", str(tmp_path / "schedule.txt"), *argv]
     lad = ladder_new(schedule or "default-minimal")
     assert console_main(argv) == 0
+    _is_a_whole_run(first_run, schedule)
     assert capsys.readouterr().out == (
         '{\n  "first_run": [\n    %d,\n    %d\n  ],\n  "gap_bound": %d,\n  "lemma": "ones-runs",\n'
         '  "mode": "plateau",\n  "n": %d,\n  "pass": true,\n  "run_length_required": %d,\n'
@@ -328,18 +342,17 @@ def test_ones_plateau_cli_bytes_are_pinned(tmp_path, capsys, schedule, n, window
 @settings(max_examples=60, deadline=None)
 @given(schedule=st.sampled_from([(), (10, 72901)]), required=st.integers(1, 90), data=st.data())
 @example(schedule=(), required=27, data=None)  # level 1's certificate
-@example(schedule=(10, 72901), required=70, data=None)  # level 0 pruned
+@example(schedule=(10, 72901), required=70, data=None)  # the explicit ladder
 def test_ones_runs_plateau_fold_matches_a_naive_walk(schedule, required, data):
-    # The folded summary against every coordinate read by the oracle, with
-    # the levels the prune bound skips read as zeros.  Windows end mid-repeat,
-    # level 0's and 1's runs fuse across the seams of their periods, and
-    # runs under `required` (some under the prune bound) are read and dropped.
+    # The folded summary against every coordinate read by the oracle at the
+    # least level covering it.  Windows end mid-repeat, level 0's and 1's runs
+    # fuse across the seams of their periods, and runs under `required` are
+    # read and dropped.
     window = data.draw(st.integers(required, 700)) if data else 486
     end = data.draw(st.integers(window, 4000)) if data else 3000
     lad = ladder_new(schedule or "default-minimal")
-    floor = next(m for m in range(4) if 2 * lad.p(m) + 1 >= max(1, required // 8))
     P, L = oracles.tower(3, schedule)
-    bits = [oracles.pruned_level(P, L, bisect_left(P, x), x, floor) == 1 for x in range(end + 1)]
+    bits = [oracles.raw_level(P, L, bisect_left(P, x), x) == 1 for x in range(end + 1)]
     found = oracles.ones_runs_by_scan(bits)
     assert runs._plateau(lad, required, window, end) == _summary_by_brute_force(found, required, window, end)
 
@@ -349,10 +362,10 @@ def test_ones_runs_level_two_plateau(lad):
     assert rep.mode == "plateau"
     assert rep.passed
     q = lad.stretch(2)
-    assert rep.first_run == (2 * q, 4 * q)
+    # the plateau [2q, 4q] of ones, and past it the level below's ones at 4q + 1 .. 4q + 3
+    assert rep.first_run == (2 * q, 4 * q + 3)
     assert rep.run_length_required == lad.p(2) // 9
-    assert oracles.limit_value(2 * q) == 1
-    assert oracles.limit_value(4 * q) == 1
+    _is_a_whole_run(rep.first_run, ())
     assert oracles.limit_value(6 * q) == 0
 
 
@@ -400,9 +413,24 @@ def _run_lists(draw):
 @example(([(1, 2), (4, 8), (10, 10)], 3, 6, 12))  # runs shorter than required
 @example(([(2, 4), (5, 9)], 3, 6, 12))  # adjacent runs
 @example(([(0, 12), (20, 24)], 3, 6, 14))  # coverage lost only after the last slice
+@example(([(4, 6)], 3, 6, 9))  # a lead-in one past the slack: slice 0 holds two ones
+@example(([(0, 2), (5, 7)], 3, 6, 9))  # a step one past the slack: slice 1 holds two ones
 def test_ones_summary_matches_brute_force(case):
+    # The fold's verdict on 0 .. end, from flat stretches of ones and zeros
+    # (the runs cut at end) joined from the left and from the right, against
+    # every slice and block start of the runs those stretches make.
     found, required, window, end = case
-    assert runs._summary(iter(found), required, window, end) == _summary_by_brute_force(*case)
+    alg, stretches, u = runs._Runs(required), [], 0
+    for a, b in found:
+        a, b = min(a, end + 1), min(b, end)
+        stretches += [alg.flat(ZERO, range(u, a)), alg.flat(ONE, range(a, b + 1))]
+        u = max(u, b + 1)
+    stretches.append(alg.flat(ZERO, range(u, end + 1)))
+    bits = [any(a <= x <= b for a, b in found) for x in range(end + 1)]
+    long = [(a, b) for a, b in oracles.ones_runs_by_scan(bits) if b - a + 1 >= required]
+    expected = _summary_by_brute_force(long, required, window, end), long[-1][1] if long else None
+    assert alg.verdict(reduce(alg.join, stretches), window, end) == expected
+    assert alg.verdict(reduce(lambda x, y: alg.join(y, x), stretches[::-1]), window, end) == expected
 
 
 @pytest.mark.parametrize("window", [10**11, 10**12, 10**14, 10**20])
@@ -575,37 +603,16 @@ def test_returns_grids_match_point_by_point_scan(lad, n, kind, monkeypatch):
 
 
 @pytest.mark.parametrize("block", [7, 64, 4096])
-def test_scanned_runs_match_oracle_across_block_edges(block, monkeypatch):
-    # Runs of ones as 0/1 bits, read as ONE and ZERO: runs of required - 1,
-    # required and longer, many across block edges, one planted over the
-    # edge at 4096, and windows that end inside a run, at its last one and
-    # after it.
-    monkeypatch.setattr(walker, "STREAM_BLOCK", block)
-    required, rng = 27, random.Random(block)
-    bits = []
-    while len(bits) < 9000:
-        bits += [1] * rng.choice([1, required - 1, required, required + 1, 100]) + [0] * rng.choice([1, 2, 5])
-    bits[4080:4130] = [1] * 50
-    monkeypatch.setattr(runs, "eval_block", lambda ladder, ts: [ONE if bits[t] else ZERO for t in ts])
-    for end in (4100, 4129, 4130, len(bits) - 1):
-        expected = [r for r in oracles.ones_runs_by_scan(bits[:end + 1]) if r[1] - r[0] + 1 >= required]
-        assert list(runs._scanned_runs(None, range(end + 1), required)) == expected, end
-        found = list(runs._scanned_runs(None, range(end + 1), required - 1))
-        assert found == [r for r in oracles.ones_runs_by_scan(bits[:end + 1]) if r[1] - r[0] + 2 >= required]
-
-
-@pytest.mark.parametrize("block", [7, 64, 4096])
 def test_ones_scan_of_alpha_matches_oracle(lad, block, monkeypatch):
     # The runs of alpha 486k + 54 .. 486k + 111, with windows that end inside
-    # one, at its last one and after it.
+    # one, at its last one and after it, whatever the stream block.
     monkeypatch.setattr(walker, "STREAM_BLOCK", block)
     bits = [1 if oracles.seq_value(i) == 1 else 0 for i in range(4501)]
     for end in (486, 566, 597, 598, 4500):
         rep = check_ones_runs(lad, 1, end, mode="scan")
-        expected = [r for r in oracles.ones_runs_by_scan(bits[:end + 1]) if r[1] - r[0] + 1 >= 27]
-        assert list(runs._scanned_runs(lad, range(end + 1), 27)) == expected
+        found = oracles.ones_runs_by_scan(bits[:end + 1])
         assert (rep.passed, rep.worst_gap, rep.first_run, rep.runs_found) == \
-            runs._summary(expected, 27, 486, end)
+            _summary_by_brute_force(found, 27, 486, end)
 
 
 def test_scan_limit_refuses_before_evaluating(lad):

@@ -561,7 +561,7 @@ def test_no_command_compiles_a_module_past_the_compile_cliff(tmp_path):
         "wm --n 2",
         "shift-defect --n 2 --m 2 --step 1",
         "rigidity --n 1 --count 2000002",
-        "ones --n 1 --window 2000001 --mode scan",
+        "rigidity --n 2 --count 2000002",
         "returns --n 2",
         "returns --n 2 --samples 1000000000",
     ],

@@ -22,7 +22,7 @@ LEAVES = [path for path in flags.FLAGS if path not in flags.GROUPS]
 #: Values the flags' converters and choices refuse, or that argparse reads
 #: as a flag, besides some they take.
 ODD_VALUES = ["-5", "-1/2", "1/0", "xml", "bogus", "", "0", "abc", "1_000", " 7", "٣", "-", "--",
-              "1e3", "3.5", "gen", "plateau", "json"]
+              "1e3", "3.5", "gen", "plateau", "json", "1e-4300", "1e-4299"]
 #: Tokens that are not a pair of the command's own: every flag of every
 #: command, its prefixes and `=` forms, help, the separator, command words.
 EVERY_FLAG = sorted({flag for table in flags.FLAGS.values() for flag in table})
@@ -199,3 +199,31 @@ def test_help_texts_keep_their_bytes():
         digest.update(proc.stdout)
     assert digest.hexdigest() == HELP_SHA256
 
+
+
+@pytest.mark.parametrize("limit", [None, 0], ids=["default", "unlimited"])
+def test_rational_flags_stay_under_4300_digits(capsys, monkeypatch, limit):
+    # A report writes each rational as num/den, which Python refuses past
+    # `sys.int_max_str_digits`.  So a rational flag is refused before any
+    # search from 4300 digits on, and one just under keeps its verdict,
+    # whatever that limit is.
+    import wkseq.relations_cli
+
+    if limit is not None and not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no integer string limit")
+    saved = limit is not None and sys.get_int_max_str_digits()
+    argv = "relations classify --a alpha --b ones --delta 1 --horizon 400 --k 8 --tau".split()
+    try:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+        assert wkseq.console_main([*argv, "1e-4000"]) == 1
+        assert len(capsys.readouterr().out.encode()) == 4342
+        monkeypatch.setattr(wkseq.relations_cli, "run", lambda *args: pytest.fail("searched"))
+        with pytest.raises(SystemExit) as exc:
+            wkseq.console_main([*argv, "1e-5000"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "argument --tau: numerator or denominator of 4300 digits or more" in err
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(saved)

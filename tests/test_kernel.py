@@ -1,4 +1,4 @@
-"""Differential tests of the integer evaluator kernel and of `alpha_block`.
+"""Differential tests of the integer evaluator kernel and of `eval_block`.
 
 Every expected value comes from `tests/oracles.py`, which shares no code
 with the package, on the default ladder and on an explicit schedule whose
@@ -15,7 +15,8 @@ from fixtures import profile
 from wkseq import DomainError, eval_ainf, eval_b, ladder_new
 from wkseq.ladder import ONE, ZERO, _below, _copy
 from wkseq.walker import VALUES, eval_block, pieces
-from wkseq.sequence import alpha_block
+from wkseq.orbits import alpha_source
+from wkseq.sequence import alpha_window
 
 #: Growth factors 10 and 100000: p = 3, 270, 243000000, ... and stretches
 #: 30 and 27000000, so denominators carry factors 2 and 5.
@@ -67,7 +68,7 @@ def test_splice_and_fold_edges_match_oracle(schedule, n):
             assert eval_ainf(lad, t) == oracles.limit_value(t, schedule), t
     for start in (lad.splice(n) - 2, lad.p(n) - 2):
         # the second window straddles the step from level n to level n + 1
-        block = alpha_block(lad, start, 5)
+        block = eval_block(lad, range(start, start + 5))
         assert block == [oracles.limit_value(t, schedule) for t in range(start, start + 5)]
         assert block == [eval_ainf(lad, t) for t in range(start, start + 5)]
     # each breakpoint +-1, at a block's edge and inside it
@@ -104,7 +105,7 @@ def test_half_and_third_steps_match_oracle(schedule, n, anchor, step, den):
 def test_blocks_straddling_a_level_step_match_oracle(schedule, level, back, length):
     lad = _ladder(schedule)
     start = max(0, lad.p(level) - back)
-    block = alpha_block(lad, start, length)
+    block = eval_block(lad, range(start, start + length))
     assert block == [eval_ainf(lad, t) for t in range(start, start + length)]
     assert block == [oracles.limit_value(t, schedule) for t in range(start, start + length)]
     # the same step on the negative side: -p[level] - 1 is read one level up
@@ -124,7 +125,7 @@ def test_block_equals_pointwise_evaluation(band, offset, length):
     assert block == [eval_ainf(lad, t) for t in range(start, start + length)]
     assert all(v is ONE for v in block if v == 1)
     if start >= 0:
-        assert alpha_block(lad, start, length) == block
+        assert alpha_source(lad).read(start, start + length) == block
     for t in (start, start + length // 2):
         if length:
             assert block[t - start] == oracles.limit_value(t)
@@ -132,7 +133,7 @@ def test_block_equals_pointwise_evaluation(band, offset, length):
 
 def test_explicit_schedule_window_matches_oracle():
     lad = _ladder(EXPLICIT)
-    block = alpha_block(lad, 0, 600)
+    block = eval_block(lad, range(600))
     assert block == [oracles.limit_value(t, EXPLICIT) for t in range(600)]
     # the schedule really leaves powers of 3 behind
     assert any(v.denominator % 2 == 0 for v in block)
@@ -197,9 +198,12 @@ def test_stepped_reads_of_a_tile_repeat_with_its_cycle():
 
 
 def test_block_rejects_negative_coordinates():
+    # alpha's readers refuse a negative start; an empty range reads nothing
     with pytest.raises(DomainError):
-        alpha_block(ladder_new(), -1, 3)
-    assert alpha_block(ladder_new(), 5, 0) == []
+        alpha_window(ladder_new(), -1, 3)
+    with pytest.raises(IndexError):
+        alpha_source(ladder_new()).read(-1, 2)
+    assert eval_block(ladder_new(), range(5, 5)) == []
 
 
 def test_reads_share_period_tiles():

@@ -27,7 +27,7 @@ README_OUTPUTS = {
     "verify ones --n 1 --window 100000":
         ("13a9abc1f2761a7af8e284d3b7cb3aa5e368cd0955d5683a3b2ec0b9cdb14024", 0),
     "verify ones --n 2 --window 300000000 --mode plateau":
-        ("6c31f63dca52430b7c2f26586c76530c21f62d577947d7197478675d7420e6c1", 0),
+        ("868671b2ce2c789e5761d8090ddfb27e5b0b022a3eaf39b22cde0819f5f6f780", 0),
     "verify wm --n 0":
         ("998aec2f1f50f03c9d8962f642f6e951436c4f19a444800df11364046d6b12c0", 0),
     "verify shift-defect --n 1 --m 2 --step 143489313":

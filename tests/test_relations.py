@@ -33,7 +33,7 @@ from wkseq import (
     zeros_source,
 )
 from wkseq import brackets, orbits, relations, walker
-from wkseq.sequence import alpha_block
+from wkseq.walker import eval_block
 
 
 @pytest.fixture(scope="module")
@@ -250,7 +250,7 @@ def test_reads_hold_at_most_one_block(monkeypatch):
 
     def read(a, b):
         reads.append(b - a)
-        return alpha_block(lad, a, b - a)
+        return eval_block(lad, range(a, b))
 
     src, block, tau = OrbitSource(read), 64, F(1, 100)
     monkeypatch.setattr(walker, "STREAM_BLOCK", block)
@@ -274,7 +274,7 @@ def _naive_fixed_target(fx, target, count, k):
 
 
 def test_scan_is_the_same_on_shared_and_distinct_objects(monkeypatch):
-    # Window files and alpha_block hand the kernel one object per value; a
+    # Window files and eval_block hand the kernel one object per value; a
     # library caller may hand it a new object per coordinate.  Sides holding
     # either, a mix of both, or a constant side must give the oracles'
     # times and brackets.
@@ -887,7 +887,7 @@ def test_skip_reads_a_few_blocks_where_the_orbit_repeats():
     # the walk reads the times before its period starts, at most p[1] + 1 =
     # 244 on alpha, and one period of 486.
     lad = ladder_new("default-minimal")
-    periodic = SeqWindow(4860, tuple(alpha_block(lad, 4860, 10**5)))
+    periodic = SeqWindow(4860, tuple(eval_block(lad, range(4860, 4860 + 10**5))))
     rng = random.Random(2100)
     long_period = SeqWindow(0, _periodic(rng, 0, 2100, 3 * 4096))
     ones, k = OrbitView(ones_source()), 32

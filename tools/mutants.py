@@ -187,6 +187,33 @@ MUTANTS = [
            "key = alg, m, 0 if alg.cut else (r.start + half) % (2 * half)",
            "key = alg, m, 0",
            ("test_certify.py",)),
+    # the runs are folded exactly down to level 0, whose ones extend runs
+    # of the levels above: no prune floor reads a level as zeros
+    Mutant("runs_fold_with_level_0_read_as_zeros", "walker.py",
+           "    if m < 0:  # level 0 reads a level -1 that is 0 everywhere\n",
+           "    if m < (alg is not VALUES):\n",
+           ("test_certify.py",)),
+    # a slice holds a block when the step to it is at most window - required + 1
+    Mutant("verdict_coverage_bound_off_by_one", "runs.py",
+           "max(u + 1, worst) <= window - self.required + 1 and",
+           "max(u + 1, worst) <= window - self.required + 2 and",
+           ("test_certify.py",)),
+    # the first slice, from 0, needs the first block as much as any other
+    Mutant("verdict_without_the_lead_in_from_zero", "runs.py",
+           "covered = max(u + 1, worst) <= window",
+           "covered = worst <= window",
+           ("test_certify.py",)),
+    # the last slice needs a block that starts at or past its start
+    Mutant("verdict_last_block_one_past_the_last_slice", "runs.py",
+           "last - self.required >= end - window",
+           "last - self.required > end - window",
+           ("test_certify.py",)),
+    # a rational flag of 4300 digits or more would make a report that Python
+    # cannot print, after its search
+    Mutant("rational_flags_without_the_digit_cap", "flags.py",
+           "    if max(abs(value.numerator), value.denominator) >= 10**4300:\n",
+           "    if False:\n",
+           ("test_flags.py",)),
 ]
 
 
