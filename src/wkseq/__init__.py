@@ -21,7 +21,8 @@ _EXPORTS = {
         " pair_recur_defect prox_defect sep_sup thmB_witnesses thmC_witnesses",
         "report": "REPORT_SCHEMA",
         "seqio": "WINDOW_SCHEMA WindowFormatError dumps_csv dumps_json"
-        " load_window loads_csv loads_json render_decimal",
+        " load_window loads_csv loads_json",
+        "writer": "render_decimal",
         "brackets": "DistBracket",
         "sequence": "SeqWindow alpha alpha_window",
     }.items()

@@ -5,7 +5,7 @@ sum |x(i) - y(i)| / 2^i; comparing finite windows of length k pins that
 distance inside a closed bracket of width exactly 2^(1-k), which is the
 only form of distance this package ever reports.  `bracket_scan` computes
 every such bracket; the relation searches hand it one block of at most
-`walker.STREAM_BLOCK` times at a time.  thmC's word search,
+`ladder.STREAM_BLOCK` times at a time.  thmC's word search,
 `thmc.occurrence_scan`, lives with thmC, so no other search compiles it.
 """
 from __future__ import annotations
@@ -68,7 +68,7 @@ def bracket_scan(
     denominator passes BLOCK_DEN_BITS bits; a best from an earlier block
     enters a later one as the least integer sum that does not beat it.
     The memory taken grows with count; the relation searches pass at most
-    `walker.STREAM_BLOCK` times.
+    `ladder.STREAM_BLOCK` times.
     """
     if want_max and not sliding:
         raise ValueError("a fixed-target search looks for a minimum")

@@ -21,7 +21,6 @@ from itertools import chain, compress, count, islice
 from operator import ne
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from . import walker
 from .ladder import (
     ZERO,
     DomainError,
@@ -68,12 +67,13 @@ def _max_defect(
 ) -> tuple[Fraction, int]:
     """Largest |f(t + s) - f(t)| over t in points and s in shifts, and the
     index of the first point that reaches it.  `read` gives f at a block of
-    points, and is handed at most `walker.STREAM_BLOCK` of them at a time.
+    points, and is handed at most `ladder.STREAM_BLOCK` of them at a time.
     With `first`, the scan stops at the first nonzero defect, taking points
     in order and each point's shifts in order."""
+    from .ladder import STREAM_BLOCK as size  # read when the scan runs
+
     worst, worst_i = ZERO, 0
     points = scan_points(points)
-    size = walker.STREAM_BLOCK
     for b0 in range(0, len(points), size):
         block = points[b0:b0 + size]
         here = read(block)

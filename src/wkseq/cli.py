@@ -11,10 +11,13 @@ Decimal rendering is presentation only; exact num/den strings are always
 emitted and are the values of record.
 
 Each command imports the layers it runs when it runs them, so `gen` loads
-neither the certificates, the relation searches, the report encoder nor
-`json`, and `verify` neither the window code nor the search kernels.  The
-`relations` commands are in `wkseq.relations_cli`, and the settings files'
-readers in `wkseq.config`.
+neither the certificates, the relation searches, the report encoder, the
+window readers nor `json`, and `verify` neither the window code nor the
+search kernels.  The `relations` commands are in `wkseq.relations_cli`, and
+the settings files' readers in `wkseq.config`.  A search on a window file
+compiles only its format's reader (`wkseq.csv_reader` or
+`wkseq.json_reader`), no writer and no walker, and only its own search:
+thmB's is in `wkseq.thmb` and thmC's in `wkseq.thmc`.
 
 argv is read from the flag table in `wkseq.flags`, without argparse, when
 it has the canonical shape: the global `--flag value` pairs, then the
@@ -40,8 +43,8 @@ EXIT_CRASH = 3
 
 def _cmd_gen(args: SimpleNamespace, ladder: Ladder) -> int:
     """Stream the window in pieces, in memory that does not grow with its length."""
-    from .seqio import window_chunks
     from .sequence import alpha_windows
+    from .writer import window_chunks
 
     windows = alpha_windows(ladder, args.start, args.count)
     chunks = window_chunks(windows, args.format, args.decimals)

@@ -11,6 +11,7 @@ usage lines and every error.  So an ordinary call imports no argparse.
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 from typing import Sequence
@@ -25,14 +26,16 @@ def _refused(message: str) -> Exception:
 
 
 def _fraction_arg(text: str) -> Fraction:
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise _refused(f"not a rational: {text!r}") from exc
-    # fixed, so that a report can write it as num/den under Python's default limit of 4300 digits
-    if max(abs(value.numerator), value.denominator) >= 10**4300:
-        raise _refused(f"numerator or denominator of 4300 digits or more: {text!r}")
-    return value
+    # fixed, so that a report can write it as num/den under Python's default limit of 4300
+    # digits; a run of as many digits is refused first, as that limit would refuse it in Fraction
+    if not re.search(r"\d{4300}", text.replace("_", "")):
+        try:
+            value = Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise _refused(f"not a rational: {text!r}") from exc
+        if max(abs(value.numerator), value.denominator) < 10**4300:
+            return value
+    raise _refused(f"numerator or denominator of 4300 digits or more: {text!r}")
 
 
 def _positive_int(text: str) -> int:

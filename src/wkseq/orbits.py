@@ -18,7 +18,6 @@ from typing import Callable, NamedTuple, Sequence
 
 from .ladder import Ladder, Rational, exact_fraction
 from .sequence import SeqWindow
-from .walker import eval_block, pieces
 
 
 class OrbitSource:
@@ -57,7 +56,11 @@ class OrbitSource:
 def alpha_source(ladder: Ladder) -> OrbitSource:
     """alpha.  Its stretch from coordinate i is the piece of the level n
     covering i that starts there: a plateau of ones has period 1, the level
-    below read as it is has its period 2p[n-1], and a ramp has none."""
+    below read as it is has its period 2p[n-1], and a ramp has none.  Only
+    alpha's source imports the walker, so a window file's search never
+    compiles it."""
+    from .walker import eval_block, pieces
+
     p = ladder.sizes
 
     def repeat(i: int) -> tuple[int | None, int]:

@@ -8,29 +8,29 @@ distance bracket; anything not witnessed within the search horizon is
 labeled inconclusive rather than refuted.
 
 All searches of one call share one block loop, `_scan`.  It walks the time
-range in blocks of `walker.STREAM_BLOCK` times, reads each view once per
+range in blocks of `ladder.STREAM_BLOCK` times, reads each view once per
 block and hands that read to each search's kernel: `brackets.bracket_scan`,
 the one place a bracket sum is computed, or `thmc.occurrence_scan` for
-thmC's pattern, which `thmC_witnesses` imports with thmC's search from
-`wkseq.thmc` when it is called, so no other search compiles it.  So a search holds at most one block of each orbit at any
+thmC's pattern.  So a search holds at most one block of each orbit at any
 horizon.  Ties always prefer the smallest time.  Each orbit states where
 its stretches begin and which of them repeat (see `orbits`); where
 every orbit a search reads repeats, the search scans one period of the
 stretch and jumps to where its windows leave it.
+
+classify's searches are here.  thmB's and thmC's are in `wkseq.thmb` and
+`wkseq.thmc`, behind the front doors `thmB_witnesses` and `thmC_witnesses`,
+which import them when called, so no other search compiles them.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from . import walker
 from .brackets import DistBracket, bracket_scan
-# eval_ainf stays bound here: bench/tracing.py counts evaluator calls
-# through this module's name for it.
+# eval_ainf and the sources stay bound here: the CLI calls the sources, and
+# bench/tracing.py counts and times them all, through this module.
 from .ladder import Rational, eval_ainf, exact_fraction
-# alpha_source, ones_source, window_source and zeros_source stay bound here:
-# the CLI calls them, and bench/tracing.py times them, through this module.
 from .orbits import (OrbitSource, OrbitView, alpha_source, jump_over, ones_source,
                      window_source, zeros_source)
 from .report import report_dict
@@ -62,12 +62,13 @@ def _check_span(views: Sequence[OrbitView], start: int, horizon: int, k: int) ->
 class _Search(NamedTuple):
     """One search of a `_scan`: its first time, its window length, its
     kernel, `occurrence_scan` or a kind of `bracket_scan`, and its sides,
-    built from one block's reads with its own first time at index 0."""
+    the function that gives the (x, y) pairs the kernel compares from one
+    block's reads, with its own first time at index 0."""
 
     first: int
     k: int
     scan: Callable
-    sides: Callable[[list[Sequence[Fraction]]], list[tuple[Sequence, Sequence]]]
+    sides: Callable
 
 
 def _scan(
@@ -81,7 +82,7 @@ def _scan(
     .. horizon, or None where it covers no time.
 
     The times start .. horizon are walked in blocks of
-    `walker.STREAM_BLOCK`.  Each view is read once per block, with the
+    `ladder.STREAM_BLOCK`.  Each view is read once per block, with the
     `width` values each time needs from its own coordinate on, and every
     search that covers the block scans that read for a bracket strictly
     better than its best so far.  A search that has met its bound (lo 0, or
@@ -95,6 +96,8 @@ def _scan(
     the sums skipped repeat ones already scanned, and none can be strictly
     better.
     """
+    from .ladder import STREAM_BLOCK  # read when the search runs
+
     best: list[tuple[int, DistBracket] | None] = [None] * len(searches)
     done = [s.first > horizon for s in searches]
     t0 = start
@@ -102,7 +105,7 @@ def _scan(
     while t0 <= horizon and not all(done):
         if t0 == leave:
             ready, leave = jump_over(views, width, t0, horizon)
-        t1 = min(horizon + 1, t0 + walker.STREAM_BLOCK, ready)
+        t1 = min(horizon + 1, t0 + STREAM_BLOCK, ready)
         reads = [view.read(t0, t1 + width - 1) for view in views]
         for i, s in enumerate(searches):
             if done[i] or s.first >= t1:
@@ -232,49 +235,12 @@ def classify_pair(
     return _verdict(delta, tau, (start, horizon), k, prox=prox, sep=sep, recur=recur)
 
 
-def _shifted(m: int, n: int, home_m: Sequence, home_n: Sequence) -> Callable:
-    """Sides comparing the orbit from shifts m and n with fixed targets."""
-    return lambda reads: [(reads[0][m:], home_m), (reads[0][n:], home_n)]
+def thmB_witnesses(x, fixed_point, pairs, horizon, k, tau) -> list[PairVerdict]:
+    """`thmb.thmB_witnesses(x, fixed_point, pairs, horizon, k, tau)`: each
+    pair of shifts of x carried near the fixed point, and back near home."""
+    from .thmb import thmB_witnesses  # only thmB compiles its search
 
-
-def thmB_witnesses(
-    x: OrbitSource, fixed_point: OrbitSource, pairs: Iterable[tuple[int, int]],
-    horizon: int, k: int, tau: Rational,
-) -> list[PairVerdict]:
-    """For each pair of distinct shifts of one orbit, search for a time that
-    carries both shifted views close to the fixed point (the proximality
-    mechanism) and for a joint near-return (the recurrence half).
-
-    Recurrence is searched from time 1; at horizon 0 its clause is
-    inconclusive, as in `classify_pair`.
-    """
-    tau = exact_fraction(tau)
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    pairs = list(pairs)
-    if not pairs:
-        return []
-    if fixed_point.length is not None and fixed_point.length < k:
-        raise ValueError(f"fixed point has {fixed_point.length} values, fewer than k = {k}")
-    for m, n in pairs:
-        if m == n:
-            raise ValueError("pairs must use two distinct shifts")
-        if m < 0 or n < 0:
-            raise ValueError("shifts must be nonnegative")
-        _check_span([OrbitView(x, max(m, n))], 0, horizon, k)
-    top = max(max(pair) for pair in pairs)
-    target = fixed_point.read(0, k)
-    searches = []
-    for m, n in pairs:
-        searches += [
-            _Search(0, k, _FIXED, _shifted(m, n, target, target)),
-            _Search(1, k, _FIXED, _shifted(m, n, x.read(m, m + k), x.read(n, n + k))),
-        ]
-    found = _scan([OrbitView(x)], top + k, 0, horizon, searches)
-    return [
-        _verdict(None, tau, (0, horizon), k, pair, prox=prox, recur=recur)
-        for pair, prox, recur in zip(pairs, found[::2], found[1::2])
-    ]
+    return thmB_witnesses(x, fixed_point, pairs, horizon, k, tau)
 
 
 def thmC_witnesses(x, q, delta, horizon, k, tau) -> PairVerdict:

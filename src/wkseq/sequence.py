@@ -3,7 +3,8 @@
 A `SeqWindow` is a finite, exactly-valued view of a one-sided sequence of
 rationals in [0, 1]; `alpha_window` reads a range of alpha into one through
 `walker.eval_block`, and `alpha_windows` streams a long range as
-consecutive windows.
+consecutive windows.  Only those two import the walker, so a search on a
+window file never compiles it.
 """
 from __future__ import annotations
 
@@ -11,8 +12,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, Iterator, MutableSequence, Sequence
 
-from . import walker
-from .ladder import DomainError, Ladder, Rational, eval_ainf
+from .ladder import DomainError, Ladder, eval_ainf
 
 
 def code_array(distinct: int, codes: list[int]) -> MutableSequence[int]:
@@ -99,11 +99,15 @@ def alpha_window(ladder: Ladder, start: int, length: int) -> SeqWindow:
     """alpha(start) .. alpha(start + length - 1), read by alpha's structure."""
     if not isinstance(start, int) or start < 0:
         raise DomainError("sequence coordinates are nonnegative integers")
-    return SeqWindow(start, walker.eval_block(ladder, range(start, start + length)))
+    from .walker import eval_block
+
+    return SeqWindow(start, eval_block(ladder, range(start, start + length)))
 
 
 def alpha_windows(ladder: Ladder, start: int, length: int) -> Iterator[SeqWindow]:
     """The window of alpha at start .. start + length - 1 as consecutive
-    windows of at most `walker.STREAM_BLOCK` values."""
-    for i in range(start, start + length, walker.STREAM_BLOCK):
-        yield alpha_window(ladder, i, min(walker.STREAM_BLOCK, start + length - i))
+    windows of at most `ladder.STREAM_BLOCK` values."""
+    from .ladder import STREAM_BLOCK
+
+    for i in range(start, start + length, STREAM_BLOCK):
+        yield alpha_window(ladder, i, min(STREAM_BLOCK, start + length - i))

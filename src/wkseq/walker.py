@@ -15,13 +15,6 @@ from typing import Iterable, Iterator
 
 from .ladder import ONE, ZERO, Ladder, _below, _copy, _value, eval_ratio
 
-#: Points per block of a certificate scan, values per window that
-#: `sequence.alpha_windows` yields, and times per block of a relation
-#: search: few enough that a streamed range of alpha, or a scan or search
-#: over it, takes the same memory at any length.
-STREAM_BLOCK = 4096
-
-
 #: Multiples of stretch(n) where level n's stretched copy changes form
 #: inside [-p[n], p[n]]: it is 0 on [-s, s] and [5s, 7s], 1 on [2s, 4s]
 #: and [8s, 9s] (and their mirror images), and a ramp in between.  The

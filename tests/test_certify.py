@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from wkseq import certify, runs, walker
+from wkseq import certify, ladder, runs
 from wkseq import (
     DomainError,
     check_ones_runs,
@@ -495,7 +495,7 @@ def test_scan_kernel_ties_and_early_return(monkeypatch):
         return [F(values[t]) for t in seen[-1]]  # equal values, never one object
 
     for block in (1, 2, 4096):
-        monkeypatch.setattr(walker, "STREAM_BLOCK", block)
+        monkeypatch.setattr(ladder, "STREAM_BLOCK", block)
         # |f(t+1) - f(t)| over t = 0..6 is 2, 2, 5, 2, 3, 5, 4: the first 5 wins
         assert certify._max_defect(read, range(7), (1,)) == (5, 2)
         assert certify._max_defect(read, [3, 5, 6], (-2, 1)) == (5, 1)
@@ -606,7 +606,7 @@ def test_returns_grids_match_point_by_point_scan(lad, n, kind, monkeypatch):
 def test_ones_scan_of_alpha_matches_oracle(lad, block, monkeypatch):
     # The runs of alpha 486k + 54 .. 486k + 111, with windows that end inside
     # one, at its last one and after it, whatever the stream block.
-    monkeypatch.setattr(walker, "STREAM_BLOCK", block)
+    monkeypatch.setattr(ladder, "STREAM_BLOCK", block)
     bits = [1 if oracles.seq_value(i) == 1 else 0 for i in range(4501)]
     for end in (486, 566, 597, 598, 4500):
         rep = check_ones_runs(lad, 1, end, mode="scan")

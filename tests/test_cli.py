@@ -16,9 +16,11 @@ import pytest
 import wkseq
 from fixtures import full_shift_transitive_point
 from wkseq import (
+    SeqWindow,
     alpha_window,
     console_main,
     dumps_csv,
+    dumps_json,
     ladder_new,
     load_window,
     loads_csv,
@@ -465,17 +467,21 @@ def _imported(*argv: str) -> tuple[subprocess.CompletedProcess, set[str]]:
 #: does not run.  The settings files' readers (`wkseq.config`, and
 #: configparser with it) are only for --config and --ladder-schedule.  Only
 #: `verify ones` compiles the ones-run walk (`wkseq.runs`); no `verify`, and
-#: no search on α, compiles the window-file code; `gen` compiles no report
-#: or relations code; and only thmC compiles its pattern search
-#: (`wkseq.thmc`).
+#: no search on α, compiles the window-file code; `gen` compiles no report,
+#: relations or reader code; a search on a window file compiles neither the
+#: walker, the writer nor the other format's reader; and only thmB and thmC
+#: compile their searches (`wkseq.thmb`, `wkseq.thmc`).  {alpha_csv},
+#: {alpha_json} and {blocks_csv} name the files of `_window_files`.
 SETTINGS = " configparser wkseq.config"
-WINDOW_FILES = " wkseq.seqio wkseq.readers csv"
+READERS = " wkseq.readers wkseq.csv_reader wkseq.json_reader"
+WINDOW_FILES = " wkseq.seqio wkseq.writer csv" + READERS
 WINDOW_AND_SEARCH = ("wkseq.sequence wkseq.orbits wkseq.brackets wkseq.relations wkseq.relations_cli"
-                     " wkseq.thmc wkseq.plfunc" + WINDOW_FILES + SETTINGS)
+                     " wkseq.thmb wkseq.thmc wkseq.plfunc" + WINDOW_FILES + SETTINGS)
 ALPHA_SEARCH = "wkseq.certify wkseq.runs wkseq.plfunc wkseq.thmc" + WINDOW_FILES + SETTINGS
+FILE_SEARCH = "wkseq.walker wkseq.writer wkseq.certify wkseq.runs wkseq.plfunc" + SETTINGS
 NOT_IMPORTED = {
     "gen --len 6": "json csv wkseq.certify wkseq.runs wkseq.relations wkseq.plfunc wkseq.report"
-    " wkseq.relations_cli wkseq.thmc" + SETTINGS,
+    " wkseq.relations_cli wkseq.thmb wkseq.thmc" + READERS + SETTINGS,
     "verify wm --n 1": "wkseq.runs " + WINDOW_AND_SEARCH,
     "verify rigidity --n 1 --count 486": "wkseq.runs " + WINDOW_AND_SEARCH,
     "verify returns --n 1": "wkseq.runs " + WINDOW_AND_SEARCH,
@@ -483,15 +489,35 @@ NOT_IMPORTED = {
     "verify ones --n 1 --window 1000": WINDOW_AND_SEARCH,
     "verify ones --n 2 --window 300000000 --mode plateau": WINDOW_AND_SEARCH,
     "relations classify --a alpha --b ones --delta 1 --horizon 400 --k 8"
-    " --tau 1/100 --require proximal-witnessed": ALPHA_SEARCH,
+    " --tau 1/100 --require proximal-witnessed": "wkseq.thmb " + ALPHA_SEARCH,
     "relations thmB --orbit alpha --fixed-point ones --pairs 0:1,2:5 --horizon 300"
     " --k 8 --tau 1/100": ALPHA_SEARCH,
+    "relations classify --a {alpha_csv} --b ones --delta 1 --horizon 1900 --k 8 --tau 1/100":
+    "wkseq.json_reader wkseq.thmb wkseq.thmc " + FILE_SEARCH,
+    "relations thmB --orbit {alpha_json} --fixed-point ones --pairs 0:1,2:5 --horizon 1900"
+    " --k 8 --tau 1/100": "wkseq.csv_reader csv wkseq.thmc " + FILE_SEARCH,
+    "relations thmC --orbit {blocks_csv} --q 1 --delta 1 --horizon 70 --k 8 --tau 1/100":
+    "wkseq.json_reader wkseq.thmb " + FILE_SEARCH,
 }
 
 
-def test_installed_entry_point_runs():
+def _window_files(folder: Path) -> dict[str, str]:
+    """The window files the NOT_IMPORTED rows name: alpha's first 2000
+    values as CSV and as JSON, and 40 values alternating 0 and 1 then 40
+    zeros, where thmC at q = 1 finds its pattern and then proximity."""
+    blocks = SeqWindow(0, tuple(F(i % 2) for i in range(40)) + (F(0),) * 40)
+    alpha = alpha_window(ladder_new(), 0, 2000)
+    texts = {"alpha_csv": dumps_csv(alpha), "alpha_json": dumps_json(alpha), "blocks_csv": dumps_csv(blocks)}
+    for name, text in texts.items():
+        (folder / name).write_text(text)
+    return {name: str(folder / name) for name in texts}
+
+
+def test_installed_entry_point_runs(tmp_path):
     _, bare = _imported("-c", "pass")  # what the interpreter loads anyway
+    files = _window_files(tmp_path)
     for argv, banned in NOT_IMPORTED.items():
+        argv = argv.format(**files)
         proc, modules = _imported("-m", "wkseq", *argv.split())
         assert proc.returncode == 0, argv
         assert "wkseq.cli" in modules
@@ -505,7 +531,7 @@ def test_installed_entry_point_runs():
             lemma = {"wm": "wm-returns", "ones": "ones-runs"}.get(argv.split()[1], argv.split()[1])
             assert json.loads(proc.stdout)["lemma"] == lemma, argv
         else:
-            kind = {"classify": "pair-verdict", "thmB": "pair-verdict-list"}[argv.split()[1]]
+            kind = {"classify": "pair-verdict", "thmB": "pair-verdict-list", "thmC": "pair-verdict"}[argv.split()[1]]
             assert json.loads(proc.stdout)["kind"] == kind, argv
 
 
@@ -535,13 +561,14 @@ def test_no_command_compiles_a_module_past_the_compile_cliff(tmp_path):
     (tmp_path / "run.ini").write_text(
         f"[run]\nladder_policy = explicit\nladder_schedule = {tmp_path / 'sched.txt'}\n"
     )
+    files = _window_files(tmp_path)
     searches = {
         "classify": ["--a", str(path), "--b", "ones", "--delta", "1"],
         "thmB": ["--orbit", str(path), "--fixed-point", "ones", "--pairs", "0:1"],
         "thmC": ["--orbit", str(path), "--q", "1", "--delta", "1"],
     }
     commands = [
-        *map(str.split, NOT_IMPORTED),
+        *(argv.format(**files).split() for argv in NOT_IMPORTED),
         *(["relations", name, *args, "--horizon", "300", "--k", "8", "--tau", "1/100"]
           for name, args in searches.items()),
         ["--config", str(tmp_path / "run.ini"), "verify", "rigidity", "--n", "1", "--count", "5"],

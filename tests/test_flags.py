@@ -227,3 +227,29 @@ def test_rational_flags_stay_under_4300_digits(capsys, monkeypatch, limit):
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(saved)
+
+
+def test_a_long_digit_run_is_refused_alike_under_any_digit_limit(capsys, monkeypatch):
+    # Under Python's default limit Fraction itself would refuse a literal of
+    # 4400 digits, and the refusal would read "not a rational"; without the
+    # limit it would parse.  A run of 4300 digits is refused before either.
+    import wkseq.relations_cli
+
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no integer string limit")
+    monkeypatch.setattr(wkseq.relations_cli, "run", lambda *args: pytest.fail("searched"))
+    argv = "relations classify --a alpha --b ones --delta 1 --horizon 400 --k 8 --tau".split()
+    saved, errs = sys.get_int_max_str_digits(), []
+    try:
+        for limit in (saved, 0):
+            sys.set_int_max_str_digits(limit)
+            for tau in ("1/1" + "0" * 4400, "1" * 4300, "1_" * 4300 + "1"):
+                with pytest.raises(SystemExit) as exc:
+                    wkseq.console_main([*argv, tau])
+                assert exc.value.code == 2
+                out, err = capsys.readouterr()
+                assert out == "" and "argument --tau: numerator or denominator of 4300 digits or more" in err
+                errs.append(err)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert errs[:3] == errs[3:]

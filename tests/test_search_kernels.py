@@ -16,7 +16,7 @@ import pytest
 
 import oracles
 from wkseq import SeqWindow, loads_csv
-from wkseq import brackets, relations, walker
+from wkseq import brackets, ladder, relations
 from wkseq.relations import NotFoundInHorizonError, thmB_witnesses, thmC_witnesses
 from wkseq.orbits import OrbitSource, OrbitView, alpha_source, constant_source, ones_source, window_source
 from wkseq.ladder import ladder_new
@@ -48,7 +48,7 @@ def naive_fixed(fx, shifts, target, horizon, k):
 def _recurrence(values, horizon, block, monkeypatch):
     """classify's recurrence search on a window file against ones, and the
     oracle's answer."""
-    monkeypatch.setattr(walker, "STREAM_BLOCK", block)
+    monkeypatch.setattr(ladder, "STREAM_BLOCK", block)
     a = OrbitView(window_source(SeqWindow(0, tuple(values))))
     recur = relations._pair_scan(a, OrbitView(ones_source()), 0, horizon, K, [2])[0]
     return (recur[0], recur[1].hi), oracles.naive_recur_defect(values.__getitem__, lambda i: F(1), 1, horizon, K)
@@ -146,7 +146,7 @@ def test_thmB_drops_a_time_where_one_side_is_hopeless(block, hopeless, monkeypat
     # At time 30 one shifted view is exactly the fixed point and the other
     # is far from it; at time 170 both are off by 1/7 on their last term.
     # The pair's bracket is the worse of the two, so 170 wins.
-    monkeypatch.setattr(walker, "STREAM_BLOCK", block)
+    monkeypatch.setattr(ladder, "STREAM_BLOCK", block)
     m, n, horizon = 0, 12, 240
     rng = random.Random(7)
     values = [rng.choice(FILL) for _ in range(horizon + n + K)]
@@ -169,7 +169,7 @@ def _thmC(values, q, horizon, k, block, monkeypatch, source=None):
     """thmC's outcome on values, and what plain loops give: the first
     occurrence of the pattern and the best proximity of the q-shifted pair,
     or the error text where it does not occur."""
-    monkeypatch.setattr(walker, "STREAM_BLOCK", block)
+    monkeypatch.setattr(ladder, "STREAM_BLOCK", block)
     need = q + k
     top = horizon - need + 1
     word = [F(i // q % 2) for i in range(need)]

@@ -23,9 +23,11 @@ from wkseq import (
     loads_json,
     render_decimal,
 )
-from wkseq import readers
-from wkseq.seqio import CSV_HEADER, index_text, window_chunks
+from wkseq import csv_reader, json_reader
+from wkseq.csv_reader import index_text
+from wkseq.seqio import CSV_HEADER
 from wkseq.sequence import alpha_windows
+from wkseq.writer import window_chunks
 
 SAMPLE = SeqWindow(41, (F(14, 27), F(0), F(1), F(2, 3)))
 
@@ -82,10 +84,10 @@ FORMATS = [("csv", 0), ("csv", 6), ("json", 0)]
     (200, 1000, 64),  # many blocks, and the step from level 1 to level 2 at 244
 ])
 def test_gen_writes_the_plain_per_row_text(fmt, decimals, start, length, block, capsys, monkeypatch):
-    from wkseq import console_main, sequence, walker
+    from wkseq import console_main, ladder, sequence
 
     if block:
-        monkeypatch.setattr(walker, "STREAM_BLOCK", block)
+        monkeypatch.setattr(ladder, "STREAM_BLOCK", block)
     flags = ["--format", fmt, "--decimals", str(decimals)]
     assert console_main([*flags, "gen", "--from", str(start), "--len", str(length)]) == 0
     values = sequence.alpha_window(ladder_new("default-minimal"), start, length).values
@@ -103,13 +105,14 @@ def test_window_chunks_write_distinct_and_repeated_objects_alike(fmt, decimals):
 
 
 @pytest.mark.parametrize("decimals", [0, 6])
-def test_csv_chunks_hold_at_most_write_rows_rows(decimals):
-    from wkseq.seqio import WRITE_ROWS
-
-    distinct = tuple(F(i, 3 * WRITE_ROWS) for i in range(2 * WRITE_ROWS + 5))
-    repeated = tuple(distinct[i % 5] for i in range(WRITE_ROWS + 1))
-    chunks = list(window_chunks([SeqWindow(7, distinct), SeqWindow(2 * WRITE_ROWS + 12, repeated)], "csv", decimals))
-    assert [c.count("\n") for c in chunks] == [WRITE_ROWS + 1, WRITE_ROWS, 5, WRITE_ROWS, 1]
+def test_csv_chunks_hold_one_thousands_run(decimals):
+    # a chunk holds the rows whose indices share their thousands, the
+    # header's with the first: 7 .. 999, 1000 .. 1999, 2000 .. 2011, then
+    # the next window's 2012 .. 2999 and 3000 .. 3012
+    distinct = tuple(F(i, 3000) for i in range(2005))
+    repeated = tuple(distinct[i % 5] for i in range(1001))
+    chunks = list(window_chunks([SeqWindow(7, distinct), SeqWindow(2012, repeated)], "csv", decimals))
+    assert [c.count("\n") for c in chunks] == [1 + 993, 1000, 12, 988, 13]
     _assert_same_text("".join(chunks), _plain_text(7, distinct + repeated, "csv", decimals))
 
 
@@ -272,11 +275,15 @@ def _outcome(load, text):
     return "window", w.offset, w.values
 
 
+#: The reader module that holds each block size and block path.
+HOME = {"CSV_BLOCK": csv_reader, "_csv_block": csv_reader, "JSON_SLICE": json_reader, "_json_blocks": json_reader}
+
+
 def _at_block_size(load, text, **sizes):
     """The outcome of `load(text)` with the readers' block sizes set."""
     with pytest.MonkeyPatch.context() as mp:
         for name, size in sizes.items():
-            mp.setattr(readers, name, size)
+            mp.setattr(HOME[name], name, size)
         return _outcome(load, text)
 
 
@@ -388,8 +395,8 @@ def test_json_reader_matches_per_row_reader(rows, fault, bad, entry, compact, pi
 def test_readers_report_the_first_value_outside_the_range(block, monkeypatch):
     # each distinct value is checked once, in the order of its first row
     if block:
-        monkeypatch.setattr(readers, "CSV_BLOCK", block)
-        monkeypatch.setattr(readers, "JSON_SLICE", block)
+        monkeypatch.setattr(csv_reader, "CSV_BLOCK", block)
+        monkeypatch.setattr(json_reader, "JSON_SLICE", block)
     texts = ["1/2", "1/3", "5/4", "1/2", "3/2", "5/4", "1/3"]
     rows = "".join(f"{i},{t.replace('/', ',')}\n" for i, t in enumerate(texts))
     doc = {"schema": "wk-window/1", "offset": 0, "values": texts}
@@ -444,15 +451,15 @@ CSV_SHAPES = {
 
 
 def _block_paths(monkeypatch, name):
-    """Record each call's result of readers.`name`; None means the exact path."""
+    """Record each call's result of the block path `name`; None means the exact path."""
     results = []
-    block = getattr(readers, name)
+    block = getattr(HOME[name], name)
 
     def spy(*args):
         results.append(block(*args))
         return results[-1]
 
-    monkeypatch.setattr(readers, name, spy)
+    monkeypatch.setattr(HOME[name], name, spy)
     return results
 
 
@@ -471,7 +478,7 @@ def test_csv_block_path_matches_the_exact_path(shape, tmp_path, monkeypatch):
     del blocks[:]
     assert _outcome(load_window, path) == got
     assert all(blocks) == (canonical or shape == "crlf")
-    monkeypatch.setattr(readers, "_csv_block", lambda *args: None)
+    monkeypatch.setattr(csv_reader, "_csv_block", lambda *args: None)
     assert _outcome(loads_csv, text) == got
     assert _outcome(reference_readers.loads_csv, text) == got
     expected_window = {"canonical", "decimals", "trailing_comma", "quoted", "crlf", "spaces",
@@ -564,7 +571,7 @@ def test_json_block_path_matches_the_exact_path(shape, monkeypatch):
     assert (blocks[0] is not None) == canonical
     for size in (1, 4, 8, 12):
         assert _at_block_size(loads_json, text, JSON_SLICE=size) == got
-    monkeypatch.setattr(readers, "_json_blocks", lambda text: None)
+    monkeypatch.setattr(json_reader, "_json_blocks", lambda text: None)
     assert _outcome(loads_json, text) == got
     expected_window = {"gen", "dumps", "compact", "key_order", "mixed_separators", "indent",
                        "escape", "values_twice", "bracket_in_string", "close_bracket_in_string",
@@ -617,9 +624,9 @@ def test_csv_detour_at_the_top_costs_one_block():
     text = HEADER + "\n" + "".join(f"{i},{i % 7},7\n" for i in range(5000))
     calls = []
     with pytest.MonkeyPatch.context() as mp:
-        block = readers._csv_block
-        mp.setattr(readers, "_csv_block", lambda *a: calls.append(block(*a)) or calls[-1])
-        mp.setattr(readers, "CSV_BLOCK", 1024)
+        block = csv_reader._csv_block
+        mp.setattr(csv_reader, "_csv_block", lambda *a: calls.append(block(*a)) or calls[-1])
+        mp.setattr(csv_reader, "CSV_BLOCK", 1024)
         got = _outcome(loads_csv, text)
     assert got == _outcome(reference_readers.loads_csv, text)
     assert calls[0] is None and all(calls[1:]) and len(calls) > 40

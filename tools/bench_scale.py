@@ -184,7 +184,8 @@ from fractions import Fraction
 from wkseq import SeqWindow, certify, ladder_new, load_window
 from wkseq.orbits import window_source
 from wkseq.sequence import alpha_window
-from wkseq.walker import STREAM_BLOCK, eval_block
+from wkseq.ladder import STREAM_BLOCK
+from wkseq.walker import eval_block
 
 
 def returns(lad, n, samples):

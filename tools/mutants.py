@@ -46,11 +46,12 @@ MUTANTS = [
            ("test_seqio.py",)),
     # a record whose quoted field spans the end of a CSV block takes the
     # lines past it from the stream
-    Mutant("csv_block_without_quoted_field_lines", "readers.py",
-           "        while reader.line_num > ended:\n", "        while False:\n",
+    Mutant("csv_block_without_quoted_field_lines", "csv_reader.py",
+           "        while reader.line_num > ended and (line := stream.readline()):\n",
+           "        while False:\n",
            ("test_seqio.py",)),
     # each CSV block is completed to the end of its last line
-    Mutant("csv_block_without_completing_its_last_line", "readers.py",
+    Mutant("csv_block_without_completing_its_last_line", "csv_reader.py",
            "            text += stream.readline()\n", "            pass\n",
            ("test_seqio.py",)),
     # the period str.find proposes is checked before it is followed back
@@ -68,7 +69,7 @@ MUTANTS = [
            'if len(self.table) > 257 ** getattr(self.codes, "itemsize", 1):',
            ("test_seqio.py",)),
     # each window's rows are written from its own distinct values' texts
-    Mutant("texts_of_one_window_reused_for_the_next", "seqio.py",
+    Mutant("texts_of_one_window_reused_for_the_next", "writer.py",
            "        distinct = w._distinct\n",
            "        distinct = w._distinct if count == 1 else distinct\n",
            ("test_seqio.py",)),
@@ -130,7 +131,11 @@ MUTANTS = [
            "class WindowFormatError(ValueError):",
            "class WindowFormatError(Exception):",
            ("test_cli.py",)),
-    # thmC's front door hands its arguments on in order
+    # thmB's and thmC's front doors hand their arguments on in order
+    Mutant("thmB_front_door_horizon_and_k_swapped", "relations.py",
+           "return thmB_witnesses(x, fixed_point, pairs, horizon, k, tau)",
+           "return thmB_witnesses(x, fixed_point, pairs, k, horizon, tau)",
+           ("test_relations.py", "test_cli.py")),
     Mutant("thmC_front_door_arguments_swapped", "relations.py",
            "return thmC_witnesses(x, q, delta, horizon, k, tau)",
            "return thmC_witnesses(x, q, delta, k, horizon, tau)",
@@ -211,9 +216,21 @@ MUTANTS = [
     # a rational flag of 4300 digits or more would make a report that Python
     # cannot print, after its search
     Mutant("rational_flags_without_the_digit_cap", "flags.py",
-           "    if max(abs(value.numerator), value.denominator) >= 10**4300:\n",
-           "    if False:\n",
+           "        if max(abs(value.numerator), value.denominator) < 10**4300:\n",
+           "        if True:\n",
            ("test_flags.py",)),
+    # a run of 4300 digits is refused before Fraction reads it, so the
+    # refusal does not depend on Python's integer string limit
+    Mutant("rational_flags_parse_long_digit_runs", "flags.py",
+           '    if not re.search(r"\\d{4300}", text.replace("_", "")):\n',
+           "    if True:\n",
+           ("test_flags.py",)),
+    # only alpha's source reads the walker, so a window file's search
+    # never compiles it
+    Mutant("orbits_imports_the_walker_at_module_level", "orbits.py",
+           "from .sequence import SeqWindow\n",
+           "from .sequence import SeqWindow\nfrom .walker import eval_block, pieces\n",
+           ("test_cli.py",)),
 ]
 
 
