@@ -17,9 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from itertools import chain, compress, count, islice
-from operator import ne
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .ladder import (
     ZERO,
@@ -34,8 +32,8 @@ from .report import report_dict
 from .walker import eval_block
 
 #: Every coordinate scan visits at most this many points; a larger scan is
-#: refused before it evaluates anything.  A scan of alpha whose points form
-#: an arithmetic progression reads it a block at a time by its structure:
+#: refused before it evaluates anything.  Every scan's points form a range,
+#: and a scan of alpha reads it a block at a time by its structure:
 #: contiguous at about 0.05 us per point (`rigidity --n 2` over all of them:
 #: 0.1 s in process on a 2-CPU host), sampled at about 0.25 us per point
 #: and shift (`returns --n 2 --samples 1000000`: 0.8 s).  The rational
@@ -44,7 +42,7 @@ from .walker import eval_block
 SCAN_LIMIT = 2_000_001
 
 
-def scan_points(points: Sequence[int]) -> Sequence[int]:
+def scan_points(points: range) -> range:
     """The points of a scan, once they are known to be within SCAN_LIMIT;
     raises ValueError otherwise.  Slicing never builds a range's points."""
     if points[SCAN_LIMIT:]:
@@ -52,21 +50,14 @@ def scan_points(points: Sequence[int]) -> Sequence[int]:
     return points
 
 
-def _moved(points: Sequence[int], s: int) -> Iterable[int]:
-    """The points shifted by s: a range for a range, and lazily otherwise."""
-    if isinstance(points, range):
-        return range(points.start + s, points.stop + s, points.step)
-    return (t + s for t in points)
-
-
 def _max_defect(
-    read: Callable[[Iterable[int]], Sequence[Fraction]],
-    points: Sequence[int],
+    read: Callable[[range], Sequence[Fraction]],
+    points: range,
     shifts: tuple[int, ...],
     first: bool = False,
 ) -> tuple[Fraction, int]:
     """Largest |f(t + s) - f(t)| over t in points and s in shifts, and the
-    index of the first point that reaches it.  `read` gives f at a block of
+    index of the first point that reaches it.  `read` gives f at a range of
     points, and is handed at most `ladder.STREAM_BLOCK` of them at a time.
     With `first`, the scan stops at the first nonzero defect, taking points
     in order and each point's shifts in order."""
@@ -77,7 +68,7 @@ def _max_defect(
     for b0 in range(0, len(points), size):
         block = points[b0:b0 + size]
         here = read(block)
-        moved = [read(_moved(block, s)) for s in shifts]
+        moved = [read(range(block.start + s, block.stop + s, block.step)) for s in shifts]
         # list equality tries identity before ==, so blocks built from the
         # same shared values compare without touching a Fraction
         if all(map(here.__eq__, moved)):
@@ -217,41 +208,30 @@ def check_rigidity(ladder: Ladder, n: int, count: int) -> RigidityReport:
 
 # -- certified returns -----------------------------------------------------
 
-def check_returns(ladder: Ladder, n: int, grid: Iterable[int], end: int | None = None) -> ReturnReport:
+def check_returns(ladder: Ladder, n: int, grid: range, end: int | None = None) -> ReturnReport:
     """Check alpha(t) = ainf(t - S) = ainf(t + S - 1) with S = 2*splice(n+1).
 
-    The grid and `end`, if given, hold at most SCAN_LIMIT integers in
-    [-p[n], p[n]]; a range is used as it is, and `end` last if past it; any
-    other grid is sorted once checked.  The sorted grid's longest arithmetic
-    prefix is read as a range, by the structure of alpha, the rest one by one.
+    The grid is a range, in either direction, and `end`, if given, an
+    integer past its largest point: at most SCAN_LIMIT points in all, in
+    [-p[n], p[n]].  The grid's points are read in ascending order by the
+    structure of alpha, then `end`.
     """
-    if end is not None and not (isinstance(grid, range) and grid and isinstance(end, int) and end > grid[-1] >= grid[0]):
-        grid, end = chain(grid, [end]), None
-    if isinstance(grid, range):
-        points = scan_points(grid[::-1] if grid.step < 0 else grid)
-    else:
-        points = scan_points(list(islice(grid, SCAN_LIMIT + 1)))
-        for t in points:
-            if not isinstance(t, int):
-                raise ValueError(f"grid point {t!r} is not an integer")
-        points = sorted(set(points))
+    if not isinstance(grid, range):
+        raise ValueError("the grid must be a range")
+    points = scan_points(grid[::-1] if grid.step < 0 else grid)
     if not points:
         raise ValueError("need at least one grid point")
-    tail = [] if end is None else [end]
+    if end is not None and not (isinstance(end, int) and end > points[-1]):
+        raise ValueError(f"end point {end!r} is not an integer past the grid")
+    tail = range(0) if end is None else range(end, end + 1)
     scan_points(range(len(points) + len(tail)))
     left = 2 * ladder.splice(n + 1)
     bound = ladder.p(n)
     if points[0] < -bound or (tail or points)[-1] > bound:
         bad = points[0] if points[0] < -bound else (tail or points)[-1]
         raise DomainError(f"grid point {bad} outside [-p[{n}], p[{n}]]")
-    head = points  # the longest arithmetic prefix, as a range
-    if not isinstance(points, range):
-        head = range(points[0], points[-1] + 1, points[1] - points[0] if len(points) > 1 else 1)
-        head = head[:next(compress(count(), map(ne, points, head)), len(head))]
-    for part in (head, [*points[len(head):], *tail]):
-        defect, at = _max_defect(
-            partial(eval_block, ladder), part, (-left, left - 1), first=True
-        )
+    for part in (points, tail):
+        defect, at = _max_defect(partial(eval_block, ladder), part, (-left, left - 1), first=True)
         if defect:
             break
     return ReturnReport(

@@ -65,7 +65,7 @@ def _cmd_verify(args: SimpleNamespace, ladder: Ladder) -> int:
     elif args.lemma == "returns":
         p = ladder.p(args.n)
         step = 1 if args.samples is None else max(1, (2 * p) // args.samples)
-        grid = certify.scan_points(range(-p, p + 1, step))
+        grid = range(-p, p + 1, step)
         report = certify.check_returns(ladder, args.n, grid, None if grid[-1] == p else p)
     elif args.lemma == "ones":
         report = certify.check_ones_runs(ladder, args.n, args.window, mode=args.mode)

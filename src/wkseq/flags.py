@@ -27,13 +27,17 @@ def _refused(message: str) -> Exception:
 
 def _fraction_arg(text: str) -> Fraction:
     # fixed, so that a report can write it as num/den under Python's default limit of 4300
-    # digits; a run of as many digits is refused first, as that limit would refuse it in Fraction
+    # digits; a run of as many digits is refused first, as that limit would refuse it in Fraction,
+    # and so is a nonzero decimal whose exponent reaches 8600 (4300 digits whatever its mantissa),
+    # before Fraction builds 10**exponent; a zero mantissa reads as 0 whatever its exponent
     if not re.search(r"\d{4300}", text.replace("_", "")):
+        exp = re.fullmatch(r"(.*[eE][-+]?)(\d+(?:_\d+)*)(\s*)", text)
+        far = exp is not None and int(exp[2]) >= 8600
         try:
-            value = Fraction(text)
+            value = Fraction(f"{exp[1]}0{exp[3]}" if far else text)
         except (ValueError, ZeroDivisionError) as exc:
             raise _refused(f"not a rational: {text!r}") from exc
-        if max(abs(value.numerator), value.denominator) < 10**4300:
+        if not (far and value) and max(abs(value.numerator), value.denominator) < 10**4300:
             return value
     raise _refused(f"numerator or denominator of 4300 digits or more: {text!r}")
 

@@ -1,12 +1,13 @@
 """thmC's search, in `relations._scan` with `occurrence_scan` as the
-pattern's kernel.  `relations.thmC_witnesses` imports this module when it
-is called, so the other searches never compile it."""
+pattern's kernel.  The occurrence fixes the separation bracket, so the
+orbit is read once.  `relations.thmC_witnesses` imports this module when
+it is called, so the other searches never compile it."""
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence
 
-from .brackets import DistBracket, bracket_scan
+from .brackets import DistBracket
 from .ladder import Rational, exact_fraction
 from .orbits import OrbitSource, OrbitView
 from .relations import _PROX, NotFoundInHorizonError, PairVerdict, _scan, _Search, _verdict
@@ -44,9 +45,8 @@ def thmC_witnesses(
         raise NotFoundInHorizonError(
             f"no block-alternating occurrence of length {need} within horizon {horizon}"
         )
-    found = match[0]
-    xs = x.read(found, found + need)
-    sep = found, bracket_scan([(xs, xs[q:])], 1, k, True)[1]
+    # at the occurrence each of the k terms differs from its q-shift by 1
+    sep = match[0], DistBracket(2 - Fraction(2) ** (1 - k), Fraction(2))
     return _verdict(delta, tau, (0, horizon), k, (0, q), prox=prox, sep=sep)
 
 

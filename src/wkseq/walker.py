@@ -11,9 +11,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 from operator import iadd, mul
-from typing import Iterable, Iterator
+from typing import Iterator
 
-from .ladder import ONE, ZERO, Ladder, _below, _copy, _value, eval_ratio
+from .ladder import ONE, ZERO, Ladder, _below, _copy
 
 #: Multiples of stretch(n) where level n's stretched copy changes form
 #: inside [-p[n], p[n]]: it is 0 on [-s, s] and [5s, 7s], 1 on [2s, 4s]
@@ -116,12 +116,10 @@ class VALUES:
         return (once * -(-len(r) // cycle))[:len(r)]
 
 
-def eval_block(ladder: Ladder, points: Iterable[int]) -> list[Fraction]:
-    """The limit profile at integer points of either sign, each at the least
-    level covering it, as `eval_ainf` reads it: a range of positive step folded
-    by `VALUES` over its `spans`, other points by `eval_ratio` one by one."""
-    if not isinstance(points, range) or points.step < 1:
-        return [_value(*eval_ratio(ladder.sizes, ladder.ensure_cover(x), x, 1)) for x in points]
+def eval_block(ladder: Ladder, points: range) -> list[Fraction]:
+    """The limit profile at the points of a range of positive step, of either
+    sign, each at the least level covering it, as `eval_ainf` reads it:
+    folded by `VALUES` over the range's `spans`."""
     out: list[Fraction] = []
     for n, lo, hi in spans(ladder, points.start, points[-1] + 1 if points else points.start):
         out += fold(ladder, n, range(lo + (points.start - lo) % points.step, hi, points.step), VALUES, len(points))

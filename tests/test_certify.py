@@ -137,7 +137,7 @@ def test_returns_level_one(lad):
 
 def test_returns_sampled_level_two(lad):
     p2 = lad.p(2)
-    grid = list(range(-p2, p2 + 1, (2 * p2) // 999))
+    grid = range(-p2, p2 + 1, (2 * p2) // 999)
     rep = check_returns(lad, 2, grid)
     assert rep.all_equal and rep.checked == len(grid)
     assert rep.left_shift == 2 * 3 * lad.L(3) * p2
@@ -145,15 +145,31 @@ def test_returns_sampled_level_two(lad):
 
 def test_returns_grid_out_of_range(lad):
     with pytest.raises(DomainError):
-        check_returns(lad, 0, [4])
+        check_returns(lad, 0, range(4, 5))
+    with pytest.raises(DomainError, match="grid point -4 outside"):
+        check_returns(lad, 0, range(3, -5, -1))
     with pytest.raises(ValueError, match="at least one grid point"):
-        check_returns(lad, 1, [])
+        check_returns(lad, 1, range(0))
 
 
 @pytest.mark.parametrize("grid", [[F(1, 2), 0.9, 1], [0, 1.0], ["1"], [F(2, 1)]])
 def test_returns_refuses_a_point_that_is_not_an_integer(lad, grid):
-    with pytest.raises(ValueError, match=r"grid point .* is not an integer"):
+    # a grid is a range of integers, and an end point an integer past it
+    with pytest.raises(ValueError, match="must be a range"):
         check_returns(lad, 0, grid)
+    for t in grid:
+        if not isinstance(t, int):
+            with pytest.raises(ValueError, match=r"end point .* is not an integer past the grid"):
+                check_returns(lad, 0, range(-3, -2), t)
+
+
+def test_returns_refuses_a_list_grid_and_an_end_point_not_past_the_grid(lad):
+    p = lad.p(1)
+    grid = range(-p, p + 1, 10)
+    for g, end in (([*grid], None), ([*grid], p), (iter(grid), None), (grid, grid[3]), (grid, grid[-1]),
+                   (grid[::-1], grid[0]), (grid[1:], -p), (range(0), p)):
+        with pytest.raises(ValueError):
+            check_returns(lad, 1, g, end)
 
 
 def test_returns_refuses_an_oversized_grid_before_sorting_it(lad):
@@ -162,8 +178,6 @@ def test_returns_refuses_an_oversized_grid_before_sorting_it(lad):
         check_returns(lad, 2, range(-5 * 10**6, 5 * 10**6))
     with pytest.raises(ValueError, match=str(certify.SCAN_LIMIT)):
         check_returns(lad, 2, range(-lad.p(2), lad.p(2) + 1))
-    with pytest.raises(ValueError, match=str(certify.SCAN_LIMIT)):
-        check_returns(lad, 2, iter(range(10**7)))
     assert time.perf_counter() - start < 0.5
     # a descending range is the same grid as the ascending one
     assert check_returns(lad, 1, range(243, -244, -1)) == check_returns(lad, 1, range(-243, 244))
@@ -172,26 +186,27 @@ def test_returns_refuses_an_oversized_grid_before_sorting_it(lad):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_returns_range_and_end_point_apart_match_their_list(lad, n, monkeypatch):
-    # the CLI's sampled grid is a range and the end point p[n] past it; any
-    # other end point is merged in as a list's would be
+    # the CLI's sampled grid is a range and the end point p[n] past it: the
+    # report is that of the list of the range's points in ascending order,
+    # then the end point, scanned point by point
     p = lad.p(n)
     step = next(s for s in range(2 * p // 97, 2 * p) if 2 * p % s)  # p is not on the progression
     grid = range(-p, p + 1, step)
-    for g, end in ((grid, p), (grid[::-1], p), (grid, grid[3]), (grid, grid[5] + 1), (grid[1:], -p),
-                   (range(0), p), (grid[:1], p)):
-        assert check_returns(lad, n, g, end) == check_returns(lad, n, [*g, end]), (g, end)
+    for g, end in ((grid, p), (grid[::-1], p), (grid[:4], grid[5] + 1), (grid[:1], p), (grid[:-1], grid[-1])):
+        rep = check_returns(lad, n, g, end)
+        points = [*sorted(g), end]
+        defect = _reference_defect(lad, points, (-rep.left_shift, rep.right_shift), first=True)[0]
+        assert (rep.checked, rep.all_equal, rep.first_mismatch) == (len(points), defect == 0, None), (g, end)
     # a mismatch planted at the end point, alone or after one in the range
     for planted in ({p}, {grid[7], p}):
         def read(ladder, ts):
-            ts = ts if isinstance(ts, range) else list(ts)
             return [F(1, 2) if t in planted else v for t, v in zip(ts, eval_block(ladder, ts))]
 
         with monkeypatch.context() as mp:
             mp.setattr(certify, "eval_block", read)
             rep = check_returns(lad, n, grid, p)
-            assert rep == check_returns(lad, n, [*grid, p])
         assert rep.first_mismatch == min(planted) and rep.checked == len(grid) + 1
-    with pytest.raises(ValueError, match=r"grid point Fraction\(1, 2\) is not an integer"):
+    with pytest.raises(ValueError, match=r"end point Fraction\(1, 2\) is not an integer"):
         check_returns(lad, n, grid, F(1, 2))
     with pytest.raises(DomainError, match=f"grid point {p + 1} outside"):
         check_returns(lad, n, grid, p + 1)
@@ -202,8 +217,8 @@ def test_returns_range_and_end_point_count_against_the_scan_limit(lad):
     full = range(-p2, -p2 + certify.SCAN_LIMIT)
     with pytest.raises(ValueError, match=str(certify.SCAN_LIMIT)):
         check_returns(lad, 2, full, p2)
-    with pytest.raises(ValueError, match=str(certify.SCAN_LIMIT)):
-        check_returns(lad, 2, [*full, p2])
+    assert check_returns(lad, 2, full[1:], p2).checked == certify.SCAN_LIMIT
+
 
 def test_wm_level_zero(lad):
     rep = check_wm_returns(lad, 0)
@@ -491,28 +506,30 @@ def test_scan_kernel_ties_and_early_return(monkeypatch):
     seen = []
 
     def read(points):
+        assert isinstance(points, range)
         seen.append(list(points))
-        return [F(values[t]) for t in seen[-1]]  # equal values, never one object
+        return [F(values[t]) for t in points]  # equal values, never one object
 
     for block in (1, 2, 4096):
         monkeypatch.setattr(ladder, "STREAM_BLOCK", block)
         # |f(t+1) - f(t)| over t = 0..6 is 2, 2, 5, 2, 3, 5, 4: the first 5 wins
         assert certify._max_defect(read, range(7), (1,)) == (5, 2)
-        assert certify._max_defect(read, [3, 5, 6], (-2, 1)) == (5, 1)
-        assert certify._max_defect(read, [0, 2], (0, 2)) == (3, 1)
-        assert certify._max_defect(read, [0], (2, 5)) == (0, 0)
+        assert certify._max_defect(read, range(3, 7, 2), (-2, 1)) == (5, 1)
+        assert certify._max_defect(read, range(0, 3, 2), (0, 2)) == (3, 1)
+        assert certify._max_defect(read, range(1), (2, 5)) == (0, 0)
         # the first nonzero defect in point order, then in each point's shift order
-        assert certify._max_defect(read, [0, 1], (2, 1), first=True) == (2, 0)
+        assert certify._max_defect(read, range(2), (2, 1), first=True) == (2, 0)
         seen.clear()
         assert certify._max_defect(read, range(1, 7), (1,), first=True) == (2, 0)
         # no block after the one holding the defect is read
         head = list(range(1, 7))[:block]
         assert seen == [head, [t + 1 for t in head]]
         seen.clear()
-        assert certify._max_defect(read, [5, 2, 3], (0, 1, -2), first=True) == (5, 0)
-        head = [5, 2, 3][:block]
-        assert seen == [head, head, [t + 1 for t in head], [t - 2 for t in head]]
-        assert certify._max_defect(read, [], (1,)) == (0, 0)
+        # at 4 the shift -3 moves the value by 1 before the shift 1 moves it by 3
+        assert certify._max_defect(read, range(4, 7), (0, -3, 1), first=True) == (1, 0)
+        head = list(range(4, 7))[:block]
+        assert seen == [head, head, [t - 3 for t in head], [t + 1 for t in head]]
+        assert certify._max_defect(read, range(0), (1,)) == (0, 0)
 
 
 def _reference_defect(lad, points, shifts, first=False, value=eval_ainf):
@@ -537,10 +554,10 @@ def test_block_scans_match_point_by_point_scan(lad, count):
         assert (rep.max_defect, rep.argmax_index) == _reference_defect(lad, range(count), (rep.shift,))
     p2 = lad.p(2)
     contiguous = range(-p2, -p2 + count)
-    # a contiguous grid, also given as an unordered list, is read by its
-    # structure; a stepped one point by point
+    # a contiguous grid, ascending or descending, and a stepped one are each
+    # read by the structure of alpha
     for grid in (contiguous, contiguous[::-1], range(-p2, p2 + 1, 2 * p2 // count)):
-        rep = check_returns(lad, 2, list(grid))
+        rep = check_returns(lad, 2, grid)
         defect = _reference_defect(lad, grid, (-rep.left_shift, rep.right_shift), first=True)[0]
         assert rep.all_equal == (defect == 0) and rep.checked == len(grid)
     for n in (0, 1):
@@ -564,49 +581,47 @@ def test_block_scans_match_point_by_point_scan(lad, count):
 
 
 def _return_grids(lad, n):
-    """Grids in [-p[n], p[n]]: scattered, contiguous, arithmetic, and the
-    CLI's sampled grid, an arithmetic one plus its end point p[n]."""
+    """Grids (range, end point) in [-p[n], p[n]]: scattered (a random start
+    and step), contiguous and descending, arithmetic, and the CLI's sampled
+    grid, an arithmetic one and its end point p[n] apart."""
     p, rng = lad.p(n), random.Random(n)
     step = next(s for s in range(2 * p // 97, 2 * p) if 2 * p % s)  # p is not on the progression
     return {
-        "scattered": rng.sample(range(-p, p + 1), 300),
-        "contiguous": list(range(lad.p(n - 1) - 200, lad.p(n - 1) + 200))[::-1],
-        "arithmetic": list(range(-p, p + 1, 2 * p // 98)),
-        "arithmetic-plus-end": [*range(-p, p + 1, step), p],
+        "scattered": (range(-p + rng.randrange(40), p + 1, rng.randrange(2 * p // 400 + 2, 2 * p // 150 + 3)), None),
+        "contiguous": (range(lad.p(n - 1) - 200, lad.p(n - 1) + 200)[::-1], None),
+        "arithmetic": (range(-p, p + 1, 2 * p // 98), None),
+        "arithmetic-plus-end": (range(-p, p + 1, step), p),
     }
 
 
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("kind", ["scattered", "contiguous", "arithmetic", "arithmetic-plus-end"])
 def test_returns_grids_match_point_by_point_scan(lad, n, kind, monkeypatch):
-    grid = _return_grids(lad, n)[kind]
-    points = sorted(set(grid))
-    rep = check_returns(lad, n, grid)
+    grid, end = _return_grids(lad, n)[kind]
+    points = [*sorted(grid), *([] if end is None else [end])]  # the order of the scan
+    rep = check_returns(lad, n, grid, end)
     shifts = (-rep.left_shift, rep.right_shift)
     assert rep.checked == len(points)
     assert rep.all_equal and _reference_defect(lad, points, shifts, first=True)[0] == 0
     # A value planted at grid points is a mismatch there: the report names
-    # the first one in grid order, in the arithmetic prefix or after it.
+    # the first one in the order of the scan, in the range or at its end.
     for planted in ({points[-1]}, {points[len(points) // 3], points[-1]}, {points[1], points[2]}):
         def read(ladder, ts):
-            ts = ts if isinstance(ts, range) else list(ts)
             return [F(1, 2) if t in planted else v for t, v in zip(ts, eval_block(ladder, ts))]
 
         def value(ladder, t):
             return F(1, 2) if t in planted else eval_ainf(ladder, t)
 
         monkeypatch.setattr(certify, "eval_block", read)
-        rep = check_returns(lad, n, grid)
+        rep = check_returns(lad, n, grid, end)
         defect, at = _reference_defect(lad, points, shifts, first=True, value=value)
         assert defect > 0 and not rep.all_equal
         assert rep.first_mismatch == points[at] == min(planted)
 
 
-@pytest.mark.parametrize("block", [7, 64, 4096])
-def test_ones_scan_of_alpha_matches_oracle(lad, block, monkeypatch):
+def test_ones_scan_of_alpha_matches_oracle(lad):
     # The runs of alpha 486k + 54 .. 486k + 111, with windows that end inside
-    # one, at its last one and after it, whatever the stream block.
-    monkeypatch.setattr(ladder, "STREAM_BLOCK", block)
+    # one, at its last one and after it.
     bits = [1 if oracles.seq_value(i) == 1 else 0 for i in range(4501)]
     for end in (486, 566, 597, 598, 4500):
         rep = check_ones_runs(lad, 1, end, mode="scan")

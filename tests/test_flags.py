@@ -7,6 +7,8 @@ import io
 import os
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -253,3 +255,35 @@ def test_a_long_digit_run_is_refused_alike_under_any_digit_limit(capsys, monkeyp
     finally:
         sys.set_int_max_str_digits(saved)
     assert errs[:3] == errs[3:]
+
+
+def test_a_far_exponent_is_refused_before_its_power_is_built(capsys, monkeypatch):
+    # Fraction would build 10**100000000 first, which takes minutes.  From
+    # 8600 on, a nonzero decimal's exponent alone makes 4300 digits, so such
+    # a value is refused at once; a zero mantissa reads as 0 at any exponent.
+    from argparse import ArgumentTypeError
+
+    import wkseq.relations_cli
+
+    monkeypatch.setattr(wkseq.relations_cli, "run", lambda *args: pytest.fail("searched"))
+    argv = "relations classify --a alpha --b ones --delta 1 --horizon 400 --k 8 --tau".split()
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        wkseq.console_main([*argv, "1e-100000000"])
+    assert time.perf_counter() - start < 1
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "argument --tau: numerator or denominator of 4300 digits or more" in err
+    for text in ("1e-100000000", "-2.5E+100000000", "1e8600", "0.001e-8600", "1_0e-9_000"):
+        with pytest.raises(ArgumentTypeError, match="4300 digits or more"):
+            flags._fraction_arg(text)
+    assert flags._fraction_arg("0e-100000000") == flags._fraction_arg(" -0.0E99999999999 ") == 0
+    # below the far exponents, the values and refusals of Fraction's own reading
+    assert flags._fraction_arg("1e-4299") == Fraction(1, 10**4299)
+    assert flags._fraction_arg("1e4299") == 10**4299
+    for text in ("1e-8599", "1e4300"):
+        with pytest.raises(ArgumentTypeError, match="4300 digits or more"):
+            flags._fraction_arg(text)
+    for text in ("1/2e9000", "1e", "e9000", "1e9000x"):
+        with pytest.raises(ArgumentTypeError, match="not a rational"):
+            flags._fraction_arg(text)

@@ -138,8 +138,8 @@ def test_explicit_schedule_window_matches_oracle():
     # the schedule really leaves powers of 3 behind
     assert any(v.denominator % 2 == 0 for v in block)
     # Longer than a period of b_0 (6) and of b_1 (2p[1]), so both are tiled,
-    # on each side of 0 and across +-p[1]; and a sampled grid, read point by
-    # point.
+    # on each side of 0 and across +-p[1]; and a sampled grid, a range read
+    # by its structure.
     for schedule in SCHEDULES:
         lad = _ladder(schedule)
         period = 2 * lad.p(1)

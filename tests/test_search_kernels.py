@@ -10,6 +10,7 @@ runs at two block sizes and is compared with `oracles` or with the plain
 loops below.
 """
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -261,6 +262,34 @@ def test_fixed_kernel_reports_only_a_strictly_better_time(seed, head, monkeypatc
         assert (found and (found[0], found[1].lo)) == expected
     with pytest.raises(ValueError):
         brackets.bracket_scan([(xs, target)], count, k, False, want_max=True)
+
+
+def _primes(below):
+    sieve = bytearray([1]) * below
+    for i in range(2, int(below ** 0.5) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(sieve[i * i::i]))
+    return [i for i in range(2, below) if sieve[i]]
+
+
+@pytest.mark.parametrize("sliding", [True, False], ids=["sliding", "fixed"])
+def test_block_denominator_bound_keeps_a_scan_small(sliding):
+    # Every value 1/p has a new prime denominator, so without BLOCK_DEN_BITS
+    # the 4096 times of one block would share a denominator of about 50 000
+    # bits, and the scan would peak at about 93 MB sliding, 31 MB fixed.
+    k = 32
+    xs = [F(1, p) for p in _primes(40000)[:4096 + k - 1]]  # the 4127th prime is 39199
+    ys = [F(1)] * (len(xs) if sliding else k)
+    tracemalloc.start()
+    try:
+        found = brackets.bracket_scan([(xs, ys)], 4096, k, sliding)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # |1/p - 1| grows with p, so time 0 is the nearest
+    lo = sum((1 - x) / 2**i for i, x in enumerate(xs[:k]))
+    assert found == (0, (lo, lo + F(2) ** (1 - k)))
+    assert peak < 1 << 20
 
 
 def test_constant_fixed_point_ties_everywhere():

@@ -191,10 +191,7 @@ from wkseq.walker import eval_block
 def returns(lad, n, samples):
     p = lad.p(n)
     g = range(-p, p + 1, 1 if samples is None else max(1, 2 * p // samples))
-    try:
-        return certify.check_returns(lad, n, g, None if g[-1] == p else p)
-    except TypeError:  # a checkout from before check_returns took the end point apart
-        return certify.check_returns(lad, n, g if g[-1] == p else [*g, p])
+    return certify.check_returns(lad, n, g, None if g[-1] == p else p)
 
 
 CALLS = {

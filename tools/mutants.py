@@ -216,8 +216,8 @@ MUTANTS = [
     # a rational flag of 4300 digits or more would make a report that Python
     # cannot print, after its search
     Mutant("rational_flags_without_the_digit_cap", "flags.py",
-           "        if max(abs(value.numerator), value.denominator) < 10**4300:\n",
-           "        if True:\n",
+           "        if not (far and value) and max(abs(value.numerator), value.denominator) < 10**4300:\n",
+           "        if not (far and value):\n",
            ("test_flags.py",)),
     # a run of 4300 digits is refused before Fraction reads it, so the
     # refusal does not depend on Python's integer string limit
@@ -225,6 +225,28 @@ MUTANTS = [
            '    if not re.search(r"\\d{4300}", text.replace("_", "")):\n',
            "    if True:\n",
            ("test_flags.py",)),
+    # a block of times ends once its common denominator passes the bound,
+    # so many coprime denominators do not make every sum grow
+    Mutant("block_denominator_without_its_bound", "brackets.py",
+           "BLOCK_DEN_BITS = 1024\n",
+           "BLOCK_DEN_BITS = 1 << 40\n",
+           ("test_search_kernels.py",)),
+    # a returns grid is scanned in ascending order, and its end point last
+    Mutant("returns_end_point_scanned_before_the_range", "certify.py",
+           "    for part in (points, tail):\n",
+           "    for part in (tail, points):\n",
+           ("test_certify.py",)),
+    # a sliding block's extreme is its first time that reaches it
+    Mutant("sliding_block_extreme_at_its_last_tie", "brackets.py",
+           "j = sums.index(n) if",
+           "j = len(sums) - 1 - sums[::-1].index(n) if",
+           ("test_relations.py", "test_search_kernels.py")),
+    # at an occurrence of thmC's word each of the k terms differs from its
+    # q-shift by 1: the separation bracket is [2 - 2^(1-k), 2]
+    Mutant("thmC_separation_width_halved", "thmc.py",
+           "DistBracket(2 - Fraction(2) ** (1 - k), Fraction(2))",
+           "DistBracket(2 - Fraction(2) ** -k, Fraction(2))",
+           ("test_relations.py", "test_search_kernels.py")),
     # only alpha's source reads the walker, so a window file's search
     # never compiles it
     Mutant("orbits_imports_the_walker_at_module_level", "orbits.py",
