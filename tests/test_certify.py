@@ -23,6 +23,7 @@ from wkseq import (
 )
 from wkseq.cli import console_main
 from wkseq.ladder import ONE, ZERO
+from wkseq.sequence import alpha_windows
 from wkseq.walker import eval_block
 
 
@@ -619,10 +620,16 @@ def test_returns_grids_match_point_by_point_scan(lad, n, kind, monkeypatch):
         assert rep.first_mismatch == points[at] == min(planted)
 
 
-def test_ones_scan_of_alpha_matches_oracle(lad):
+@pytest.mark.parametrize("block", [7, 64, 4096])
+def test_ones_scan_of_alpha_matches_oracle(lad, block, monkeypatch):
     # The runs of alpha 486k + 54 .. 486k + 111, with windows that end inside
-    # one, at its last one and after it.
+    # one, at its last one and after it.  The certificate reads no stream
+    # block; the oracle's ones are checked against alpha streamed in blocks of
+    # `block` values, whose edges fall inside runs and between them.
     bits = [1 if oracles.seq_value(i) == 1 else 0 for i in range(4501)]
+    monkeypatch.setattr(ladder, "STREAM_BLOCK", block)
+    streamed = [v for w in alpha_windows(lad, 0, 4501) for v in w.values]
+    assert [1 if v == 1 else 0 for v in streamed] == bits
     for end in (486, 566, 597, 598, 4500):
         rep = check_ones_runs(lad, 1, end, mode="scan")
         found = oracles.ones_runs_by_scan(bits[:end + 1])
