@@ -17,7 +17,8 @@ from math import lcm
 from operator import mul, sub
 from typing import NamedTuple, Sequence
 
-from .ladder import Rational
+#: An orbit read: integer numerators over the denominator it states, or Rationals where that is None.
+Read = tuple[Sequence, "int | None"]
 
 
 class DistBracket(NamedTuple("DistBracket", [("lo", Fraction), ("hi", Fraction)])):
@@ -39,27 +40,24 @@ class DistBracket(NamedTuple("DistBracket", [("lo", Fraction), ("hi", Fraction)]
 BLOCK_DEN_BITS = 1024
 
 
-def bracket_scan(
-    sides: Sequence[tuple[Sequence[Rational], Sequence[Rational]]],
-    count: int,
-    k: int,
-    sliding: bool,
-    want_max: bool = False,
-    best: Fraction | None = None,
-) -> tuple[int, DistBracket] | None:
+def bracket_scan(sides: Sequence[tuple[Read, Read]], count: int, k: int, sliding: bool, want_max: bool = False,
+                 best: Fraction | None = None) -> tuple[int, DistBracket] | None:
     """The first of the times 0 .. count-1 (count >= 1) with the smallest
     (with `want_max`, the largest) bracket, and that bracket.  Given `best`,
     the lower end of the best bracket of earlier times, only a strictly
     better bracket counts, and None means that no time has one.
 
-    The lower sum at time j is sum_{i<k} |xs[j+i] - ys[i + (j if sliding
-    else 0)]| / 2^i.  A sliding scan takes one side (xs, ys), whose two
+    Each side (x, y) holds two reads (values, den), as `OrbitSource` reads:
+    integer numerators over the denominator den, or Rationals where den is
+    None.  The lower sum at time j is sum_{i<k} |xs[j+i] - ys[i + (j if
+    sliding else 0)]| / 2^i.  A sliding scan takes one side, whose two
     points both move with j, and finds a block's first extreme in one pass
     over its sums.  A fixed-target scan compares the moving point of each
-    side with its fixed target ys[:k], takes the largest sum over the sides,
-    and is searched for a minimum only.  The scan stops at the first time
-    that reaches the bound (0, or 2 - 2^(1-k) with `want_max`), since no
-    later time can beat it.
+    side with its fixed target ys[:k], takes the largest sum over the
+    sides, and is searched for a minimum only.  The scan stops at the first
+    time that reaches the bound (0, or 2 - 2^(1-k) with `want_max`), since
+    no later time can beat it; a sliding block finds the first time whose k
+    differences all meet it with one `bytes.find`, and sums no further.
 
     A fixed-target minimum drops a time once it cannot win.  The weights
     halve, so the first HEAD terms carry all but 2^-HEAD of the weight:
@@ -69,61 +67,62 @@ def bracket_scan(
     the smallest time.
 
     Sums are exact integers over one common denominator per block of
-    times.  A block holds at least one full k-window and ends once that
-    denominator passes BLOCK_DEN_BITS bits; a best from an earlier block
-    enters a later one as the least integer sum that does not beat it.
-    The memory taken grows with count; the relation searches pass one
-    block of at most `ladder.STREAM_BLOCK` times.
+    times, and `best` enters each block as an integer bound.  Where every
+    read states its denominator, one block holds all the times, over their
+    lcm, each read scaled by its ratio to it once.  Otherwise a block holds
+    at least one full k-window and ends once its common denominator passes
+    BLOCK_DEN_BITS bits.  The memory taken grows with count; the relation
+    searches pass one block of at most `ladder.STREAM_BLOCK` times.
     """
     if want_max and not sliding:
         raise ValueError("a fixed-target search looks for a minimum")
     high = k - 1
     weights = [1 << (high - i) for i in range(k)]
     width = Fraction(2) ** (1 - k)
-    best_t = None
-    j0 = 0
+    stated = [d for side in sides for _, d in side]
+    best_t, j0, base = None, 0, lcm(*filter(None, stated))
     while j0 < count:
-        den = lcm(*(
-            v.denominator
-            for xs, ys in sides
-            for v in (*xs[j0:j0 + k], *(ys[j0:j0 + k] if sliding else ys[:k]))
-        ))
-        # Times j1 .. stop-1 add the values at j1+k-1 .. stop+k-2.  Runs of
-        # times join at once while the limit holds, and one at a time where a
-        # run would pass it, so the block ends at the same time either way.
-        j1, run = j0 + 1, 1
-        while j1 < count and den.bit_length() <= BLOCK_DEN_BITS:
-            stop = min(count, j1 + run)
-            grown = lcm(den, *(
-                v.denominator
-                for xs, ys in sides
-                for vs in ((xs, ys) if sliding else (xs,))
-                for v in vs[j1 + high:stop + high]
-            ))
-            if run > 1 and grown.bit_length() > BLOCK_DEN_BITS:
-                run = 1
-                continue
-            den, j1, run = grown, stop, 2 * run
+        den, j1 = base, count
+        if None in stated:  # an integer's denominator is 1, so only the Rationals' count here
+            den = lcm(base, *(v.denominator for (xs, _), (ys, _) in sides
+                              for v in (*xs[j0:j0 + k], *(ys[j0:j0 + k] if sliding else ys[:k]))))
+            # Times j1 .. stop-1 add the values at j1+k-1 .. stop+k-2.  Runs of
+            # times join at once while the limit holds, and one at a time where a
+            # run would pass it, so the block ends at the same time either way.
+            j1, run = j0 + 1, 1
+            while j1 < count and den.bit_length() <= BLOCK_DEN_BITS:
+                stop = min(count, j1 + run)
+                grown = lcm(den, *(v.denominator for (xs, _), (ys, _) in sides
+                                   for vs in ((xs, ys) if sliding else (xs,)) for v in vs[j1 + high:stop + high]))
+                if run > 1 and grown.bit_length() > BLOCK_DEN_BITS:
+                    run = 1
+                    continue
+                den, j1, run = grown, stop, 2 * run
 
-        def scaled(vs: Sequence[Rational]) -> list[int]:
-            return [v.numerator * (den // v.denominator) for v in vs]
+        def scaled(read: Read, a: int, b: int) -> list[int]:
+            vs, d = read[0][a:b], read[1]
+            return vs if d == den else [*map((den // d).__mul__, vs)] if d else [
+                v.numerator * (den // v.denominator) for v in vs]
 
         unit = den << high
+        # a sum beats `best` where it is above this floor (a maximum) or below this ceiling
+        floor = -1 if best is None else best.numerator * unit // best.denominator
+        ceiling = (1 << k) * den if best is None else -(-best.numerator * unit // best.denominator)
         if sliding:
             (xs, ys), = sides
-            diffs = list(map(abs, map(sub, scaled(xs[j0:j1 + high]), scaled(ys[j0:j1 + high]))))
+            diffs = [*map(abs, map(sub, scaled(xs, j0, j1 + high), scaled(ys, j0, j1 + high)))]
+            met = bytes(map(den.__eq__, diffs) if want_max else map(bool, diffs)).find(bytes([want_max]) * k)
+            if met >= 0:
+                del diffs[met + k:]
             n = sum(map(mul, diffs, weights))
             sums = [n]
             for old, new in zip(diffs, diffs[k:]):  # each k-window's sum from the last
                 n = ((n - old * weights[0]) << 1) + new
                 sums.append(n)
             n = max(sums) if want_max else min(sums)
-            lo = Fraction(n, unit)
-            j = sums.index(n) if best is None or (lo > best if want_max else lo < best) else None
+            j = sums.index(n) if (n > floor if want_max else n < ceiling) else None
         else:
-            ceiling = (1 << k) * den if best is None else -(-best.numerator * unit // best.denominator)
-            j, n = _fixed_min([(scaled(xs[j0:j1 + high]), scaled(ys[:k])) for xs, ys in sides],
-                              weights, ceiling)
+            j, n = _fixed_min([(scaled(xs, j0, j1 + high), scaled(ys, 0, k)) for xs, ys in sides], weights, ceiling)
         if j is not None:
             best_t, best = j0 + j, Fraction(n, unit)
             if n == (((1 << k) - 1) * den if want_max else 0):

@@ -17,19 +17,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from typing import Callable, NamedTuple, Sequence
+from math import lcm
+from operator import sub
+from typing import Callable, NamedTuple
 
-from .ladder import (
-    ZERO,
-    DomainError,
-    Ladder,
-    Rational,
-    eval_ainf,  # the runs module's spot-checks read it through this name
-    eval_b,
-    exact_fraction,
-)
+# eval_ainf: the runs module's spot-checks read it through this name
+from .ladder import ZERO, DomainError, Ladder, Rational, eval_ainf, eval_b, exact_fraction
 from .report import report_dict
-from .walker import eval_block
+from .walker import eval_block, over
 
 #: Every coordinate scan visits at most this many points; a larger scan is
 #: refused before it evaluates anything.  Every scan's points form a range,
@@ -51,37 +46,36 @@ def scan_points(points: range) -> range:
 
 
 def _max_defect(
-    read: Callable[[range], Sequence[Fraction]],
+    read: Callable[[range], tuple[list[int], int]],
     points: range,
     shifts: tuple[int, ...],
     first: bool = False,
 ) -> tuple[Fraction, int]:
     """Largest |f(t + s) - f(t)| over t in points and s in shifts, and the
     index of the first point that reaches it.  `read` gives f at a range of
-    points, and is handed at most `ladder.STREAM_BLOCK` of them at a time.
-    With `first`, the scan stops at the first nonzero defect, taking points
-    in order and each point's shifts in order."""
+    at most `ladder.STREAM_BLOCK` points as (numerators, den).  A block's
+    reads are scaled once to the lcm of their denominators and compared as
+    integers; only its worst defect becomes a Fraction.  With `first`, the
+    scan stops at the first nonzero defect, taking points in order and each
+    point's shifts in order."""
     from .ladder import STREAM_BLOCK as size  # read when the scan runs
 
     worst, worst_i = ZERO, 0
     points = scan_points(points)
     for b0 in range(0, len(points), size):
         block = points[b0:b0 + size]
-        here = read(block)
-        moved = [read(range(block.start + s, block.stop + s, block.step)) for s in shifts]
-        # list equality tries identity before ==, so blocks built from the
-        # same shared values compare without touching a Fraction
+        reads = [read(range(block.start + s, block.stop + s, block.step)) for s in (0, *shifts)]
+        den = lcm(*(d for _, d in reads))
+        here, *moved = (over(r, den) for r in reads)
         if all(map(here.__eq__, moved)):
             continue
-        for i, (h, *vs) in enumerate(zip(here, *moved), b0):
-            for v in vs:
-                if v is h or v == h:
-                    continue
-                defect = abs(v - h)
-                if defect > worst:
-                    worst, worst_i = defect, i
-                    if first:
-                        return worst, worst_i
+        gaps = [[*map(abs, map(sub, vs, here))] for vs in moved]
+        top = [*map(max, *gaps, gaps[0])]  # each point's largest defect
+        i = top.index(next(filter(None, top)) if first else max(top))
+        if first:  # the point's first nonzero defect, in the order of the shifts
+            return Fraction(next(filter(None, (g[i] for g in gaps))), den), b0 + i
+        if Fraction(top[i], den) > worst:
+            worst, worst_i = Fraction(top[i], den), b0 + i
     return worst, worst_i
 
 
@@ -148,9 +142,7 @@ class WMReport(NamedTuple):
 
 # -- shift defect and rigidity --------------------------------------------
 
-def check_shift_defect(
-    ladder: Ladder, n: int, m: int, grid_step: Rational
-) -> RigidityReport:
+def check_shift_defect(ladder: Ladder, n: int, m: int, grid_step: Rational) -> RigidityReport:
     """Bound |b_m(t + 2p[n]) - b_m(t)| on a grid over one full period of b_m
     against 1/n.  The level-0 bound is vacuous (no certification threshold
     exists there); such reports carry bound None and pass vacuously.
@@ -164,24 +156,16 @@ def check_shift_defect(
     displacement = 2 * ladder.p(n)
     # the grid -span, -span + step, ... <= span, in units of 1/den(step)
     den = grid_step.denominator
+    common = den * (ladder.stretch(m) if m else 1)  # every value of b_m at a multiple of 1/den is over this
     worst, worst_k = _max_defect(
-        lambda xs: [eval_b(ladder, m, Fraction(x, den)) for x in xs],
+        lambda xs: ([(v := eval_b(ladder, m, Fraction(x, den))).numerator * (common // v.denominator) for x in xs],
+                    common),
         range(-span * den, span * den + 1, grid_step.numerator),
         (displacement * den,),
     )
     bound = Fraction(1, n) if n >= 1 else None
-    passed = True if bound is None else worst < bound
-    return RigidityReport(
-        n=n,
-        shift=displacement,
-        tested_range=(-span, span),
-        max_defect=worst,
-        bound=bound,
-        passed=passed,
-        argmax_index=worst_k,
-        m=m,
-        grid_step=grid_step,
-    )
+    return RigidityReport(n=n, shift=displacement, tested_range=(-span, span), max_defect=worst, bound=bound,
+                          passed=bound is None or worst < bound, argmax_index=worst_k, m=m, grid_step=grid_step)
 
 
 def check_rigidity(ladder: Ladder, n: int, count: int) -> RigidityReport:
@@ -191,19 +175,10 @@ def check_rigidity(ladder: Ladder, n: int, count: int) -> RigidityReport:
     if count < 1:
         raise ValueError("need at least one index to check")
     displacement = 2 * ladder.p(n)
-    worst, worst_j = _max_defect(
-        partial(eval_block, ladder), range(count), (displacement,)
-    )
+    worst, worst_j = _max_defect(partial(eval_block, ladder), range(count), (displacement,))
     bound = Fraction(1, n)
-    return RigidityReport(
-        n=n,
-        shift=displacement,
-        tested_range=(0, count),
-        max_defect=worst,
-        bound=bound,
-        passed=worst < bound,
-        argmax_index=worst_j,
-    )
+    return RigidityReport(n=n, shift=displacement, tested_range=(0, count), max_defect=worst, bound=bound,
+                          passed=worst < bound, argmax_index=worst_j)
 
 
 # -- certified returns -----------------------------------------------------
@@ -234,19 +209,11 @@ def check_returns(ladder: Ladder, n: int, grid: range, end: int | None = None) -
         defect, at = _max_defect(partial(eval_block, ladder), part, (-left, left - 1), first=True)
         if defect:
             break
-    return ReturnReport(
-        n=n,
-        left_shift=left,
-        right_shift=left - 1,
-        checked=len(points) + len(tail),
-        all_equal=defect == 0,
-        first_mismatch=part[at] if defect else None,
-    )
+    return ReturnReport(n=n, left_shift=left, right_shift=left - 1, checked=len(points) + len(tail),
+                        all_equal=defect == 0, first_mismatch=part[at] if defect else None)
 
 
-def check_wm_returns(
-    ladder: Ladder, n: int, eps: Rational | None = None
-) -> WMReport:
+def check_wm_returns(ladder: Ladder, n: int, eps: Rational | None = None) -> WMReport:
     """Certify that N = 2*splice(n+1) - 1 and N + 1 both return the start
     cylinder: the N-shifted sequence repeats coordinates 0..p[n] exactly,
     and the backward extension by N + 1 shifts onto the sequence exactly.
@@ -258,24 +225,14 @@ def check_wm_returns(
         if eps <= 0:
             raise ValueError("tolerance must be positive")
     agree = range(p_n + 1)
-    forward, backward = (
-        _max_defect(partial(eval_block, ladder), agree, (s,), first=True)[0] == 0
-        for s in (big_n, -big_n - 1)
-    )
+    forward, backward = (_max_defect(partial(eval_block, ladder), agree, (s,), first=True)[0] == 0
+                         for s in (big_n, -big_n - 1))
     # 2**p_n is built only once the scans fit the limit
     dist_hi = Fraction(1, 2**p_n)  # zero partial sum plus tail bound 2^(1-(p_n+1))
     if eps is None:
         eps = 4 * dist_hi  # twice the unavoidable bracket width
-    return WMReport(
-        n=n,
-        N=big_n,
-        agree_len=p_n + 1,
-        forward_exact=forward,
-        backward_exact=backward,
-        dist_hi=dist_hi,
-        eps=eps,
-        passed=forward and backward and dist_hi < eps,
-    )
+    return WMReport(n=n, N=big_n, agree_len=p_n + 1, forward_exact=forward, backward_exact=backward,
+                    dist_hi=dist_hi, eps=eps, passed=forward and backward and dist_hi < eps)
 
 
 # -- ones runs -------------------------------------------------------------

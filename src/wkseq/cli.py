@@ -43,11 +43,9 @@ EXIT_CRASH = 3
 
 def _cmd_gen(args: SimpleNamespace, ladder: Ladder) -> int:
     """Stream the window in pieces, in memory that does not grow with its length."""
-    from .sequence import alpha_windows
-    from .writer import window_chunks
+    from .writer import alpha_windows, window_chunks
 
-    windows = alpha_windows(ladder, args.start, args.count)
-    chunks = window_chunks(windows, args.format, args.decimals)
+    chunks = window_chunks(alpha_windows(ladder, args.start, args.count), args.format, args.decimals)
     if args.out:
         with open(args.out, "w") as fh:
             fh.writelines(chunks)

@@ -13,10 +13,9 @@ Only a CSV read imports this module, and with it `csv`.
 from __future__ import annotations
 
 import csv
-import io
 from typing import Iterator, TextIO
 
-from .readers import _Values
+from .readers import Text, _Values
 from .seqio import CSV_HEADER, WindowFormatError, index_runs
 from .sequence import SeqWindow
 
@@ -35,7 +34,7 @@ def csv_window(stream: TextIO) -> SeqWindow:
     canonical shape is parsed one record at a time, with the lines that a
     quoted field carries past its end; the next block is tried in
     canonical shape again."""
-    header = next(csv.reader(stream), None)  # reads the header's lines and no more
+    header = next(csv.reader(iter(stream.readline, "")), None)  # reads the header's lines and no more
     if header is None:
         raise WindowFormatError("empty file")
     if tuple(header[:3]) != CSV_HEADER:
@@ -82,7 +81,7 @@ def _records(text: str, stream: TextIO) -> Iterator[list[str]]:
     record whose quoted field is still open at the end of the text takes
     the lines of `stream` it spans."""
     def lines():
-        yield from io.StringIO(text)
+        yield from iter(Text(text).readline, "")
         # the reader asks past the text for a new record only once the last
         # one is out, at its line count; for more of an open one, past it
         while reader.line_num > ended and (line := stream.readline()):

@@ -30,7 +30,7 @@ BASE_HALF_PERIOD = 3
 #: Largest bit length a level size may be predicted to take.  Under the
 #: default policy level 12 (about 1.7 million bits) fits and level 13 does not.
 MAX_LEVEL_BITS = 1 << 22
-#: Points per block of a certificate scan, values per window `alpha_windows` yields, and
+#: Points per block of a certificate scan, values per block `writer.alpha_windows` yields, and
 #: times per block of a relation search: each then takes the same memory at any length.
 STREAM_BLOCK = 4096
 

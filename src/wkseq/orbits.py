@@ -12,44 +12,41 @@ to ask again.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
-from typing import Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
+from .brackets import BLOCK_DEN_BITS, Read
 from .ladder import Ladder, Rational, exact_fraction
-from .sequence import SeqWindow
+if TYPE_CHECKING:  # a search on alpha compiles no window class
+    from .sequence import SeqWindow
 
 
 class OrbitSource:
     """Lazy coordinate access to a one-sided orbit point.
 
     length is None for sources that can produce arbitrarily many
-    coordinates.  The `read` callback returns coordinates start .. stop-1;
-    `read` checks them against the bounds before calling it.  The optional
+    coordinates.  The `read` callback returns coordinates start .. stop-1
+    as (values, den), integer numerators over a denominator it states:
+    alpha's as `walker.eval_block` states it, a constant's its own, a
+    window file's the lcm of its values' denominators, or where that passes
+    `brackets.BLOCK_DEN_BITS`, den None and its Fractions.  `read` checks
+    the bounds before calling it.  The optional
     `repeat` callback states the stretch from coordinate i: `repeat(i)` is
     (period, stop), with stop > i where the next stretch begins (None: no
     end), and x[j] == x[j + period] for every i <= j < stop - period, or
     period None where the source does not repeat from i.
     """
 
-    def __init__(
-        self,
-        read: Callable[[int, int], Sequence[Fraction]],
-        length: int | None = None,
-        repeat: Callable[[int], tuple[int | None, int | None]] = lambda i: (None, None),
-    ):
-        self.length = length
-        self._read = read
-        self.repeat = repeat
+    def __init__(self, read: Callable[[int, int], Read], length: int | None = None,
+                 repeat: Callable[[int], tuple[int | None, int | None]] = lambda i: (None, None)):
+        self.length, self._read, self.repeat = length, read, repeat
 
-    def read(self, start: int, stop: int) -> Sequence[Fraction]:
-        """Coordinates start .. stop-1."""
+    def read(self, start: int, stop: int) -> Read:
+        """Coordinates start .. stop-1, as (values, den)."""
         if start < 0:
             raise IndexError("orbit coordinates are nonnegative")
         if self.length is not None and stop > self.length:
-            raise IndexError(
-                f"coordinate {stop - 1} beyond orbit data of length {self.length}"
-            )
+            raise IndexError(f"coordinate {stop - 1} beyond orbit data of length {self.length}")
         return self._read(start, stop)
 
 
@@ -112,11 +109,18 @@ def tail_period(window: SeqWindow) -> tuple[int, int] | None:
 
 
 def window_source(window: SeqWindow) -> OrbitSource:
-    """A window file's values, read off its codes.  They repeat with the
-    least period of the file's tail from where the file starts keeping it,
-    and not before; `tail_period` finds both the first time a search asks."""
-    codes, table = window._codes, window._distinct
-    found = []
+    """A window file's values, read off its codes, each distinct value
+    scaled once to the lcm of their denominators where that lcm fits
+    `BLOCK_DEN_BITS`.  They repeat with the least period of the file's tail
+    from where the file starts keeping it, and not before; `tail_period`
+    finds both the first time a search asks."""
+    codes, table, found, den = window._codes, window._distinct, [], 1
+    for v in table:
+        if (den := lcm(den, v.denominator)).bit_length() > BLOCK_DEN_BITS:  # each search block finds its own
+            scaled, den = table, None
+            break
+    else:
+        scaled = [v.numerator * (den // v.denominator) for v in table]
 
     def repeat(i: int) -> tuple[int | None, int]:
         if not found:
@@ -124,12 +128,12 @@ def window_source(window: SeqWindow) -> OrbitSource:
         period, first = found[0]
         return (period, len(codes)) if i >= first else (None, first)
 
-    return OrbitSource(lambda a, b: list(map(table.__getitem__, codes[a:b])), len(codes), repeat)
+    return OrbitSource(lambda a, b: ([*map(scaled.__getitem__, codes[a:b])], den), len(codes), repeat)
 
 
 def constant_source(value: Rational) -> OrbitSource:
     v = exact_fraction(value)
-    return OrbitSource(lambda a, b: [v] * (b - a), repeat=lambda i: (1, None))
+    return OrbitSource(lambda a, b: ([v.numerator] * (b - a), v.denominator), repeat=lambda i: (1, None))
 
 
 def ones_source() -> OrbitSource:
@@ -151,8 +155,8 @@ class OrbitView(NamedTuple("OrbitView", [("source", OrbitSource), ("shift", int)
             raise ValueError("view shift must be nonnegative")
         return super().__new__(cls, source, shift)
 
-    def read(self, start: int, stop: int) -> Sequence[Fraction]:
-        """Values at times start .. stop-1."""
+    def read(self, start: int, stop: int) -> Read:
+        """Values at times start .. stop-1, as (values, den)."""
         return self.source.read(self.shift + start, self.shift + stop)
 
     def max_time(self, k: int) -> int | None:

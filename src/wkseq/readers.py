@@ -1,13 +1,31 @@
-"""The value codes both window readers share, `wkseq.csv_reader` and
-`wkseq.json_reader`: each row's value is coded through `_Values`, so both
-readers, on either of their paths, give the same window for the same
-values.  Only a window read imports this module."""
+"""What both window readers, `wkseq.csv_reader` and `wkseq.json_reader`,
+share: `Text`, which reads a string as they read a stream, and `_Values`,
+which codes each row's value, so both readers, on either path, give the
+same window for the same values.  Only a window read imports this module."""
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable
 
 from .sequence import code_array
+
+
+class Text:
+    """A string read as a text stream (`read(n)`, `readline`, `seek(0)`),
+    without `io.StringIO`'s copy at 4 bytes a character."""
+
+    def __init__(self, text: str):
+        self.text, self.at = text, 0
+
+    def read(self, n: int = -1) -> str:
+        start, self.at = self.at, len(self.text) if n < 0 else min(len(self.text), self.at + n)
+        return self.text[start:self.at]
+
+    def readline(self) -> str:  # to the next newline, else (a count <= 0) to the end
+        return self.read(self.text.find("\n", self.at) + 1 - self.at or -1)
+
+    def seek(self, at: int) -> None:
+        self.at = at
 
 
 class _Values(dict):

@@ -9,13 +9,12 @@ labeled inconclusive rather than refuted.
 
 All searches of one call share one block loop, `_scan`.  It walks the time
 range in blocks of `ladder.STREAM_BLOCK` times, reads each view once per
-block and hands that read to each search's kernel: `brackets.bracket_scan`,
-the one place a bracket sum is computed, or `thmc.occurrence_scan` for
-thmC's pattern.  So a search holds at most one block of each orbit at any
-horizon.  Ties always prefer the smallest time.  Each orbit states where
-its stretches begin and which of them repeat (see `orbits`); where
-every orbit a search reads repeats, the search scans one period of the
-stretch and jumps to where its windows leave it.
+block, as integers over the denominator the read states, and hands that
+read to each search's kernel: `brackets.bracket_scan`, the one place a
+bracket sum is computed, or `thmc.occurrence_scan` for thmC's pattern.  So
+a search holds at most one block of each orbit at any horizon, and ties
+prefer the smallest time.  Where every orbit a search reads repeats (see
+`orbits`), it scans one period of the stretch and jumps past it.
 
 classify's searches are here.  thmB's and thmC's are in `wkseq.thmb` and
 `wkseq.thmc`, behind the front doors `thmB_witnesses` and `thmC_witnesses`,
@@ -63,7 +62,7 @@ class _Search(NamedTuple):
     """One search of a `_scan`: its first time, its window length, its
     kernel, `occurrence_scan` or a kind of `bracket_scan`, and its sides,
     the function that gives the (x, y) pairs the kernel compares from one
-    block's reads, with its own first time at index 0."""
+    block's reads, each (values, den), with its own first time at index 0."""
 
     first: int
     k: int
@@ -111,7 +110,7 @@ def _scan(
             if done[i] or s.first >= t1:
                 continue
             skip = max(0, s.first - t0)
-            sides = s.sides([r[skip:] for r in reads] if skip else reads)
+            sides = s.sides([(vs[skip:], d) for vs, d in reads] if skip else reads)
             if found := s.scan(sides, t1 - t0 - skip, s.k, best=best[i] and best[i][1].lo):
                 best[i] = t0 + skip + found[0], found[1]
                 done[i] = found[1].hi == 2 if s.scan is _SEP else found[1].lo == 0

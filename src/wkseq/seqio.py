@@ -15,11 +15,11 @@ reader.
 """
 from __future__ import annotations
 
-import io
 from functools import cache
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from .sequence import SeqWindow
+if TYPE_CHECKING:  # `gen` writes alpha's blocks, and compiles no window class
+    from .sequence import SeqWindow
 
 WINDOW_SCHEMA = "wk-window/1"
 CSV_HEADER = ("index", "value_num", "value_den")
@@ -59,9 +59,9 @@ def dumps_csv(window: SeqWindow, decimals: int = 0) -> str:
 
 
 def loads_csv(text: str) -> SeqWindow:
-    from .csv_reader import csv_window  # only a CSV read compiles the CSV reader
+    from .csv_reader import Text, csv_window  # only a CSV read compiles the CSV reader
 
-    return csv_window(io.StringIO(text))
+    return csv_window(Text(text))
 
 
 def dumps_json(window: SeqWindow) -> str:
@@ -72,8 +72,9 @@ def dumps_json(window: SeqWindow) -> str:
 
 def loads_json(text: str) -> SeqWindow:
     from .json_reader import json_window
+    from .readers import Text
 
-    return json_window(io.StringIO(text))
+    return json_window(Text(text))
 
 
 def load_window(path: str) -> SeqWindow:
@@ -82,7 +83,9 @@ def load_window(path: str) -> SeqWindow:
     read, never held whole, but for a JSON file that needs the exact path,
     or a pipe, which is read whole, since the readers go back to its start."""
     with open(path, encoding="utf-8") as fh:
-        stream = fh if fh.seekable() else io.StringIO(fh.read())
+        from .readers import Text
+
+        stream = fh if fh.seekable() else Text(fh.read())
         while (lead := stream.read(64)).isspace():
             pass
         stream.seek(0)

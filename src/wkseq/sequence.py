@@ -2,17 +2,16 @@
 
 A `SeqWindow` is a finite, exactly-valued view of a one-sided sequence of
 rationals in [0, 1]; `alpha_window` reads a range of alpha into one through
-`walker.eval_block`, and `alpha_windows` streams a long range as
-consecutive windows.  Only those two import the walker, so a search on a
-window file never compiles it.
+`walker.eval_block`, which only it imports, so a search on a window file
+never compiles the walker.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
-from typing import Iterable, Iterator, MutableSequence, Sequence
+from typing import Iterable, MutableSequence, Sequence
 
-from .ladder import DomainError, Ladder, eval_ainf
+from .ladder import DomainError, Ladder, _value, eval_ainf
 
 
 def code_array(distinct: int, codes: list[int]) -> MutableSequence[int]:
@@ -37,8 +36,7 @@ class SeqWindow:
     __slots__ = ("offset", "_codes", "_distinct")
 
     def __init__(self, offset: int, values: Sequence[Fraction]):
-        # one code per object, the next free one at its first row: eval_block
-        # shares one object per value
+        # one code per object, the next free one at its first row
         codes: dict[int, int] = {}
         rows = [*map(codes.setdefault, map(id, values), map(len, repeat(codes)))]
         self._fill(offset, code_array(len(codes), rows), dict(zip(rows, values)).values())
@@ -96,18 +94,14 @@ def alpha(ladder: Ladder, i: int) -> Fraction:
 
 
 def alpha_window(ladder: Ladder, start: int, length: int) -> SeqWindow:
-    """alpha(start) .. alpha(start + length - 1), read by alpha's structure."""
+    """alpha(start) .. alpha(start + length - 1), read by alpha's structure:
+    its numerators are coded through a dict, one Fraction per distinct one."""
     if not isinstance(start, int) or start < 0:
         raise DomainError("sequence coordinates are nonnegative integers")
     from .walker import eval_block
 
-    return SeqWindow(start, eval_block(ladder, range(start, start + length)))
+    nums, den = eval_block(ladder, range(start, start + length))
+    codes: dict[int, int] = {}
+    rows = [*map(codes.setdefault, nums, map(len, repeat(codes)))]
+    return SeqWindow._from_codes(start, code_array(len(codes), rows), [_value(n, den) for n in codes])
 
-
-def alpha_windows(ladder: Ladder, start: int, length: int) -> Iterator[SeqWindow]:
-    """The window of alpha at start .. start + length - 1 as consecutive
-    windows of at most `ladder.STREAM_BLOCK` values."""
-    from .ladder import STREAM_BLOCK
-
-    for i in range(start, start + length, STREAM_BLOCK):
-        yield alpha_window(ladder, i, min(STREAM_BLOCK, start + length - i))

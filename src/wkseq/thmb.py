@@ -12,7 +12,7 @@ from .relations import _FIXED, PairVerdict, _check_span, _scan, _Search, _verdic
 
 def _shifted(m: int, n: int, home_m: Sequence, home_n: Sequence) -> Callable:
     """Sides comparing the orbit from shifts m and n with fixed targets."""
-    return lambda reads: [(reads[0][m:], home_m), (reads[0][n:], home_n)]
+    return lambda reads: [((reads[0][0][m:], reads[0][1]), home_m), ((reads[0][0][n:], reads[0][1]), home_n)]
 
 
 def thmB_witnesses(

@@ -7,7 +7,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .brackets import DistBracket
+from .brackets import DistBracket, Read
 from .ladder import Rational, exact_fraction
 from .orbits import OrbitSource, OrbitView
 from .relations import _PROX, NotFoundInHorizonError, PairVerdict, _scan, _Search, _verdict
@@ -39,7 +39,7 @@ def thmC_witnesses(
     # the shifted pair reads coordinates up to top + q + k - 1, as the word does
     match, prox = _scan([OrbitView(x)], need, 0, top, [
         _Search(0, need, occurrence_scan, lambda reads: [(reads[0], word)]),
-        _Search(0, k, _PROX, lambda reads: [(reads[0], reads[0][q:])]),
+        _Search(0, k, _PROX, lambda reads: [(reads[0], (reads[0][0][q:], reads[0][1]))]),
     ])
     if match is None:
         raise NotFoundInHorizonError(
@@ -51,19 +51,19 @@ def thmC_witnesses(
 
 
 def occurrence_scan(
-    sides: Sequence[tuple[Sequence[Rational], str]], count: int, k: int, best: Fraction | None = None
+    sides: Sequence[tuple[Read, str]], count: int, k: int, best: Fraction | None = None
 ) -> tuple[int, DistBracket] | None:
     """The first of the times 0 .. count-1 at which xs[j:j+k] is exactly
     the 0/1 word of the one side (xs, word), and its bracket [0, 2^(1-k)],
     which no time beats; or None where the word does not occur, whatever
     `best`.
 
-    Each distinct value object of xs is coded once, by value, as "0", "1"
-    or "x" for any other value, and `str.find` searches the code for the
-    word in linear time."""
-    (xs, word), = sides
-    code = dict(zip(map(id, xs), xs))
-    for i, v in code.items():
-        code[i] = "0" if v == 0 else "1" if v == 1 else "x"
-    j = "".join(map(code.__getitem__, map(id, xs))).find(word, 0, count + k - 1)
+    Each distinct value of the read (xs, den) is coded once, "0" or "1"
+    where it equals 0 or den (1 where den is None), else "x", and `str.find`
+    searches the code for the word in linear time."""
+    ((xs, den), word), = sides
+    code = dict.fromkeys(xs)
+    for v in code:
+        code[v] = "0" if v == 0 else "1" if v == (den or 1) else "x"
+    j = "".join(map(code.__getitem__, xs)).find(word, 0, count + k - 1)
     return None if j < 0 else (j, DistBracket(Fraction(0), Fraction(2) ** (1 - k)))

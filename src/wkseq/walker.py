@@ -8,9 +8,7 @@ by count: `eval_block` folds the values, and the ones certificate its runs.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
-from operator import iadd, mul
 from typing import Iterator
 
 from .ladder import ONE, ZERO, Ladder, _below, _copy
@@ -96,31 +94,50 @@ def _periodized(ladder, m, r, alg, size, memoised=True):
     return out
 
 
-class VALUES:
-    """`eval_block`'s algebra, whose summary is the list of values.  A read
-    of a memoised period is cut out of it, so reads share one object per
-    point of it, and repeats after period / gcd(period, step) points."""
+def over(read, den):
+    """The numerators of a read (numerators, d) over den, a multiple of d,
+    each distinct one scaled once, so that equal values share one int."""
+    if read[1] == den:
+        return read[0]
+    distinct = dict.fromkeys(read[0])
+    return [*map(dict(zip(distinct, map((den // read[1]).__mul__, distinct))).__getitem__, read[0])]
 
-    join, repeat = iadd, mul
+
+class VALUES:
+    """`eval_block`'s algebra, whose summary is (numerators, den): integers
+    over the stretch of the highest level whose ramp it holds, or 1.  These
+    divide one another, so a join scales the coarser part once.  A read of
+    a memoised period is cut out of its integer tile, and repeats after
+    period / gcd(period, step) points."""
 
     def flat(value, points):
-        return [value] * len(points)
+        return [value.numerator] * len(points), 1
 
-    def ramp(copies, s, below):
-        return [v if c <= 0 or c * v.denominator <= v.numerator * s else Fraction(c, s) for c, v in zip(copies, below)]
+    def join(a, b):
+        xs = over(a, d := max(a[1], b[1]))
+        xs += over(b, d)
+        return xs, d
 
-    def cut(tile, r):
-        period, d = len(tile), r.step
+    def ramp(copies, s, below):  # the larger of the copy, in units of 1/s, and the level below
+        return [*map(max, copies, over(below, s))], s
+
+    def cut(summary, r):
+        (tile, den), d = summary, r.step
+        period = len(tile)
         j, cycle = (r.start + period // 2) % period, period // gcd(d, period)
         once = tile[j:] + tile[:j] if d == 1 else [tile[x % period] for x in range(j, j + min(cycle, len(r)) * d, d)]
-        return (once * -(-len(r) // cycle))[:len(r)]
+        return (once * -(-len(r) // cycle))[:len(r)], den
 
 
-def eval_block(ladder: Ladder, points: range) -> list[Fraction]:
+def eval_block(ladder: Ladder, points: range) -> tuple[list[int], int]:
     """The limit profile at the points of a range of positive step, of either
-    sign, each at the least level covering it, as `eval_ainf` reads it:
-    folded by `VALUES` over the range's `spans`."""
-    out: list[Fraction] = []
+    sign, each at the least level covering it, as `eval_ainf` reads it, as
+    (numerators, den): folded by `VALUES` over the range's `spans`.  den is
+    never the stretch of the level covering the read (at level 12 it has
+    about 1.7 million bits), but that of the highest level whose ramp the
+    read, or a memoised period it cuts, meets; or 1 where it meets none."""
+    out = [], 1
     for n, lo, hi in spans(ladder, points.start, points[-1] + 1 if points else points.start):
-        out += fold(ladder, n, range(lo + (points.start - lo) % points.step, hi, points.step), VALUES, len(points))
+        r = range(lo + (points.start - lo) % points.step, hi, points.step)
+        out = VALUES.join(out, fold(ladder, n, r, VALUES, len(points)))
     return out

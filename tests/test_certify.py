@@ -23,7 +23,7 @@ from wkseq import (
 )
 from wkseq.cli import console_main
 from wkseq.ladder import ONE, ZERO
-from wkseq.sequence import alpha_windows
+from wkseq.writer import alpha_windows
 from wkseq.walker import eval_block
 
 
@@ -201,7 +201,8 @@ def test_returns_range_and_end_point_apart_match_their_list(lad, n, monkeypatch)
     # a mismatch planted at the end point, alone or after one in the range
     for planted in ({p}, {grid[7], p}):
         def read(ladder, ts):
-            return [F(1, 2) if t in planted else v for t, v in zip(ts, eval_block(ladder, ts))]
+            nums, den = eval_block(ladder, ts)
+            return [den if t in planted else 2 * v for t, v in zip(ts, nums)], 2 * den  # 1/2 at each planted t
 
         with monkeypatch.context() as mp:
             mp.setattr(certify, "eval_block", read)
@@ -509,7 +510,7 @@ def test_scan_kernel_ties_and_early_return(monkeypatch):
     def read(points):
         assert isinstance(points, range)
         seen.append(list(points))
-        return [F(values[t]) for t in points]  # equal values, never one object
+        return [values[t] for t in points], 1  # integers over the denominator 1
 
     for block in (1, 2, 4096):
         monkeypatch.setattr(ladder, "STREAM_BLOCK", block)
@@ -608,7 +609,8 @@ def test_returns_grids_match_point_by_point_scan(lad, n, kind, monkeypatch):
     # the first one in the order of the scan, in the range or at its end.
     for planted in ({points[-1]}, {points[len(points) // 3], points[-1]}, {points[1], points[2]}):
         def read(ladder, ts):
-            return [F(1, 2) if t in planted else v for t, v in zip(ts, eval_block(ladder, ts))]
+            nums, den = eval_block(ladder, ts)
+            return [den if t in planted else 2 * v for t, v in zip(ts, nums)], 2 * den  # 1/2 at each planted t
 
         def value(ladder, t):
             return F(1, 2) if t in planted else eval_ainf(ladder, t)
@@ -628,8 +630,8 @@ def test_ones_scan_of_alpha_matches_oracle(lad, block, monkeypatch):
     # `block` values, whose edges fall inside runs and between them.
     bits = [1 if oracles.seq_value(i) == 1 else 0 for i in range(4501)]
     monkeypatch.setattr(ladder, "STREAM_BLOCK", block)
-    streamed = [v for w in alpha_windows(lad, 0, 4501) for v in w.values]
-    assert [1 if v == 1 else 0 for v in streamed] == bits
+    streamed = [v == den for _, nums, den in alpha_windows(lad, 0, 4501) for v in nums]
+    assert streamed == bits
     for end in (486, 566, 597, 598, 4500):
         rep = check_ones_runs(lad, 1, end, mode="scan")
         found = oracles.ones_runs_by_scan(bits[:end + 1])

@@ -477,10 +477,11 @@ READERS = " wkseq.readers wkseq.csv_reader wkseq.json_reader"
 WINDOW_FILES = " wkseq.seqio wkseq.writer csv" + READERS
 WINDOW_AND_SEARCH = ("wkseq.sequence wkseq.orbits wkseq.brackets wkseq.relations wkseq.relations_cli"
                      " wkseq.thmb wkseq.thmc wkseq.plfunc" + WINDOW_FILES + SETTINGS)
-ALPHA_SEARCH = "wkseq.certify wkseq.runs wkseq.plfunc wkseq.thmc" + WINDOW_FILES + SETTINGS
+# a search on alpha, and gen, compile no window class: alpha is read as integers
+ALPHA_SEARCH = "wkseq.sequence wkseq.certify wkseq.runs wkseq.plfunc wkseq.thmc" + WINDOW_FILES + SETTINGS
 FILE_SEARCH = "wkseq.walker wkseq.writer wkseq.certify wkseq.runs wkseq.plfunc" + SETTINGS
 NOT_IMPORTED = {
-    "gen --len 6": "json csv wkseq.certify wkseq.runs wkseq.relations wkseq.plfunc wkseq.report"
+    "gen --len 6": "json csv wkseq.sequence wkseq.certify wkseq.runs wkseq.relations wkseq.plfunc wkseq.report"
     " wkseq.relations_cli wkseq.thmb wkseq.thmc" + READERS + SETTINGS,
     "verify wm --n 1": "wkseq.runs " + WINDOW_AND_SEARCH,
     "verify rigidity --n 1 --count 486": "wkseq.runs " + WINDOW_AND_SEARCH,

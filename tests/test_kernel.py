@@ -2,9 +2,12 @@
 
 Every expected value comes from `tests/oracles.py`, which shares no code
 with the package, on the default ladder and on an explicit schedule whose
-level sizes and stretches are not powers of 3.
+level sizes and stretches are not powers of 3.  `eval_block` reads integer
+numerators over a denominator it states; `_values` checks that denominator
+against the rule and turns the read into Fractions.
 """
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 import oracles
 from fixtures import profile
 from wkseq import DomainError, eval_ainf, eval_b, ladder_new
-from wkseq.ladder import ONE, ZERO, _below, _copy
+from wkseq.ladder import _below, _copy
 from wkseq.walker import VALUES, eval_block, pieces
 from wkseq.orbits import alpha_source
 from wkseq.sequence import alpha_window
@@ -43,16 +46,27 @@ def _breakpoints(lad, n):
     return [p, -p, lad.splice(n), *(k * s for k in (-8, -7, -5, -4, -2, -1, 1, 2, 4, 5, 7, 8))]
 
 
+def _values(lad, r):
+    """eval_block at the points of r, as Fractions, once the read is checked:
+    integer numerators over 1 or the stretch of a level no higher than the
+    one covering r, which every value's denominator divides."""
+    nums, den = eval_block(lad, r)
+    top = lad.ensure_cover(max(map(abs, (r[0], r[-1])))) if r else 0
+    assert den in {1, *(lad.stretch(n) for n in range(1, top + 1))}, den
+    assert all(type(n) is int for n in nums)
+    values = [F(n, den) for n in nums]
+    assert den % lcm(*(v.denominator for v in values)) == 0
+    return values
+
+
 def _check_block(lad, start, length, schedule, near=None):
     """eval_block on start .. start+length-1 equals per-point eval_ainf, and
-    tests/oracles.py at every point, or only within 1 of `near`; every 1 in
-    it is the shared ONE."""
-    block = eval_block(lad, range(start, start + length))
+    tests/oracles.py at every point, or only within 1 of `near`."""
+    block = _values(lad, range(start, start + length))
     assert block == [eval_ainf(lad, t) for t in range(start, start + length)], start
     for t in range(start, start + length):
         if near is None or abs(t - near) <= 1:
             assert block[t - start] == oracles.limit_value(t, schedule), t
-    assert all(v is ONE for v in block if v == 1)
 
 
 @pytest.mark.parametrize("schedule", SCHEDULES)
@@ -68,7 +82,7 @@ def test_splice_and_fold_edges_match_oracle(schedule, n):
             assert eval_ainf(lad, t) == oracles.limit_value(t, schedule), t
     for start in (lad.splice(n) - 2, lad.p(n) - 2):
         # the second window straddles the step from level n to level n + 1
-        block = eval_block(lad, range(start, start + 5))
+        block = _values(lad, range(start, start + 5))
         assert block == [oracles.limit_value(t, schedule) for t in range(start, start + 5)]
         assert block == [eval_ainf(lad, t) for t in range(start, start + 5)]
     # each breakpoint +-1, at a block's edge and inside it
@@ -105,7 +119,7 @@ def test_half_and_third_steps_match_oracle(schedule, n, anchor, step, den):
 def test_blocks_straddling_a_level_step_match_oracle(schedule, level, back, length):
     lad = _ladder(schedule)
     start = max(0, lad.p(level) - back)
-    block = eval_block(lad, range(start, start + length))
+    block = _values(lad, range(start, start + length))
     assert block == [eval_ainf(lad, t) for t in range(start, start + length)]
     assert block == [oracles.limit_value(t, schedule) for t in range(start, start + length)]
     # the same step on the negative side: -p[level] - 1 is read one level up
@@ -121,11 +135,10 @@ def test_blocks_straddling_a_level_step_match_oracle(schedule, level, back, leng
 def test_block_equals_pointwise_evaluation(band, offset, length):
     lad = ladder_new("default-minimal")
     start = band + offset
-    block = eval_block(lad, range(start, start + length))
+    block = _values(lad, range(start, start + length))
     assert block == [eval_ainf(lad, t) for t in range(start, start + length)]
-    assert all(v is ONE for v in block if v == 1)
     if start >= 0:
-        assert alpha_source(lad).read(start, start + length) == block
+        assert alpha_source(lad).read(start, start + length) == eval_block(lad, range(start, start + length))
     for t in (start, start + length // 2):
         if length:
             assert block[t - start] == oracles.limit_value(t)
@@ -133,7 +146,7 @@ def test_block_equals_pointwise_evaluation(band, offset, length):
 
 def test_explicit_schedule_window_matches_oracle():
     lad = _ladder(EXPLICIT)
-    block = eval_block(lad, range(600))
+    block = _values(lad, range(600))
     assert block == [oracles.limit_value(t, EXPLICIT) for t in range(600)]
     # the schedule really leaves powers of 3 behind
     assert any(v.denominator % 2 == 0 for v in block)
@@ -146,7 +159,7 @@ def test_explicit_schedule_window_matches_oracle():
         for start in (lad.p(1) + 1, lad.p(1) - 5, -lad.p(1) - 2 * period, -3 * period // 2):
             _check_block(lad, start, 2 * period + 7, schedule)
         grid = range(-lad.p(2), lad.p(2) + 1, lad.p(2) // 50)
-        values = eval_block(lad, grid)
+        values = _values(lad, grid)
         assert values == [eval_ainf(lad, t) for t in grid]
         assert values == [oracles.limit_value(t, schedule) for t in grid]
 
@@ -174,13 +187,14 @@ def test_stepped_ranges_match_pointwise_evaluation_and_oracle(schedule, warm):
                 ladder = _ladder(schedule)
                 if warm:
                     eval_block(ladder, range(-3 * p1, 3 * p1))
-                    assert {(VALUES, 0, 0), (VALUES, 1, 0)} <= set(ladder._memo)
+                    # one integer tile of each period, over its own denominator
+                    assert ladder._memo[VALUES, 0, 0][1] == 1
+                    assert ladder._memo[VALUES, 1, 0][1] == ladder.stretch(1)
+                    assert all(type(n) is int for n in ladder._memo[VALUES, 1, 0][0])
                 start = edge - (count // 2) * d - 1
                 r = range(start, start + count * d, d)
-                block = eval_block(ladder, r)
+                block = _values(ladder, r)
                 assert block == [eval_ainf(ladder, t) for t in r], (d, start, count)
-                assert all(v is ONE for v in block if v == 1)
-                assert all(v is ZERO for v in block if v == 0)
                 for i in {0, count // 2, count - 1} & set(range(count)):
                     assert block[i] == oracles.limit_value(r[i], schedule), (d, r[i])
 
@@ -194,7 +208,7 @@ def test_stepped_reads_of_a_tile_repeat_with_its_cycle():
     for d in (2, 3, 162, 243, 485, 487, 973):
         start = lad.p(1) + 1
         r = range(start, start + (3 * period + 5) * d, d)
-        assert eval_block(lad, r) == [eval_ainf(lad, t) for t in r], d
+        assert _values(lad, r) == [eval_ainf(lad, t) for t in r], d
 
 
 def test_block_rejects_negative_coordinates():
@@ -203,19 +217,47 @@ def test_block_rejects_negative_coordinates():
         alpha_window(ladder_new(), -1, 3)
     with pytest.raises(IndexError):
         alpha_source(ladder_new()).read(-1, 2)
-    assert eval_block(ladder_new(), range(5, 5)) == []
+    assert eval_block(ladder_new(), range(5, 5)) == ([], 1)
 
 
 def test_reads_share_period_tiles():
     # Two reads longer than a period of b_1 (2p[1]) inside the periodic stretch
-    # [p[1] + 1, stretch(2)) hand out the same objects at the same coordinates,
-    # so comparing them never needs Fraction.__eq__.
+    # [p[1] + 1, stretch(2)) are cut from one tile, over its denominator
+    # stretch(1), so they compare as lists of integers.
     lad = ladder_new("default-minimal")
     period, start = 2 * lad.p(1), lad.p(1) + 1
     first = eval_block(lad, range(start, start + 2 * period + 5))
     second = eval_block(lad, range(start + period, start + 3 * period + 5))
-    assert first[period:] == second[:period + 5]
-    assert all(a is b for a, b in zip(first[period:], second))
+    assert first[1] == second[1] == lad.stretch(1)
+    assert first[0][period:] == second[0][:period + 5]
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES)
+def test_a_read_states_the_stretch_of_the_highest_ramp_it_meets(schedule):
+    # The denominator of a read is the stretch of the highest level whose
+    # ramp it meets, or 1: level 2 read on its repeats of level 1 is over
+    # stretch(1), on its ramp over stretch(2), and on its plateau of ones
+    # (or level 0 alone) over 1; a block from level 1's repeats into level
+    # 2's ramp scales its first part once.
+    lad = _ladder(schedule)
+    s1, s2 = lad.stretch(1), lad.stretch(2)
+    for r, den in ((range(lad.p(1) + 1, lad.p(1) + 600), s1), (range(10**6, 10**6 + 10), s1),
+                   (range(s2 + 1, s2 + 50), s2), (range(2 * s2, 2 * s2 + 100), 1), (range(2, 4), 1),
+                   (range(s2 - 20, s2 + 20), s2), (range(5 * s2 - 20, 5 * s2 + 20, 3), s2)):
+        nums, got = eval_block(lad, r)
+        assert got == den, (r, got)
+        assert [F(n, got) for n in nums] == [oracles.limit_value(t, schedule) for t in r]
+
+
+def test_a_read_at_rigidity_n11_shift_states_a_small_denominator():
+    # verify rigidity --n 11 reads level 12 at 2p[11] + j, where the values
+    # are those of level 1 and below; stretch(12) has about 1.7 million bits,
+    # so a read over it would hold gigabytes
+    lad = ladder_new("default-minimal")
+    shift = 2 * lad.p(11)
+    nums, den = eval_block(lad, range(shift, shift + 4096))
+    assert den <= 27 and lad.stretch(12).bit_length() > 10**6
+    assert [F(n, den) for n in nums[:600]] == [oracles.limit_value(j) for j in range(600)]
 
 
 @given(schedule=st.sampled_from(SCHEDULES), n=st.integers(min_value=0, max_value=3), data=st.data())

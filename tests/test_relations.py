@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
@@ -18,6 +19,7 @@ from wkseq import (
     OrbitView,
     SeqWindow,
     alpha_source,
+    alpha_window,
     classify_pair,
     constant_source,
     ladder_new,
@@ -53,14 +55,15 @@ def test_sources_enforce_bounds(fixture):
         src.read(12000, 12001)[0]
     with pytest.raises(IndexError):
         src.read(-1, 0)[0]
-    assert constant_source(F(1, 3)).read(10**9, 10**9 + 1)[0] == F(1, 3)
-    assert ones_source().read(7, 8)[0] == 1
+    assert constant_source(F(1, 3)).read(10**9, 10**9 + 2) == ([1, 1], 3)
+    assert ones_source().read(7, 8) == ([1], 1)
 
 
 def test_view_shift_and_max_time(fixture):
     src = window_source(fixture)
     v = OrbitView(src, 5)
-    assert v.read(0, 1)[0] == fixture.values[5]
+    nums, den = v.read(0, 1)
+    assert F(nums[0], den) == fixture.values[5]
     assert v.max_time(16) == 12000 - 5 - 16
     assert OrbitView(ones_source(), 3).max_time(16) is None
     with pytest.raises(ValueError):
@@ -273,30 +276,34 @@ def _naive_fixed_target(fx, target, count, k):
     return los.index(min(los)), min(los)
 
 
-def test_scan_is_the_same_on_shared_and_distinct_objects(monkeypatch):
-    # Window files and eval_block hand the kernel one object per value; a
-    # library caller may hand it a new object per coordinate.  Sides holding
-    # either, a mix of both, or a constant side must give the oracles'
-    # times and brackets.
-    # alpha's powers of 3 among fifths and the reciprocals of a few primes,
-    # so most blocks meet a denominator that the blocks before did not have
+def test_scan_is_the_same_on_stated_and_rational_reads(monkeypatch):
+    # An orbit read is integers over a denominator it states, or, for a
+    # window file past BLOCK_DEN_BITS, Rationals (den None), which the
+    # kernel sums in blocks of bounded denominator.  Sides holding either
+    # form, one of each, or a constant side must give the oracles' times
+    # and brackets.  alpha's powers of 3 among fifths and the reciprocals of
+    # a few primes, so most blocks meet a denominator that the blocks
+    # before did not have.
     primes = (7, 11, 13, 17, 19, 23, 29)
     raw = [
         oracles.seq_value(i) if i % 4 else F(1, primes[i % 7]) if i % 8 else F(i % 5, 5)
         for i in range(200)
     ]
-    one = {}
-    shared = tuple(one.setdefault(v, v) for v in raw)
-    fresh = tuple(F(v.numerator, v.denominator) for v in raw)
-    mixed = tuple(f if i % 3 else s for i, (s, f) in enumerate(zip(shared, fresh)))
-    assert len(set(map(id, shared))) < 40 and len(set(map(id, fresh))) == len(raw)
+    den = lcm(*(v.denominator for v in raw))
+
+    def read(values, stated):
+        return ([v.numerator * (den // v.denominator) for v in values], den) if stated else (list(values), None)
+
+    def cut(r, a, b=None):
+        return r[0][a:b], r[1]
+
     fx = raw.__getitem__
     pattern = [(i // 2) % 2 for i in range(16)]  # thmC's target at q = 2
     horizon = 170
     others = [
-        (lambda xs: xs[1:], lambda i: raw[i + 1]),
-        (lambda xs: mixed[2:], lambda i: raw[i + 2]),
-        (lambda xs: constant_source(F(1, 3)).read(0, len(raw)), lambda i: F(1, 3)),
+        (lambda stated: read(raw[1:], stated), lambda i: raw[i + 1]),
+        (lambda stated: read(raw[2:], not stated), lambda i: raw[i + 2]),
+        (lambda stated: constant_source(F(1, 3)).read(0, len(raw)), lambda i: F(1, 3)),
     ]
     expected = {
         (n, k): (
@@ -310,18 +317,19 @@ def test_scan_is_the_same_on_shared_and_distinct_objects(monkeypatch):
     near_pattern = _naive_fixed_target(fx, pattern, horizon + 1, 16)
     for den_bits in (8, 16, 64):
         monkeypatch.setattr(brackets, "BLOCK_DEN_BITS", den_bits)
-        for xs in (shared, fresh, mixed):
+        for stated in (True, False):
+            xs = read(raw, stated)
             for (n, k), (prox, sep, recur) in expected.items():
-                ys = others[n][0](xs)
+                ys = others[n][0](stated)
                 t, br = brackets.bracket_scan([(xs, ys)], horizon + 1, k, True)
                 assert (t, br.lo, br.hi) == prox
                 t, br = brackets.bracket_scan([(xs, ys)], horizon + 1, k, True, want_max=True)
                 assert (t, br.lo, br.hi) == sep
                 t, br = brackets.bracket_scan(
-                    [(xs[1:], xs[:k]), (ys[1:], ys[:k])], horizon, k, False
+                    [(cut(xs, 1), cut(xs, 0, k)), (cut(ys, 1), cut(ys, 0, k))], horizon, k, False
                 )
                 assert (1 + t, br.hi) == recur
-            t, br = brackets.bracket_scan([(xs, pattern)], horizon + 1, 16, False)
+            t, br = brackets.bracket_scan([(xs, (pattern, 1))], horizon + 1, 16, False)
             assert (t, br.lo) == near_pattern
 
 
@@ -494,7 +502,7 @@ def test_searches_take_only_ints_and_fractions(t):
     ):
         with pytest.raises(TypeError, match="int or a Fraction"):
             call()
-    assert constant_source(1).read(0, 1) == [1]
+    assert constant_source(1).read(0, 1) == ([1], 1)
     assert classify_pair(ones, ones, 1, 0, 5, 4, half).labels[0] == PROXIMAL_WITNESSED
 
 
@@ -526,7 +534,7 @@ def _periodic(rng, head, period, length, tail=0, pool=POOL):
 def _stretch_source(values, period, first, stop):
     """values as a source stating the one repeat they have by construction:
     aperiodic before `first` and from `stop` on."""
-    return OrbitSource(lambda a, b: values[a:b], len(values),
+    return OrbitSource(lambda a, b: (values[a:b], None), len(values),
                        lambda i: (period, stop) if first <= i < stop else (None, first if i < first else None))
 
 
@@ -887,7 +895,7 @@ def test_skip_reads_a_few_blocks_where_the_orbit_repeats():
     # the walk reads the times before its period starts, at most p[1] + 1 =
     # 244 on alpha, and one period of 486.
     lad = ladder_new("default-minimal")
-    periodic = SeqWindow(4860, tuple(eval_block(lad, range(4860, 4860 + 10**5))))
+    periodic = alpha_window(lad, 4860, 10**5)
     rng = random.Random(2100)
     long_period = SeqWindow(0, _periodic(rng, 0, 2100, 3 * 4096))
     ones, k = OrbitView(ones_source()), 32
@@ -904,3 +912,30 @@ def test_skip_reads_a_few_blocks_where_the_orbit_repeats():
         blocks = reads[1:]  # the first read is the recurrence search's home window
         times = sum(b - a - (k - 1) for a, b in blocks)
         assert times == horizon + 1 if every else times <= 244 + 486
+
+
+@pytest.mark.parametrize("schedule", [(), (10, 72901)], ids=["default", "10-72901"])
+def test_a_block_from_level_one_into_level_two_matches_oracles(schedule, monkeypatch):
+    # alpha read from 150 before stretch(2) on: the first values repeat level
+    # 1, over stretch(1) (27 on the default ladder), and the rest are level
+    # 2's ramp, over stretch(2) (14 348 907), so each block's read states
+    # stretch(2) and scales its first part once.  Every search of classify
+    # and thmB, against ones and against alpha's own shifts, at two block
+    # sizes, equals the oracles'.
+    lad = ladder_new(schedule or "default-minimal")
+    s2, k, horizon = lad.stretch(2), 8, 300
+    base = s2 - 150
+    assert alpha_source(lad).read(base, base + 300)[1] == s2
+    assert alpha_source(lad).read(base, base + 100)[1] == lad.stretch(1)
+
+    fx = [oracles.limit_value(base + i, schedule) for i in range(horizon + k + 3)].__getitem__
+
+    for block in (64, 4096):
+        monkeypatch.setattr(ladder, "STREAM_BLOCK", block)
+        a = OrbitView(alpha_source(lad), base)
+        for other, fy in ((OrbitView(ones_source()), lambda i: F(1)),
+                          (OrbitView(alpha_source(lad), base + 3), lambda i: fx(i + 3))):
+            _assert_pair_oracles(a, other, fx, fy, 0, horizon, k)
+        verdict, = thmB_witnesses(_shifted_source(alpha_source(lad), base), ones_source(), [(0, 2)], horizon, k, F(2))
+        fixed = oracles.naive_recur_defect(lambda i: fx(i), lambda i: fx(i + 2), 1, horizon, k)
+        assert (verdict.recur_witness.time, verdict.recur_witness.value) == fixed

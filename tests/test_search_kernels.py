@@ -12,6 +12,7 @@ loops below.
 import random
 import tracemalloc
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
@@ -248,20 +249,21 @@ def test_fixed_kernel_reports_only_a_strictly_better_time(seed, head, monkeypatc
     monkeypatch.setattr(brackets, "HEAD", head)
     rng = random.Random(seed)
     k, count = rng.choice((1, 3, 4, 5, 9)), 60
-    pool = [F(i, 4) for i in range(5)]
-    xs = [rng.choice(pool) for _ in range(count + k - 1)]
-    target = [rng.choice(pool) for _ in range(k)]
-    other = [rng.choice(pool) for _ in range(count + k - 1)]
-    los = [max(oracles.naive_bracket_lo(lambda i: xs[t + i], target.__getitem__, 0, k),
-               oracles.naive_bracket_lo(lambda i: other[t + i], target.__getitem__, 0, k))
+    # xs and target are read as quarters, numerators over 4, and other as Fractions
+    xs = [rng.randrange(5) for _ in range(count + k - 1)]
+    target = [rng.randrange(5) for _ in range(k)]
+    other = [F(rng.randrange(5), 4) for _ in range(count + k - 1)]
+    los = [max(oracles.naive_bracket_lo(lambda i: F(xs[t + i], 4), lambda i: F(target[i], 4), 0, k),
+               oracles.naive_bracket_lo(lambda i: other[t + i], lambda i: F(target[i], 4), 0, k))
            for t in range(count)]
     for best in [None, *rng.sample(los, 5), min(los), F(0)]:
         below = [lo for lo in los if best is None or lo < best]
         expected = None if not below else (los.index(min(below)), min(below))
-        found = brackets.bracket_scan([(xs, target), (other, target)], count, k, False, best=best)
+        found = brackets.bracket_scan([((xs, 4), (target, 4)), ((other, None), (target, 4))], count, k, False,
+                                      best=best)
         assert (found and (found[0], found[1].lo)) == expected
     with pytest.raises(ValueError):
-        brackets.bracket_scan([(xs, target)], count, k, False, want_max=True)
+        brackets.bracket_scan([((xs, 4), (target, 4))], count, k, False, want_max=True)
 
 
 def _primes(below):
@@ -279,10 +281,10 @@ def test_block_denominator_bound_keeps_a_scan_small(sliding):
     # bits, and the scan would peak at about 93 MB sliding, 31 MB fixed.
     k = 32
     xs = [F(1, p) for p in _primes(40000)[:4096 + k - 1]]  # the 4127th prime is 39199
-    ys = [F(1)] * (len(xs) if sliding else k)
+    ys = [1] * (len(xs) if sliding else k)  # ones, over the denominator 1
     tracemalloc.start()
     try:
-        found = brackets.bracket_scan([(xs, ys)], 4096, k, sliding)
+        found = brackets.bracket_scan([((xs, None), (ys, 1))], 4096, k, sliding)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -298,3 +300,81 @@ def test_constant_fixed_point_ties_everywhere():
     verdict, = thmB_witnesses(window, constant_source(F(1, 3)), [(0, 4)], 250, K, F(2))
     lo = sum(F(1, 6) / 2**i for i in range(K))
     assert verdict.prox_witness == (0, lo + F(2) ** (1 - K))
+
+
+def _reads(values, stated):
+    """values as an orbit read: numerators over the lcm of their
+    denominators, or, unstated, the Fractions themselves (den None)."""
+    if not stated:
+        return list(values), None
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+@pytest.mark.parametrize("stated", [True, False], ids=["stated", "rationals"])
+@pytest.mark.parametrize("want_max", [False, True], ids=["min", "max"])
+@pytest.mark.parametrize("at", [0, 107, 299])
+def test_sliding_block_stops_at_the_first_time_that_meets_its_bound(at, want_max, stated):
+    # Every value differs from its partner by 1/7, so no window meets the
+    # bound (all differences 0 for a minimum, all 1 for a maximum) but the
+    # k-windows planted at `at` and 40 times later.  The block's answer is
+    # the first of them, which `bytes.find` locates before any sum; it is
+    # the first time, time 107, and the last time of the block.
+    count, k, rng = 300, K, random.Random(at)
+    xs = [F(rng.randrange(1, 6), 7) for _ in range(count + k - 1)]
+    ys = [x + F(1, 7) for x in xs]
+    for t in (at, min(at + 40, count - 1)):
+        for i in range(t, t + k):
+            xs[i], ys[i] = (F(0), F(1)) if want_max else (xs[i], xs[i])
+    naive = oracles.naive_max_lo if want_max else oracles.naive_min_hi
+    expected = naive(xs.__getitem__, ys.__getitem__, 0, count - 1, k)
+    t, br = brackets.bracket_scan([(_reads(xs, stated), _reads(ys, stated))], count, k, True, want_max=want_max)
+    assert (t, br.lo, br.hi) == expected and t == at
+    assert br.lo == (2 - F(2) ** (1 - k) if want_max else 0)
+
+
+def test_a_window_file_past_the_bound_is_read_as_rationals(monkeypatch):
+    # 1/p over 300 primes: the lcm of the denominators has about 3000 bits,
+    # past BLOCK_DEN_BITS, so the file's source states none and each block
+    # of a search finds its own; a file of halves and thirds states 6.  The
+    # searches against ones, against alpha (a stated read beside one that is
+    # not) and against the file's own shift equal the oracles'.
+    monkeypatch.setattr(ladder, "STREAM_BLOCK", 64)
+    values = [F(1, p) for p in _primes(2000)[:300]]
+    src = window_source(SeqWindow(0, tuple(values)))
+    assert src.read(5, 8) == (values[5:8], None)
+    assert window_source(SeqWindow(0, (F(1, 2), F(1, 3), F(0), F(1)))).read(0, 4) == ([3, 2, 0, 6], 6)
+    horizon, fx = 250, values.__getitem__
+    for other, fy in ((OrbitView(ones_source()), lambda i: F(1)),
+                      (OrbitView(alpha_source(ladder_new())), oracles.seq_value),
+                      (OrbitView(src, 3), lambda i: values[i + 3])):
+        prox, sep, recur = relations._pair_scan(OrbitView(src), other, 0, horizon, K)
+        assert (prox[0], prox[1].lo, prox[1].hi) == oracles.naive_min_hi(fx, fy, 0, horizon, K)
+        assert (sep[0], sep[1].lo, sep[1].hi) == oracles.naive_max_lo(fx, fy, 0, horizon, K)
+        assert (recur[0], recur[1].hi) == oracles.naive_recur_defect(fx, fy, 1, horizon, K)
+
+
+@pytest.mark.parametrize("value", [F(1, 3), F(0), F(1)])
+def test_a_constant_side_whose_first_minimum_and_maximum_coincide(value):
+    # a constant window against a constant: every time has the same sum, so
+    # the first minimum and the first maximum are both the first time
+    window = window_source(SeqWindow(0, (value,) * 200))
+    for fixed in (F(1, 3), F(1), F(0)):
+        start = 17
+        prox, sep, _ = relations._pair_scan(OrbitView(window), OrbitView(constant_source(fixed)), start, 150, K)
+        lo = oracles.naive_bracket_lo(lambda i: value, lambda i: fixed, 0, K)
+        assert prox == sep == (start, (lo, lo + F(2) ** (1 - K)))
+
+
+def test_values_written_0_5_and_3_3_search_as_0_and_1():
+    # 0/5 is 0 and 3/3 is 1, so the file's source holds halves over 2 and the
+    # searches equal those on the same values written 0/1, 1/1 and 1/2
+    texts = [("0,5", "3,3", "1,2")[i % 7 % 3] for i in range(300)]
+    window = loads_csv("index,value_num,value_den\n" + "".join(f"{i},{t}\n" for i, t in enumerate(texts)))
+    assert window_source(window).read(0, 3) == ([0, 2, 1], 2)
+    fx = [F(*map(int, t.split(","))) for t in texts].__getitem__
+    for other, fy in ((OrbitView(ones_source()), lambda i: F(1)), (OrbitView(constant_source(0)), lambda i: F(0))):
+        prox, sep, recur = relations._pair_scan(OrbitView(window_source(window)), other, 0, 280, K)
+        assert (prox[0], prox[1].lo) == oracles.naive_min_hi(fx, fy, 0, 280, K)[:2]
+        assert (sep[0], sep[1].lo) == oracles.naive_max_lo(fx, fy, 0, 280, K)[:2]
+        assert (recur[0], recur[1].hi) == oracles.naive_recur_defect(fx, fy, 1, 280, K)

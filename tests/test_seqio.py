@@ -26,8 +26,7 @@ from wkseq import (
 from wkseq import csv_reader, json_reader
 from wkseq.csv_reader import index_text
 from wkseq.seqio import CSV_HEADER
-from wkseq.sequence import alpha_windows
-from wkseq.writer import window_chunks
+from wkseq.writer import alpha_windows, window_chunks
 
 SAMPLE = SeqWindow(41, (F(14, 27), F(0), F(1), F(2, 3)))
 
@@ -82,6 +81,7 @@ FORMATS = [("csv", 0), ("csv", 6), ("json", 0)]
     (5000, 3000, None),  # alpha's 486-period: 80 value objects a window
     (25_000_000, 4096 + 700, None),  # level 2's ramp, mostly distinct, across a block edge
     (200, 1000, 64),  # many blocks, and the step from level 1 to level 2 at 244
+    (14_348_907 - 300, 700, 256),  # from level 1's repeats over 27 into level 2's ramp over stretch(2)
 ])
 def test_gen_writes_the_plain_per_row_text(fmt, decimals, start, length, block, capsys, monkeypatch):
     from wkseq import console_main, ladder, sequence
@@ -127,6 +127,65 @@ def test_window_chunks_memo_lives_one_window(fmt, decimals):
 
     expected = [v for w in windows() for v in w.values]
     _assert_same_text("".join(window_chunks(windows(), fmt, decimals)), _plain_text(0, expected, fmt, decimals))
+
+
+@given(
+    schedule=st.sampled_from([(), (10, 72901)]),
+    start=st.one_of(st.integers(0, 3000), st.sampled_from([14_348_907 - 40, 19_683_270 - 40, 5 * 14_348_907 - 9,
+                                                            10**20 + 5])),
+    length=st.integers(1, 400),
+    form=st.sampled_from(FORMATS),
+    block=st.sampled_from([7, 64, 4096]),
+)
+@settings(max_examples=60, deadline=None)
+def test_gen_ranges_write_the_text_of_the_fraction_evaluator(tmp_path_factory, schedule, start, length, form, block):
+    # gen formats each distinct numerator of a block once, over the block's
+    # denominator; its bytes are the text written row by row from each
+    # value of eval_ainf, the per-point Fraction evaluator, on both ladders
+    from contextlib import redirect_stdout
+    from io import StringIO
+
+    from wkseq import console_main, eval_ainf, ladder
+
+    fmt, decimals = form
+    flags = ["--format", fmt, "--decimals", str(decimals)]
+    if schedule:
+        path = tmp_path_factory.mktemp("schedule") / "s.txt"
+        path.write_text("".join(f"{x}\n" for x in schedule))
+        flags += ["--ladder-schedule", str(path)]
+    out, saved = StringIO(), ladder.STREAM_BLOCK
+    ladder.STREAM_BLOCK = block
+    try:
+        with redirect_stdout(out):
+            assert console_main([*flags, "gen", "--from", str(start), "--len", str(length)]) == 0
+    finally:
+        ladder.STREAM_BLOCK = saved
+    lad = ladder_new(schedule or "default-minimal")
+    values = [eval_ainf(lad, t) for t in range(start, start + length)]
+    _assert_same_text(out.getvalue(), _plain_text(start, values, fmt, decimals))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_loads_peaks_as_load_window_does(fmt, tmp_path):
+    # loads_csv and loads_json read the string itself as a stream, with no
+    # copy of it: on 10^5 distinct rows they peaked at 451 and 319 bytes a
+    # row with io.StringIO's four-byte copy, against 378 and 261 for
+    # load_window of the same file (Python 3.11), and now at 376 and 260;
+    # the window equals the file's, as the round-trip tests check
+    rows = 3 * 10**4
+    window = SeqWindow(0, tuple(F(i, rows + 3) for i in range(rows)))
+    text = dumps_csv(window) if fmt == "csv" else dumps_json(window)
+    path = tmp_path / f"w.{fmt}"
+    path.write_text(text)
+    peaks = []
+    for call in (lambda: load_window(path), lambda: (loads_csv if fmt == "csv" else loads_json)(text)):
+        tracemalloc.start()
+        try:
+            assert len(call()) == rows
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0], peaks
 
 
 def test_csv_round_trip():

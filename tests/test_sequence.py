@@ -57,8 +57,9 @@ def test_alpha_window_basic(lad):
 
 
 def bracket(x, y):
-    """The distance bracket of two prefixes, compared on the shorter length."""
-    return bracket_scan([(x, y)], 1, min(len(x), len(y)), True)[1]
+    """The distance bracket of two prefixes, compared on the shorter length,
+    each read as Rationals (den None)."""
+    return bracket_scan([((x, None), (y, None))], 1, min(len(x), len(y)), True)[1]
 
 
 def test_bracket_of_identical_windows():

@@ -116,6 +116,11 @@ def rows(files: dict[str, Path]) -> list[tuple[str, list[str], float]]:
         *((f"classify_alpha_{n}e7", ["relations", "classify", "--a", "alpha", "--horizon", str(n * 10**7), *classify],
            120) for n in (1, 2, 3)),
         ("thmC_alpha_3e7", ["relations", "thmC", "--orbit", "alpha", "--horizon", str(3 * 10**7), *thmC], 120),
+        # long gens: level 2's ramp from stretch(2), nearly every value distinct; JSON on its ramps
+        # past 7 stretch(2); and the decimal column over levels 1 and 2
+        ("gen_ramp_l2_2e6", ["gen", "--from", "14348907", "--len", "2000000"], 60),
+        ("gen_json_1e8_1e6", ["--format", "json", "gen", "--from", str(10**8), "--len", str(10**6)], 60),
+        ("gen_decimals_2e6", ["--decimals", "6", "gen", "--from", "0", "--len", "2000000"], 60),
         # certificates: report integers past Python's digit limit, scan refusals, the largest scans
         ("rigidity_n8", ["verify", "rigidity", "--n", "8", "--count", "1"], 60),
         ("rigidity_n11", ["verify", "rigidity", "--n", "11", "--count", "1"], 60),
@@ -238,7 +243,8 @@ if name in (*READS, "tail_period_read_1e5"):
 
 # eval_block over one piece of each kind at levels 1 and 2 of the default
 # ladder, at most `rows` points of it a block of STREAM_BLOCK at a time: the
-# repeat of the level below, a ramp over it, and a plateau of ones.
+# repeat of the level below, a ramp over it, and a plateau of ones.  Each
+# block's numerators are kept, over the denominator it states.
 s1, s2 = 27, 14348907
 BLOCKS = {
     "eval_block_repeat_l1": (4, s1), "eval_block_ramp_l1": (s1 + 1, 2 * s1),
@@ -252,7 +258,7 @@ def call():
         return READS[name]()
     if name in BLOCKS:
         a, b = BLOCKS[name]
-        return [v for x in range(a, b, STREAM_BLOCK) for v in eval_block(lad, range(x, min(x + STREAM_BLOCK, b)))]
+        return [v for x in range(a, b, STREAM_BLOCK) for v in eval_block(lad, range(x, min(x + STREAM_BLOCK, b)))[0]]
     return window_source(window).repeat(0)
 
 

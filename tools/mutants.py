@@ -68,10 +68,18 @@ MUTANTS = [
            'if len(self.table) > 256 ** getattr(self.codes, "itemsize", 1):',
            'if len(self.table) > 257 ** getattr(self.codes, "itemsize", 1):',
            ("test_seqio.py",)),
-    # each window's rows are written from its own distinct values' texts
+    # each block's rows are written from its own values' texts
     Mutant("texts_of_one_window_reused_for_the_next", "writer.py",
-           "        distinct = w._distinct\n",
-           "        distinct = w._distinct if count == 1 else distinct\n",
+           "        texts = dict.fromkeys(keys)\n",
+           "        texts = dict.fromkeys(keys)\n        first = over = over if count == 1 else first\n",
+           ("test_seqio.py",)),
+    # the texts live one block: a numerator, or a code, means another value
+    # in the next block, and a memo of every block's texts would hold each
+    # of a ramp's values
+    Mutant("text_memo_kept_across_blocks", "writer.py",
+           "        texts = dict.fromkeys(keys)\n        for key in texts:\n",
+           "        kept = texts = {**dict.fromkeys(keys), **(kept if count > 1 else {})}\n"
+           "        for key in [key for key in texts if texts[key] is None]:\n",
            ("test_seqio.py",)),
     # a CSV block's indices are checked a thousand at a time: runs that
     # share their thousands end at the next multiple of 1000
@@ -250,9 +258,33 @@ MUTANTS = [
     # only alpha's source reads the walker, so a window file's search
     # never compiles it
     Mutant("orbits_imports_the_walker_at_module_level", "orbits.py",
-           "from .sequence import SeqWindow\n",
-           "from .sequence import SeqWindow\nfrom .walker import eval_block, pieces\n",
+           "from .ladder import Ladder, Rational, exact_fraction\n",
+           "from .ladder import Ladder, Rational, exact_fraction\nfrom .walker import eval_block, pieces\n",
            ("test_cli.py",)),
+    # a ramp of level n states its copy in units of 1/stretch(n), not of the
+    # stretch of the level below
+    Mutant("alpha_denominator_of_the_level_below", "walker.py",
+           "alg.ramp(copies[k::d], s, part)",
+           "alg.ramp(copies[k::d], ladder.stretch(n - 1) if n > 1 else 1, part)",
+           ("test_kernel.py",)),
+    # a read states the stretch of the highest ramp it meets, never that of
+    # the level covering it, which at level 12 has 1.7 million bits
+    Mutant("alpha_denominator_of_the_covering_level", "walker.py",
+           "        out = VALUES.join(out, fold(ladder, n, r, VALUES, len(points)))\n",
+           "        out = VALUES.join(out, VALUES.join(([], ladder.stretch(n) if n else 1),"
+           " fold(ladder, n, r, VALUES, len(points))))\n",
+           ("test_kernel.py",)),
+    # a ramp takes the larger of its copy and the level below
+    Mutant("ramp_without_the_max", "walker.py",
+           "return [*map(max, copies, over(below, s))], s",
+           "return over(below, s), s",
+           ("test_kernel.py",)),
+    # a window file's values are scaled to one denominator only while it
+    # fits BLOCK_DEN_BITS; past it, each search block finds its own
+    Mutant("window_table_scaled_past_the_bound", "orbits.py",
+           "(den := lcm(den, v.denominator)).bit_length() > BLOCK_DEN_BITS:",
+           "(den := lcm(den, v.denominator)).bit_length() > 1 << 40:",
+           ("test_search_kernels.py",)),
 ]
 
 
